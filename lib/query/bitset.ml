@@ -1,8 +1,9 @@
 (* Packed bitsets over native ints, 63 bits per word (every bit of the
    OCaml int, including the one that makes a word print negative — only
    bitwise ops and logical shifts ever touch a word, so the sign is inert).
-   Row sets of the compiled predicate engine: one bit per table row,
-   And/Or/Not are word-wise land/lor/lnot, counting is a popcount loop. *)
+   Row sets of the compiled predicate engine: one bit per table row; the
+   word machine in Predicate combines them word-wise, and counting is a
+   popcount loop. *)
 
 type t = { len : int; words : int array }
 
@@ -49,26 +50,8 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Bitset.get: index out of range";
   (t.words.(i / bits_per_word) lsr (i mod bits_per_word)) land 1 = 1
 
-let check_len op a b =
-  if a.len <> b.len then
-    invalid_arg (Printf.sprintf "Bitset.%s: length mismatch (%d vs %d)" op a.len b.len)
-
-let band a b =
-  check_len "band" a b;
-  { len = a.len; words = Array.map2 ( land ) a.words b.words }
-
-let bor a b =
-  check_len "bor" a b;
-  { len = a.len; words = Array.map2 ( lor ) a.words b.words }
-
-let bnot a =
-  let words = Array.map lnot a.words in
-  let nw = Array.length words in
-  if nw > 0 then words.(nw - 1) <- words.(nw - 1) land tail_mask a.len;
-  { len = a.len; words }
-
-(* 16-bit popcount table: four loads cover a 63-bit word. Shared with the
-   reconstruction attack's subset popcounts (see Attacks.Reconstruction). *)
+(* 16-bit popcount table for the reconstruction attack's subset popcounts
+   (see Attacks.Reconstruction). *)
 let pop16 =
   let t = Bytes.create 65536 in
   Bytes.set t 0 '\000';
@@ -78,30 +61,6 @@ let pop16 =
   t
 
 let[@inline always] popcount16 m = Char.code (Bytes.unsafe_get pop16 (m land 0xffff))
-
-(* Full-word popcount is SWAR bit-twiddling rather than four table loads:
-   the batched evaluator popcounts every word of every predicate's row
-   set, and a dozen dependency-free ALU ops beat four serialized memory
-   reads there. Adapted to 63-bit ints: bit 62 forms a lone "pair" whose
-   high half shifts in zero, so the pairwise step still counts it, and
-   the byte-sum multiply cannot carry into the dropped sign position
-   because the total is at most 63. The odd-bits mask is assembled at
-   init — 0x5555555555555555 overflows the 63-bit literal range. *)
-let m1 = 0x1555555555555555 lor (1 lsl 62) (* bits 0, 2, ..., 62 *)
-
-let m2 = 0x3333333333333333
-
-let m4 = 0x0F0F0F0F0F0F0F0F
-
-let h01 = 0x0101010101010101
-
-(* [@inline always] matters: the hot loops popcount per word across
-   module boundaries, and an un-inlined call dominates the dozen ALU ops. *)
-let[@inline always] popcount w =
-  let x = w - ((w lsr 1) land m1) in
-  let x = (x land m2) + ((x lsr 2) land m2) in
-  let x = (x + (x lsr 4)) land m4 in
-  (x * h01) lsr 56
 
 (* Whole-array popcounts in C (bitset_stubs.c): counting is the only
    thing a count query does with its row set, so it pays to cross the FFI
@@ -122,20 +81,6 @@ external unsafe_count_or : int array -> int array -> int -> int -> int
 
 let count t = unsafe_count_words t.words (Array.length t.words) (-1)
 
-(* Stops scanning as soon as the running count exceeds [cap]; the result is
-   exact when [<= cap] and some value [> cap] otherwise. [isolates] asks
-   [count_capped 1 b = 1] and bails after the second hit. *)
-let count_capped cap t =
-  let acc = ref 0 in
-  (try
-     Array.iter
-       (fun w ->
-         acc := !acc + popcount w;
-         if !acc > cap then raise Exit)
-       t.words
-   with Exit -> ());
-  !acc
-
 let indices t =
   let out = Array.make (count t) 0 in
   let k = ref 0 in
@@ -153,11 +98,9 @@ let indices t =
     t.words;
   out
 
-let equal a b = a.len = b.len && a.words = b.words
-
-(* Internal surface for the batched evaluator (Predicate.count_many): it
-   runs a stack machine directly over the packed words of many atom
-   bitsets, so it needs the representation — words, the word count for a
+(* Internal surface for the word machine in Predicate: it runs a stack
+   machine directly over the packed words of many atom bitsets, so it
+   needs the representation — words, the word count for a
    length, and the live-bit mask of the tail word. *)
 
 let unsafe_words t = t.words

@@ -1,8 +1,9 @@
 (** Packed bitsets: the row sets of the compiled query engine.
 
     One bit per table row, packed 63 to a native int word, so the boolean
-    connectives of a predicate become word-wise [land]/[lor]/[lnot] and a
-    count query becomes a popcount loop — the same columnar-engine shape as
+    connectives of a predicate become word-wise [land]/[lor]/[lnot] (run
+    by the word machine in {!Predicate}) and a count query becomes a
+    popcount loop — the same columnar-engine shape as
     Dinur–Nissim-style reconstruction tooling. *)
 
 type t
@@ -22,29 +23,11 @@ val init : int -> (int -> bool) -> t
 val get : t -> int -> bool
 (** Raises [Invalid_argument] out of range. *)
 
-val band : t -> t -> t
-
-val bor : t -> t -> t
-
-val bnot : t -> t
-(** Complement within the length: tail bits stay clear, so
-    [count (bnot b) = length b - count b]. *)
-
 val count : t -> int
 (** Number of set bits. *)
 
-val count_capped : int -> t -> int
-(** [count_capped cap b] short-circuits once the running count exceeds
-    [cap]: exact when [<= cap], otherwise some value [> cap]. *)
-
 val indices : t -> int array
 (** Positions of the set bits, ascending. *)
-
-val equal : t -> t -> bool
-
-val popcount : int -> int
-(** Set bits of a native int word (all 63 bits), via a shared 16-bit
-    lookup table. *)
 
 val popcount16 : int -> int
 (** Set bits of the low 16 bits only — one table load, for masks already
@@ -52,10 +35,10 @@ val popcount16 : int -> int
 
 (** {1 Packed representation}
 
-    The batched evaluator ({!Predicate.count_many}) fuses a whole
-    predicate's connectives into one pass per word, reading many atom
-    bitsets' words directly instead of allocating an intermediate bitset
-    per operator. That needs the representation; nothing else should. *)
+    The word machine ({!Predicate.count_many}) runs a predicate's
+    connectives one word-wise loop per operator, reading many atom
+    bitsets' words directly. That needs the representation; nothing else
+    should. *)
 
 val bits_per_word : int
 (** 63: every bit of a native OCaml int. *)
@@ -69,7 +52,7 @@ val live_mask : int -> int
 
 val unsafe_words : t -> int array
 (** The packed words. Treat as read-only: mutating them breaks the
-    clear-tail invariant [count]/[bnot] rely on. *)
+    clear-tail invariant [count] relies on. *)
 
 val unsafe_of_words : len:int -> int array -> t
 (** Adopt an array as a bitset (no copy). The caller must have cleared

@@ -156,23 +156,18 @@ let matching_interpreted t schema p =
     t.table;
   Array.of_list (List.rev !subset)
 
-let matching_compiled t schema p =
-  Bitset.indices (Predicate.bits (Predicate.compile schema p) t.table)
+let show_subset s =
+  "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int s)) ^ "]"
 
 let ask t p =
   let schema = Table.schema t.table in
   let subset =
-    match Predicate.engine () with
-    | Predicate.Interpreted -> matching_interpreted t schema p
-    | Predicate.Compiled -> matching_compiled t schema p
-    | Predicate.Checked ->
-      let a = matching_interpreted t schema p in
-      let b = matching_compiled t schema p in
-      if a <> b then
-        failwith
-          (Printf.sprintf "Curator.ask: engine mismatch on %s"
-             (Predicate.to_string p));
-      a
+    Predicate.by_engine
+      ~what:(fun () -> "Curator.ask on " ^ Predicate.to_string p)
+      ~show:show_subset
+      (fun () -> matching_interpreted t schema p)
+      (fun () ->
+        Bitset.indices (Predicate.bits (Predicate.compile schema p) t.table))
   in
   let digest = if Obs.Ledger.enabled () then Predicate.digest p else "-" in
   ask_subset_as t ~digest
@@ -185,24 +180,14 @@ let ask t p =
    those of asking sequentially — [ask_many] and [Array.map (ask t)]
    produce identical replies from identical starting states. *)
 let matching_many t schema ps =
-  match Predicate.engine () with
-  | Predicate.Interpreted -> Array.map (matching_interpreted t schema) ps
-  | Predicate.Compiled ->
-    let cs = Array.map (Predicate.compile schema) ps in
-    Array.map Bitset.indices (Predicate.bits_many t.table cs)
-  | Predicate.Checked ->
-    let cs = Array.map (Predicate.compile schema) ps in
-    let batch = Array.map Bitset.indices (Predicate.bits_many t.table cs) in
-    Array.iteri
-      (fun i b ->
-        let a = matching_interpreted t schema ps.(i) in
-        let c = Bitset.indices (Predicate.bits cs.(i) t.table) in
-        if a <> b || c <> b then
-          failwith
-            (Printf.sprintf "Curator.ask_many: engine mismatch on %s"
-               (Predicate.to_string ps.(i))))
-      batch;
-    batch
+  Predicate.by_engine
+    ~what:(fun () ->
+      Printf.sprintf "Curator.ask_many on %d queries" (Array.length ps))
+    ~show:(fun ss -> String.concat " " (Array.to_list (Array.map show_subset ss)))
+    (fun () -> Array.map (matching_interpreted t schema) ps)
+    (fun () ->
+      let cs = Array.map (Predicate.compile schema) ps in
+      Array.map Bitset.indices (Predicate.bits_many t.table cs))
 
 let ask_many t ps =
   let subsets = matching_many t (Table.schema t.table) ps in

@@ -4,9 +4,9 @@
    batch-wide atom dedup, fused word-machine evaluation. This module adds
    the two things the kernel deliberately does not know about:
 
-   - engine dispatch: [counts]/[isolations] honour Predicate.engine (),
-     with [Checked] cross-validating every batch answer against BOTH the
-     per-predicate compiled path and the reference interpreter;
+   - engine dispatch: [counts]/[isolations] go through
+     Predicate.by_engine, whose interpreted side is the one interpreted
+     batch below and whose [Checked] mode compares the two;
 
    - optional domain fan-out: [?pool] splits a large batch into contiguous
      chunks evaluated by Parallel.Pool workers and concatenated in chunk
@@ -57,54 +57,42 @@ let isolates_many ?pool ?cache table cs =
 
 let compile_all schema qs = Array.map (Predicate.compile schema) qs
 
-let mismatch what i q ~batch ~single ~interp =
-  failwith
-    (Printf.sprintf
-       "Engine.%s: engine mismatch at query %d (batch %s, compiled %s, \
-        interpreter %s) on %s"
-       what i batch single interp
-       (Predicate.to_string q))
+(* The interpreted batch: rows outer, queries inner, so hash-atom digests
+   (cached per row by the interpreter) are paid once per record for the
+   whole batch. *)
+let count_interpreted_many schema qs table =
+  let counts = Array.make (Array.length qs) 0 in
+  Array.iter
+    (fun row ->
+      Array.iteri
+        (fun i q ->
+          if Predicate.eval schema q row then counts.(i) <- counts.(i) + 1)
+        qs)
+    (Table.rows table);
+  counts
+
+let show_array show a =
+  "[" ^ String.concat "; " (Array.to_list (Array.map show a)) ^ "]"
+
+(* Charge the batch, then switch engines: [interp] derives the answer
+   from the interpreted counts, [compiled] runs the word machine over
+   [?compiled] or a fresh compilation of [qs]. *)
+let dispatch what ~show ?compiled table qs ~interp run =
+  Obs.Counter.add c_evals (Table.nrows table * Array.length qs);
+  let schema = Table.schema table in
+  Predicate.by_engine
+    ~what:(fun () ->
+      Printf.sprintf "Engine.%s on %d queries" what (Array.length qs))
+    ~show:(show_array show)
+    (fun () -> interp (count_interpreted_many schema qs table))
+    (fun () ->
+      run (match compiled with Some cs -> cs | None -> compile_all schema qs))
 
 let counts ?pool ?compiled table qs =
-  Obs.Counter.add c_evals (Table.nrows table * Array.length qs);
-  let schema = Table.schema table in
-  let compiled_or cs = match compiled with Some cs -> cs | None -> cs () in
-  match Predicate.engine () with
-  | Predicate.Interpreted ->
-    Array.map (fun q -> Predicate.count_interpreted schema q table) qs
-  | Predicate.Compiled ->
-    count_many ?pool table (compiled_or (fun () -> compile_all schema qs))
-  | Predicate.Checked ->
-    let cs = compiled_or (fun () -> compile_all schema qs) in
-    let batch = count_many ?pool table cs in
-    Array.iteri
-      (fun i c ->
-        let single = Predicate.count_compiled cs.(i) table in
-        let interp = Predicate.count_interpreted schema qs.(i) table in
-        if c <> single || c <> interp then
-          mismatch "counts" i qs.(i) ~batch:(string_of_int c)
-            ~single:(string_of_int single) ~interp:(string_of_int interp))
-      batch;
-    batch
+  dispatch "counts" ~show:string_of_int ?compiled table qs ~interp:Fun.id
+    (count_many ?pool table)
 
 let isolations ?pool ?compiled table qs =
-  Obs.Counter.add c_evals (Table.nrows table * Array.length qs);
-  let schema = Table.schema table in
-  let compiled_or cs = match compiled with Some cs -> cs | None -> cs () in
-  match Predicate.engine () with
-  | Predicate.Interpreted ->
-    Array.map (fun q -> Predicate.count_interpreted schema q table = 1) qs
-  | Predicate.Compiled ->
-    isolates_many ?pool table (compiled_or (fun () -> compile_all schema qs))
-  | Predicate.Checked ->
-    let cs = compiled_or (fun () -> compile_all schema qs) in
-    let batch = isolates_many ?pool table cs in
-    Array.iteri
-      (fun i b ->
-        let single = Predicate.isolates_compiled cs.(i) table in
-        let interp = Predicate.count_interpreted schema qs.(i) table = 1 in
-        if b <> single || b <> interp then
-          mismatch "isolations" i qs.(i) ~batch:(string_of_bool b)
-            ~single:(string_of_bool single) ~interp:(string_of_bool interp))
-      batch;
-    batch
+  dispatch "isolations" ~show:string_of_bool ?compiled table qs
+    ~interp:(Array.map (fun n -> n = 1))
+    (isolates_many ?pool table)

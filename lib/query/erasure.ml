@@ -47,17 +47,11 @@ let count_over_compiled t ~include_erased p =
       t.erased total
 
 let count_over t ~include_erased p =
-  match Predicate.engine () with
-  | Predicate.Interpreted -> count_over_interpreted t ~include_erased p
-  | Predicate.Compiled -> count_over_compiled t ~include_erased p
-  | Predicate.Checked ->
-    let a = count_over_interpreted t ~include_erased p in
-    let b = count_over_compiled t ~include_erased p in
-    if a <> b then
-      failwith
-        (Printf.sprintf "Erasure.count_over: engine mismatch (%d vs %d) on %s"
-           a b (Predicate.to_string p));
-    a
+  Predicate.by_engine
+    ~what:(fun () -> "Erasure.count_over on " ^ Predicate.to_string p)
+    ~show:string_of_int
+    (fun () -> count_over_interpreted t ~include_erased p)
+    (fun () -> count_over_compiled t ~include_erased p)
 
 let count t p =
   match t.implementation with

@@ -17,10 +17,24 @@ let sk_cost = Obs.Sketchm.make "query.cost_rows"
 
 let sk_latency = Obs.Sketchm.make ~timing:true "query.latency_ns"
 
-(* Journal one mechanism run. The digest is precomputed at mechanism
-   construction (lazily — construction happens once, runs happen per
-   trial) so the per-run cost when the ledger is off stays one flag
-   read. *)
+(* A mechanism's ledger digest, computed on its first journaled run and
+   kept. An Atomic cell, not [lazy]: Pso.Game fans trials across domains,
+   so several can journal a mechanism's first run at once, and forcing
+   one [lazy] from two domains raises [CamlinternalLazy.Undefined]. A
+   race computes the (pure) digest twice and one result wins, like
+   [batch_compiled] below. *)
+let digest_once f =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some d -> d
+    | None ->
+      let d = f () in
+      Atomic.set cell (Some d);
+      d
+
+(* Journal one mechanism run. The digest is only computed when telemetry
+   or the ledger is on, so with both off a run costs one flag read. *)
 let log_run ~digest ~noised ~cost f =
   if not (Obs.enabled () || Obs.Ledger.enabled ()) then f ()
   else begin
@@ -29,14 +43,14 @@ let log_run ~digest ~noised ~cost f =
     Obs.Sketchm.observe sk_latency (Int64.to_float (Int64.sub (Obs.now_ns ()) t0));
     Obs.Sketchm.observe sk_cost (float_of_int cost);
     Obs.Ledger.query ~analyst:Obs.Ledger.ambient_analyst ~kind:"mechanism"
-      ~digest:(Lazy.force digest)
+      ~digest:(digest ())
       ~engine:(Predicate.engine_name (Predicate.engine ()))
       ~noised ~cost;
     out
   end
 
 let exact_count q =
-  let digest = lazy (Predicate.digest q) in
+  let digest = digest_once (fun () -> Predicate.digest q) in
   {
     name = Printf.sprintf "count[%s]" (Predicate.to_string q);
     run =
@@ -76,39 +90,19 @@ let batch_compiled b schema =
 (* The shared, non-journaling counts kernel: both the exact and the
    Laplace batch mechanisms call this and then emit their *own* single
    query event, so a noised release is never double-logged as an exact
-   one. *)
+   one. Engine.counts switches engines and reuses the batch's
+   compilation on the compiled side. *)
 let batch_counts ?pool b table =
-  let qs = b.queries in
-  let schema = Dataset.Table.schema table in
-  match Predicate.engine () with
-  | Predicate.Interpreted ->
-    (* Rows outer, queries inner: hash-atom digests are cached per
-       row, so query batches over the same record pay for one
-       digest. *)
-    let counts = Array.make (Array.length qs) 0. in
-    Array.iter
-      (fun row ->
-        Array.iteri
-          (fun i q ->
-            if Predicate.eval schema q row then counts.(i) <- counts.(i) +. 1.)
-          qs)
-      (Dataset.Table.rows table);
-    counts
-  | Predicate.Compiled | Predicate.Checked ->
-    (* One batched evaluation: shared columnar scan, batch-wide
-       atom dedup, compilation reused across runs. Under Checked,
-       Engine.counts re-derives every answer with the
-       per-predicate compiled path and the interpreter. *)
-    Array.map float_of_int
-      (Engine.counts ?pool ~compiled:(batch_compiled b schema) table qs)
+  let compiled = batch_compiled b (Dataset.Table.schema table) in
+  Array.map float_of_int (Engine.counts ?pool ~compiled table b.queries)
 
 (* One digest for the whole batch: the hash of all member renderings. *)
 let batch_digest b =
-  lazy
-    (Printf.sprintf "%016Lx"
-       (Prob.Hashing.hash64 ~salt:0L
-          (String.concat "|"
-             (Array.to_list (Array.map Predicate.to_string b.queries)))))
+  digest_once (fun () ->
+      Printf.sprintf "%016Lx"
+        (Prob.Hashing.hash64 ~salt:0L
+           (String.concat "|"
+              (Array.to_list (Array.map Predicate.to_string b.queries)))))
 
 let batch_cost b table = Dataset.Table.nrows table * Array.length b.queries
 

@@ -43,9 +43,8 @@ val laplace_counts : epsilon:float -> Predicate.t array -> t
     {!Pso.Composition} build several mechanisms over the same queries.
     Counts are evaluated through {!Engine.counts}: one shared columnar
     scan with batch-wide atom dedup (and under the [Checked] engine, every
-    batch answer cross-validated against the per-predicate compiled path
-    and the interpreter). Outputs are identical to the unbatched
-    constructors on every input. *)
+    batch answer compared with the interpreter's). Outputs are identical
+    to the unbatched constructors on every input. *)
 
 type batch
 

@@ -156,11 +156,13 @@ let digest p = Printf.sprintf "%016Lx" (Prob.Hashing.hash64 ~salt:0L (to_string 
 (* --- Compiled predicates --- *)
 
 (* Compilation resolves each atom's attribute to its schema index once
-   (instead of a string lookup per atom per row) and keeps the original
-   atom alongside as the bitset cache key. Evaluation against a table is
-   columnar: each atom materializes a Bitset over its column — per-value
-   tests (Eq/Member/Fits) run once per distinct dictionary value, not once
-   per row — and the connectives combine whole words. *)
+   (instead of a string lookup per atom per row) and linearizes the
+   connectives into a postfix program over the resolved atoms. Evaluation
+   against a table has one implementation, the word machine below: each
+   distinct atom materializes a Bitset over its column — per-value tests
+   (Eq/Member/Fits) run once per distinct dictionary value, not once per
+   row — and the program runs word by word on a scratch stack. A single
+   query is a batch of one. *)
 
 type catom =
   | Ceq of int * Value.t
@@ -170,15 +172,26 @@ type catom =
   | Chash_bucket of { buckets : int; bucket : int; salt : int64 }
   | Chash_bit of { index : int; salt : int64 }
 
-type cexp =
-  | Ktrue
-  | Kfalse
-  | Katom of atom * catom
-  | Knot of cexp
-  | Kand of cexp * cexp
-  | Kor of cexp * cexp
+(* Postfix opcodes: [>= 0] pushes the words of atom [op]; negatives are the
+   connectives and constants. *)
+let op_true = -1
 
-type compiled = { c_prog : cexp; c_source : t }
+let op_false = -2
+
+let op_not = -3
+
+let op_and = -4
+
+let op_or = -5
+
+type prog = { code : int array; stack_need : int }
+
+type compiled = {
+  c_source : t;
+  c_atoms : catom array;  (* local atom id -> atom, postfix order *)
+  c_code : int array;  (* postfix over the local atom ids *)
+  c_stack_need : int;
+}
 
 let source c = c.c_source
 
@@ -192,49 +205,77 @@ let compile schema t =
     | Hash_bucket { buckets; bucket; salt } -> Chash_bucket { buckets; bucket; salt }
     | Hash_bit { index; salt } -> Chash_bit { index; salt }
   in
-  let rec go = function
-    | True -> Ktrue
-    | False -> Kfalse
-    | Atom a -> Katom (a, catom a)
-    | Not p -> Knot (go p)
-    | And (p, q) -> Kand (go p, go q)
-    | Or (p, q) -> Kor (go p, go q)
+  (* Atoms are numbered per occurrence; the batch planner dedups them
+     across the whole batch, and a single query's repeats hit the table
+     cache. *)
+  let rev_atoms = ref [] in
+  let natoms = ref 0 in
+  let atom_id a =
+    rev_atoms := catom a :: !rev_atoms;
+    incr natoms;
+    !natoms - 1
   in
-  { c_prog = go t; c_source = t }
+  let code = ref [] in
+  let emit op = code := op :: !code in
+  (* Stack need of left-to-right postfix evaluation: the left operand's
+     result occupies one slot while the right operand evaluates. *)
+  let rec go = function
+    | True ->
+      emit op_true;
+      1
+    | False ->
+      emit op_false;
+      1
+    | Atom a ->
+      emit (atom_id a);
+      1
+    | Not p ->
+      let d = go p in
+      emit op_not;
+      d
+    | And (p, q) -> binary op_and p q
+    | Or (p, q) -> binary op_or p q
+  and binary op p q =
+    let dp = go p in
+    let dq = go q in
+    emit op;
+    max dp (dq + 1)
+  in
+  let stack_need = go t in
+  {
+    c_source = t;
+    c_atoms = Array.of_list (List.rev !rev_atoms);
+    c_code = Array.of_list (List.rev !code);
+    c_stack_need = stack_need;
+  }
 
 (* Atom bitsets and per-salt digest columns, memoized per table. The cache
    is domain-local (no locks on the hot path, like the digest cache above)
    and bounded: a handful of tables in MRU order — the PSO game touches one
    fresh table per trial, so stale generations retire immediately — and a
-   cap on distinct atoms per table. Keys include Table.id, which every
-   derived table refreshes, so stale hits are impossible by construction. *)
+   cap on distinct atoms per table. Atoms are keyed in resolved form (by
+   column index, the form [materialize] reads), and tables by Table.id,
+   which every derived table refreshes, so stale hits are impossible by
+   construction. *)
 type table_cache = {
   tbl : int;  (* Table.id *)
-  atoms : (atom, Bitset.t) Hashtbl.t;
+  atoms : (catom, Bitset.t) Hashtbl.t;
   digests : (int64, int64 array) Hashtbl.t;  (* salt -> per-row digest *)
 }
 
-(* Cache bounds. Both are env-overridable; the atom bound is additionally
-   batch-aware: [count_many] grows it (up to [atom_capacity_ceiling]) to
-   the number of distinct atoms in the batch it is about to evaluate, so a
-   1k-predicate batch does not thrash a 512-atom cache by rematerializing
-   the overflow on every call. Growth is monotone — capacity never shrinks
-   below the env/default floor, and a later small batch cannot evict the
-   headroom a big one established. *)
-let env_bound name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v when v > 0 -> v
-  | Some _ | None -> default
+(* Cache bounds. The atom bound is batch-aware: [plan] grows it (up to
+   [atom_capacity_ceiling]) to the number of distinct atoms in the batch
+   it is about to evaluate, so a 1k-predicate batch does not thrash a
+   512-atom cache by rematerializing the overflow on every call. Growth
+   is monotone — capacity never shrinks below the floor, and a later
+   small batch cannot evict the headroom a big one established. *)
+let max_cached_tables = 4
 
-let max_cached_tables = env_bound "PSO_ATOM_CACHE_TABLES" 4
-
-let atom_capacity_floor = env_bound "PSO_ATOM_CACHE_ATOMS" 512
+let atom_capacity_floor = 512
 
 let atom_capacity_ceiling = 65_536
 
 let atom_capacity = Atomic.make atom_capacity_floor
-
-let atom_cache_capacity () = Atomic.get atom_capacity
 
 let reserve_atom_capacity n =
   let n = min n atom_capacity_ceiling in
@@ -263,8 +304,8 @@ let table_cache table =
     caches := tc :: List.filteri (fun i _ -> i < max_cached_tables - 1) !caches;
     tc
 
-(* One count per compiled-tree evaluation: a logical event (independent of
-   scheduling), unlike the cache hit/miss split below. *)
+(* One count per single-query compiled evaluation: a logical event
+   (independent of scheduling), unlike the cache hit/miss split below. *)
 let c_compiled = Obs.Counter.make "query.compiled_evals"
 
 let c_bitset_hits = Obs.Counter.make ~timing:true "query.bitset_cache_hits"
@@ -334,8 +375,8 @@ let materialize table cols tc ca =
         Int64.logand (Int64.shift_right_logical (Array.unsafe_get d i) index) 1L
         = 1L)
 
-let atom_bits ~cache table cols tc key ca =
-  match Hashtbl.find_opt tc.atoms key with
+let atom_bits ~cache table cols tc ca =
+  match Hashtbl.find_opt tc.atoms ca with
   | Some b ->
     Obs.Counter.incr c_bitset_hits;
     b
@@ -343,94 +384,22 @@ let atom_bits ~cache table cols tc key ca =
     Obs.Counter.incr c_bitset_misses;
     let b = materialize table cols tc ca in
     if cache then begin
-      if Hashtbl.length tc.atoms < atom_cache_capacity () then
-        Hashtbl.add tc.atoms key b
+      if Hashtbl.length tc.atoms < Atomic.get atom_capacity then
+        Hashtbl.add tc.atoms ca b
       else Obs.Counter.incr c_bitset_rejected
     end;
     b
 
-let bits ?(cache = true) c table =
-  Obs.Counter.incr c_compiled;
-  let n = Table.nrows table in
-  let cols = Table.columns table in
-  let tc = if cache then table_cache table else fresh_table_cache table in
-  let rec go = function
-    | Ktrue -> Bitset.ones n
-    | Kfalse -> Bitset.create n
-    | Katom (key, ca) -> atom_bits ~cache table cols tc key ca
-    | Knot p -> Bitset.bnot (go p)
-    | Kand (p, q) -> Bitset.band (go p) (go q)
-    | Kor (p, q) -> Bitset.bor (go p) (go q)
-  in
-  go c.c_prog
+(* --- The word machine --- *)
 
-let count_compiled ?cache c table = Bitset.count (bits ?cache c table)
-
-let isolates_compiled ?cache c table =
-  Bitset.count_capped 1 (bits ?cache c table) = 1
-
-(* --- Batched evaluation --- *)
-
-(* A batch shares everything the per-predicate path rebuilds per call: the
-   columnar view and dictionary codes are fetched once, each distinct atom
-   across the whole batch is hash-consed to one id and materialized exactly
-   once (through the MRU cache above, with capacity reserved for the
-   batch), and every predicate is linearized to a tiny postfix program over
-   those atom ids. Evaluation then fuses the boolean connectives: for each
-   63-bit word of the table, the program runs on a scratch stack of native
-   ints — no intermediate bitset is ever allocated — and the result word
-   feeds the popcount directly. *)
-
-(* Postfix opcodes: [>= 0] pushes the words of atom [op]; negatives are the
-   connectives and constants. *)
-let op_true = -1
-
-let op_false = -2
-
-let op_not = -3
-
-let op_and = -4
-
-let op_or = -5
-
-type batch_prog = { code : int array; stack_need : int }
-
-let linearize atom_id c =
-  let code = ref [] in
-  let n = ref 0 in
-  let emit op =
-    code := op :: !code;
-    incr n
-  in
-  (* Stack need of left-to-right postfix evaluation: the left operand's
-     result occupies one slot while the right operand evaluates. *)
-  let rec go = function
-    | Ktrue ->
-      emit op_true;
-      1
-    | Kfalse ->
-      emit op_false;
-      1
-    | Katom (key, ca) ->
-      emit (atom_id key ca);
-      1
-    | Knot p ->
-      let d = go p in
-      emit op_not;
-      d
-    | Kand (p, q) ->
-      let dp = go p in
-      let dq = go q in
-      emit op_and;
-      max dp (dq + 1)
-    | Kor (p, q) ->
-      let dp = go p in
-      let dq = go q in
-      emit op_or;
-      max dp (dq + 1)
-  in
-  let stack_need = go c.c_prog in
-  { code = Array.of_list (List.rev !code); stack_need }
+(* A batch shares everything a query-at-a-time loop would rebuild per
+   call: the columnar view and dictionary codes are fetched once, each
+   distinct atom across the whole batch is hash-consed to one id and
+   materialized exactly once (through the MRU cache above, with capacity
+   reserved for the batch), and every distinct program is evaluated once.
+   Evaluation fuses the boolean connectives: each operator is one tight
+   loop over the table's 63-bit words into a reusable scratch array, and
+   the root operator feeds the popcount directly. *)
 
 (* Logical batch metrics: both depend only on the batch's composition, so
    they are deterministic for a deterministic workload at any --jobs. *)
@@ -446,7 +415,7 @@ let c_batch_dedup = Obs.Counter.make "query.batch_atom_dedup_hits"
    writing [scratch.(sp-2)] can never clobber its right operand, and
    elementwise in-place overlap with the left operand is harmless. *)
 type batch_plan = {
-  progs : batch_prog array;  (* distinct programs only *)
+  progs : prog array;  (* distinct programs only *)
   index : int array;  (* predicate slot -> distinct program id *)
   atom_words : int array array;  (* atom id -> packed words *)
   nrows : int;
@@ -454,52 +423,71 @@ type batch_plan = {
   tail : int;  (* live mask of the last word *)
   stack : int array array;  (* operand slots, sized to the deepest program *)
   scratch : int array array;  (* per-slot destination arrays *)
-  ones : int array;  (* borrowed Ktrue words (clean tail) *)
-  zeros : int array;  (* borrowed Kfalse words *)
+  ones : int array;  (* borrowed [True] words (clean tail) *)
+  zeros : int array;  (* borrowed [False] words *)
 }
 
 (* The table-independent half of a plan: postfix programs over dense atom
-   ids, the id -> atom mapping, and bookkeeping for the dedup counter. *)
+   ids, the id -> atom mapping, and the dedup counter's increment. *)
 type batch_prep = {
-  prep_progs : batch_prog array;  (* distinct programs, first-seen order *)
+  prep_progs : prog array;  (* distinct programs, first-seen order *)
   prep_index : int array;  (* predicate slot -> distinct program id *)
-  prep_atoms : (atom * catom) array;  (* atom id -> key, ascending *)
-  prep_occurrences : int;
+  prep_atoms : catom array;  (* atom id -> atom, ascending *)
+  prep_dedup : int;  (* atom occurrences beyond each atom's first *)
   prep_stack_need : int;
 }
 
+(* A single compiled predicate already is a prep: its program is the only
+   one, and a repeated atom is a table-cache hit. *)
+let prep_one c =
+  {
+    prep_progs = [| { code = c.c_code; stack_need = c.c_stack_need } |];
+    prep_index = [| 0 |];
+    prep_atoms = c.c_atoms;
+    prep_dedup = 0;
+    prep_stack_need = c.c_stack_need;
+  }
+
 let prep_batch cs =
-  (* Hash-cons atoms across the whole batch, then hash-cons whole
-     programs: a batch that asks the same predicate twice (duplicate
-     queries, blitted workloads, symmetric question sets) evaluates it
-     once and fans the answer out. Ids are assigned in ascending slot
-     order by explicit loops — [Array.map]'s evaluation order is
-     unspecified, and deterministic numbering keeps preps reproducible. *)
-  let ids : (atom, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Hash-cons atoms across the whole batch by renumbering each
+     predicate's local atoms, then hash-cons whole programs: a batch that
+     asks the same predicate twice (duplicate queries, blitted workloads,
+     symmetric question sets) evaluates it once and fans the answer out.
+     Ids are assigned in ascending slot order by explicit loops —
+     [Array.map]'s evaluation order is unspecified, and deterministic
+     numbering keeps preps reproducible. *)
+  let ids : (catom, int) Hashtbl.t = Hashtbl.create 64 in
   let rev_atoms = ref [] in
   let occurrences = ref 0 in
-  let atom_id key ca =
-    incr occurrences;
-    match Hashtbl.find_opt ids key with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.add ids key i;
-      rev_atoms := (key, ca) :: !rev_atoms;
-      i
-  in
   let n = Array.length cs in
   let prog_ids : (int array, int) Hashtbl.t = Hashtbl.create 64 in
   let rev_progs = ref [] in
   let index = Array.make n 0 in
   for i = 0 to n - 1 do
-    let p = linearize atom_id cs.(i) in
-    match Hashtbl.find_opt prog_ids p.code with
+    let c = cs.(i) in
+    let nlocal = Array.length c.c_atoms in
+    occurrences := !occurrences + nlocal;
+    let renumber = Array.make nlocal 0 in
+    for k = 0 to nlocal - 1 do
+      let atom = c.c_atoms.(k) in
+      renumber.(k) <-
+        (match Hashtbl.find_opt ids atom with
+        | Some j -> j
+        | None ->
+          let j = Hashtbl.length ids in
+          Hashtbl.add ids atom j;
+          rev_atoms := atom :: !rev_atoms;
+          j)
+    done;
+    let code =
+      Array.map (fun op -> if op >= 0 then renumber.(op) else op) c.c_code
+    in
+    match Hashtbl.find_opt prog_ids code with
     | Some j -> index.(i) <- j
     | None ->
       let j = Hashtbl.length prog_ids in
-      Hashtbl.add prog_ids p.code j;
-      rev_progs := p :: !rev_progs;
+      Hashtbl.add prog_ids code j;
+      rev_progs := { code; stack_need = c.c_stack_need } :: !rev_progs;
       index.(i) <- j
   done;
   let progs = Array.of_list (List.rev !rev_progs) in
@@ -507,7 +495,7 @@ let prep_batch cs =
     prep_progs = progs;
     prep_index = index;
     prep_atoms = Array.of_list (List.rev !rev_atoms);
-    prep_occurrences = !occurrences;
+    prep_dedup = !occurrences - Hashtbl.length ids;
     prep_stack_need =
       Array.fold_left (fun acc p -> max acc p.stack_need) 1 progs;
   }
@@ -544,19 +532,14 @@ let prep_for cs =
     cache := (cs, prep) :: kept;
     prep
 
-let plan_batch ~cache table cs =
-  Obs.Counter.add c_batch_evals (Array.length cs);
-  let prep = prep_for cs in
-  let distinct = Array.length prep.prep_atoms in
-  Obs.Counter.add c_batch_dedup (prep.prep_occurrences - distinct);
-  if cache then reserve_atom_capacity distinct;
+let plan ~cache table prep =
+  if cache then reserve_atom_capacity (Array.length prep.prep_atoms);
   let nrows = Table.nrows table in
   let cols = Table.columns table in
   let tc = if cache then table_cache table else fresh_table_cache table in
   let atom_words =
     Array.map
-      (fun (key, ca) ->
-        Bitset.unsafe_words (atom_bits ~cache table cols tc key ca))
+      (fun ca -> Bitset.unsafe_words (atom_bits ~cache table cols tc ca))
       prep.prep_atoms
   in
   let nw = Bitset.word_count nrows in
@@ -572,6 +555,18 @@ let plan_batch ~cache table cs =
     ones = Bitset.unsafe_words (Bitset.ones nrows);
     zeros = Array.make nw 0;
   }
+
+let plan_batch ~cache table cs =
+  Obs.Counter.add c_batch_evals (Array.length cs);
+  let prep = prep_for cs in
+  Obs.Counter.add c_batch_dedup prep.prep_dedup;
+  plan ~cache table prep
+
+(* A single query skips the prep MRU: a fresh one-element array could
+   never hit it, and would evict batches that do. *)
+let plan_one ~cache table c =
+  Obs.Counter.incr c_compiled;
+  plan ~cache table (prep_one c)
 
 (* Run the first [limit] opcodes, leaving operands in [plan.stack] (the
    caller knows the resulting stack shape statically: a full program
@@ -627,10 +622,6 @@ let run_ops plan code limit =
     end
   done
 
-let eval_prog plan code =
-  run_ops plan code (Array.length code);
-  Array.unsafe_get plan.stack 0
-
 (* Popcount of a word array masked to the live bits. *)
 let count_words plan words = Bitset.unsafe_count_words words plan.nw plan.tail
 
@@ -638,7 +629,7 @@ let count_words plan words = Bitset.unsafe_count_words words plan.nw plan.tail
    the popcount: evaluate everything below the root, then combine and
    count in one pass with no destination write. A postfix program ends
    with its root, so [last >= 0] means the whole predicate is one atom
-   (clean tail — plain popcount), and a root [Knot] is counted as the
+   (clean tail — plain popcount), and a root [Not] is counted as the
    complement. *)
 let count_plan plan pi =
   let code = plan.progs.(pi).code in
@@ -661,37 +652,40 @@ let count_plan plan pi =
   else if last = op_true then plan.nrows
   else 0
 
+(* The row set of program [pi] as a fresh bitset with a clean tail. *)
+let plan_bits plan pi =
+  let code = plan.progs.(pi).code in
+  run_ops plan code (Array.length code);
+  let words = Array.copy (Array.unsafe_get plan.stack 0) in
+  if plan.nw > 0 then words.(plan.nw - 1) <- words.(plan.nw - 1) land plan.tail;
+  Bitset.unsafe_of_words ~len:plan.nrows words
+
 (* Evaluate each distinct program once, then fan the per-program results
    out to the predicate slots that share it. *)
+let per_slot plan f =
+  let per_prog = Array.init (Array.length plan.progs) f in
+  Array.map (fun j -> per_prog.(j)) plan.index
+
 let count_many ?(cache = true) table cs =
   if Array.length cs = 0 then [||]
-  else begin
+  else
     let plan = plan_batch ~cache table cs in
-    let per_prog = Array.init (Array.length plan.progs) (count_plan plan) in
-    Array.map (fun j -> per_prog.(j)) plan.index
-  end
+    per_slot plan (count_plan plan)
 
 let isolates_many ?(cache = true) table cs =
   if Array.length cs = 0 then [||]
-  else begin
+  else
     let plan = plan_batch ~cache table cs in
-    let per_prog =
-      Array.init (Array.length plan.progs) (fun pi -> count_plan plan pi = 1)
-    in
-    Array.map (fun j -> per_prog.(j)) plan.index
-  end
+    per_slot plan (fun pi -> count_plan plan pi = 1)
 
+(* Duplicate slots share one immutable bitset. *)
 let bits_many ?(cache = true) table cs =
   let plan = plan_batch ~cache table cs in
-  (* Duplicate slots share one immutable bitset. *)
-  let per_prog =
-    Array.init (Array.length plan.progs) (fun pi ->
-        let words = Array.copy (eval_prog plan plan.progs.(pi).code) in
-        if plan.nw > 0 then
-          words.(plan.nw - 1) <- words.(plan.nw - 1) land plan.tail;
-        Bitset.unsafe_of_words ~len:plan.nrows words)
-  in
-  Array.map (fun j -> per_prog.(j)) plan.index
+  per_slot plan (plan_bits plan)
+
+let count_compiled ?(cache = true) c table = count_plan (plan_one ~cache table c) 0
+
+let bits ?(cache = true) c table = plan_bits (plan_one ~cache table c) 0
 
 (* --- Engine selection --- *)
 
@@ -721,6 +715,19 @@ let engine () = Atomic.get engine_mode
 
 let set_engine e = Atomic.set engine_mode e
 
+let by_engine ~what ~show interp compiled =
+  match engine () with
+  | Interpreted -> interp ()
+  | Compiled -> compiled ()
+  | Checked ->
+    let a = interp () in
+    let b = compiled () in
+    if a <> b then
+      failwith
+        (Printf.sprintf "%s: engine mismatch (interpreter %s, compiled %s)"
+           (what ()) (show a) (show b));
+    a
+
 (* One row-evaluation per row scanned: the logical cost of every counting
    query, deterministic for a deterministic workload at any --jobs and
    charged identically by every engine. *)
@@ -729,33 +736,21 @@ let c_evals = Obs.Counter.make "query.predicate_evals"
 let count_interpreted schema t table =
   Table.count (fun row -> eval schema t row) table
 
-let mismatch what t interp compiled =
-  failwith
-    (Printf.sprintf
-       "Predicate.%s: engine mismatch (interpreter %s, compiled %s) on %s" what
-       interp compiled (to_string t))
-
 let count schema t table =
   Obs.Counter.add c_evals (Table.nrows table);
-  match engine () with
-  | Interpreted -> count_interpreted schema t table
-  | Compiled -> count_compiled (compile schema t) table
-  | Checked ->
-    let a = count_interpreted schema t table in
-    let b = count_compiled (compile schema t) table in
-    if a <> b then mismatch "count" t (string_of_int a) (string_of_int b);
-    a
+  by_engine
+    ~what:(fun () -> "Predicate.count on " ^ to_string t)
+    ~show:string_of_int
+    (fun () -> count_interpreted schema t table)
+    (fun () -> count_compiled (compile schema t) table)
 
 let isolates schema t table =
   Obs.Counter.add c_evals (Table.nrows table);
-  match engine () with
-  | Interpreted -> count_interpreted schema t table = 1
-  | Compiled -> isolates_compiled (compile schema t) table
-  | Checked ->
-    let a = count_interpreted schema t table = 1 in
-    let b = isolates_compiled (compile schema t) table in
-    if a <> b then mismatch "isolates" t (string_of_bool a) (string_of_bool b);
-    a
+  by_engine
+    ~what:(fun () -> "Predicate.isolates on " ^ to_string t)
+    ~show:string_of_bool
+    (fun () -> count_interpreted schema t table = 1)
+    (fun () -> count_compiled (compile schema t) table = 1)
 
 (* --- Weight --- *)
 

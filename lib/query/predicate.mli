@@ -50,28 +50,35 @@ val eval : Dataset.Schema.t -> t -> Dataset.Table.row -> bool
 
 val count : Dataset.Schema.t -> t -> Dataset.Table.t -> int
 (** [Σᵢ p(xᵢ)] — the count-query answer for this predicate. Dispatches on
-    the current {!engine}: the default compiled path evaluates against the
-    table's columnar view via cached bitsets; the interpreter is the
+    the current {!engine} through {!by_engine}: the default compiled path
+    runs the word machine on a batch of one; the interpreter is the
     executable reference. Both produce identical results on every input —
     [Checked] asserts exactly that. *)
 
 val isolates : Dataset.Schema.t -> t -> Dataset.Table.t -> bool
 (** Definition 2.1: [p] isolates in [x] iff it holds for exactly one
-    record. Engine-dispatched like {!count}; the compiled path
-    short-circuits the popcount past 1. *)
+    record. Engine-dispatched like {!count}. *)
 
 (** {1 Compiled engine}
 
-    [compile] resolves each atom's attribute name to its schema index once
-    and pairs it with a specialized columnar evaluation: per-value tests
-    (Eq/Member/Fits) run once per distinct dictionary value, Range scans a
-    flat float array, hash atoms read a memoized per-salt digest column.
-    Each atom materializes a {!Bitset.t} over the table's rows;
-    [And]/[Or]/[Not] combine whole words; a count is a popcount loop.
+    [compile] resolves each atom's attribute name to its schema index
+    once and linearizes the connectives into a postfix program over the
+    resolved atoms. There is one compiled evaluator, a word machine over
+    a batch of programs; a single query is a batch of one. Each distinct
+    atom materializes a {!Bitset.t} over the table's rows with a
+    specialized columnar evaluation: per-value tests (Eq/Member/Fits) run
+    once per distinct dictionary value, Range scans a flat float array,
+    hash atoms read a memoized per-salt digest column. Each operator then
+    runs as one word-wise loop into a reusable scratch array, and a count
+    fuses the root connective into the popcount, so it never allocates
+    its row set.
 
     Atom bitsets and digest columns are memoized in a bounded domain-local
-    cache keyed by [(Table.id, atom)] — derived tables get fresh ids, so
-    stale hits are impossible by construction. *)
+    cache keyed by [Table.id] and the resolved atom — derived tables get
+    fresh ids, so stale hits are impossible by construction. The cache
+    keeps 4 tables in MRU order and at least 512 atoms per table; a batch
+    with more distinct atoms grows the bound to fit (up to a fixed
+    ceiling), so a large batch does not thrash it. *)
 
 type compiled
 
@@ -83,14 +90,16 @@ val compile : Dataset.Schema.t -> t -> compiled
 val source : compiled -> t
 (** The predicate this was compiled from. *)
 
+val count_compiled : ?cache:bool -> compiled -> Dataset.Table.t -> int
+(** The compiled count of one predicate: {!count_many} on a batch of one,
+    regardless of engine mode. [cache] (default [true]) controls the
+    domain-local atom bitset cache; with [~cache:false] every atom
+    rematerializes. *)
+
 val bits : ?cache:bool -> compiled -> Dataset.Table.t -> Bitset.t
 (** The rows satisfying the predicate, as a bitset of length
-    [Table.nrows]. [cache] (default [true]) controls the domain-local atom
-    bitset cache; with [~cache:false] every atom rematerializes. *)
-
-val count_compiled : ?cache:bool -> compiled -> Dataset.Table.t -> int
-
-val isolates_compiled : ?cache:bool -> compiled -> Dataset.Table.t -> bool
+    [Table.nrows]: {!bits_many} on a batch of one. [cache] as in
+    {!count_compiled}. *)
 
 val count_interpreted : Dataset.Schema.t -> t -> Dataset.Table.t -> int
 (** The reference row-by-row interpreter, regardless of engine mode. *)
@@ -99,45 +108,35 @@ val count_interpreted : Dataset.Schema.t -> t -> Dataset.Table.t -> int
 
     The attacks never ask one query: reconstruction, the PSO composition
     game and the dpcheck audits each evaluate hundreds to thousands of
-    predicates against one table. The batch entry points share the work
-    the per-predicate path repeats per call: the columnar view is fetched
-    once, every distinct atom across the whole batch is hash-consed and
-    materialized exactly once (feeding the same bounded MRU cache, whose
-    capacity is grown to the batch), and each predicate's connectives are
-    fused into a postfix program evaluated word-by-word on a reusable
-    scratch stack — no intermediate bitset allocation at all.
+    predicates against one table. A batch fetches the columnar view
+    once, hash-conses every distinct atom across the whole batch and
+    materializes it exactly once, and evaluates each distinct program
+    once, fanning its answer out to every slot that asked it. The
+    table-independent half of that work is memoized per compiled array
+    (by physical identity), since callers replay one array run after
+    run.
 
-    Results are exactly [Array.map] of the per-predicate compiled path
-    (property-tested, and cross-checked under the [Checked] engine by
-    {!Engine.counts}). *)
+    Results equal the interpreter's on every input (property-tested, and
+    checked under the [Checked] engine by {!Engine.counts}). *)
 
 val count_many : ?cache:bool -> Dataset.Table.t -> compiled array -> int array
 (** [count_many table cs] is [Array.map (fun c -> count_compiled c table) cs],
-    computed with one shared scan. [cache] as in {!bits}. *)
+    computed with one shared scan. [cache] as in {!count_compiled}. *)
 
 val isolates_many :
   ?cache:bool -> Dataset.Table.t -> compiled array -> bool array
-(** Batched Definition 2.1: per-predicate popcounts short-circuit past 1. *)
+(** Batched Definition 2.1: [count_many] compared with 1. *)
 
 val bits_many : ?cache:bool -> Dataset.Table.t -> compiled array -> Bitset.t array
-(** Batched {!bits}: one freshly allocated row set per predicate, sharing
-    atom materialization across the batch. *)
-
-val atom_cache_capacity : unit -> int
-(** Current per-table atom-bitset cache bound. Starts at the
-    [PSO_ATOM_CACHE_ATOMS] environment variable (default 512) and grows
-    monotonically as batches reserve room, up to a fixed ceiling. *)
-
-val reserve_atom_capacity : int -> unit
-(** Grow (never shrink) the atom-cache bound to at least the argument,
-    clamped to the ceiling. Called by the batch planner with the number of
-    distinct atoms in the batch. *)
+(** Batched {!bits}: one freshly allocated row set per distinct predicate
+    (duplicate slots share it), sharing atom materialization across the
+    batch. *)
 
 (** {2 Engine selection} *)
 
 type engine =
   | Interpreted  (** row-by-row reference interpreter *)
-  | Compiled  (** columnar bitset engine (default) *)
+  | Compiled  (** the word machine (default) *)
   | Checked  (** run both, assert agreement — for tests and CI smoke *)
 
 val engine : unit -> engine
@@ -146,6 +145,19 @@ val set_engine : engine -> unit
 (** Process-wide. The initial mode honours the [PSO_QUERY_ENGINE]
     environment variable ([interp] / [bitset] / [check]; unrecognized
     values are ignored) and defaults to [Compiled]. *)
+
+val by_engine :
+  what:(unit -> string) ->
+  show:('a -> string) ->
+  (unit -> 'a) ->
+  (unit -> 'a) ->
+  'a
+(** [by_engine ~what ~show interp compiled] is the one engine switch of
+    the query layer: [interp ()] under [Interpreted], [compiled ()] under
+    [Compiled], and under [Checked] both, returning the interpreter's
+    answer and raising [Failure] if the two differ (structural equality).
+    The message names the query with [what ()] and both answers with
+    [show]; neither is called unless the answers differ. *)
 
 val engine_of_string : string -> engine option
 

@@ -12,10 +12,13 @@
 #   5. observability smoke: one quick experiment with --trace + --metrics,
 #      both JSON outputs must parse, and the table on stdout must still
 #      match the committed golden byte-for-byte (telemetry must not perturb
-#      results)
-#   6. query-engine smoke: E2 with --engine check (interpreter and compiled
-#      bitset engine cross-validated on every query, failing on any
-#      divergence) must still match the committed golden byte-for-byte
+#      results); then E5 at --jobs 4 with --metrics-json, whose mechanisms
+#      journal their first runs from several domains at once, must match
+#      its golden too
+#   6. query-engine smoke: E2 (single queries) and E5 (batched composition
+#      queries) with --engine check (interpreter and compiled evaluator
+#      compared on every query, failing on any divergence) must still match
+#      the committed goldens byte-for-byte
 #   7. bench kernel JSON: the predicate kernel triple's --json output must
 #      validate under pso_audit validate-json (the bench-kernels/v1
 #      contract)
@@ -101,16 +104,26 @@ if ! diff -u test/golden/E2.txt "$tmp1"; then
   echo "ci: telemetry perturbed the E2 table (differs from test/golden/E2.txt)" >&2
   exit 1
 fi
-
-# Query-engine smoke: force check mode (interpreter + compiled bitset
-# engine run side by side; any count/isolation divergence aborts) and
-# require the E2 table to stay byte-identical to the committed golden.
-dune exec bin/pso_audit.exe -- run E2 --quick --seed 20210621 --jobs 2 \
-  --engine check > "$tmp1" 2> /dev/null
-if ! diff -u test/golden/E2.txt "$tmp1"; then
-  echo "ci: --engine check perturbed the E2 table (differs from test/golden/E2.txt)" >&2
+dune exec bin/pso_audit.exe -- run E5 --quick --seed 20210621 --jobs 4 \
+  --metrics-json "$metrics" > "$tmp1" 2> /dev/null
+dune exec bin/pso_audit.exe -- validate-json "$metrics"
+if ! diff -u test/golden/E5.txt "$tmp1"; then
+  echo "ci: telemetry at --jobs 4 perturbed the E5 table (differs from test/golden/E5.txt)" >&2
   exit 1
 fi
+
+# Query-engine smoke: force check mode (interpreter + compiled evaluator
+# run side by side; any count/isolation divergence aborts) and require the
+# tables to stay byte-identical to the committed goldens. E2 asks single
+# predicates; E5 asks batches through the composition game.
+for exp in E2 E5; do
+  dune exec bin/pso_audit.exe -- run "$exp" --quick --seed 20210621 --jobs 2 \
+    --engine check > "$tmp1" 2> /dev/null
+  if ! diff -u "test/golden/$exp.txt" "$tmp1"; then
+    echo "ci: --engine check perturbed the $exp table (differs from test/golden/$exp.txt)" >&2
+    exit 1
+  fi
+done
 
 # Bench kernel JSON: the interpreter/compiled/bitset predicate triple must
 # run (each sample cross-checks counts against the interpreter) and emit

@@ -86,40 +86,62 @@ let prop_weight_conjunction_bounded =
         P.weight_value wpq
         <= Float.min (P.weight_value wp) (P.weight_value wq) +. 0.08)
 
+(* A batch of predicates that always contains repeated programs (and hence
+   repeated atoms): the whole list is duplicated, so the dedup paths must fan
+   identical answers out to every duplicate slot. *)
+let gen_batch =
+  QCheck.Gen.(
+    Gen.model_table >>= fun (m, t) ->
+    list_size (int_range 0 10) (Gen.predicate m) >>= fun ps ->
+    return (m, t, Array.of_list (ps @ ps)))
+
+(* The interpreter's answers for a batch: matching row indices, counts and
+   isolation flags, each computed without the compiled engine. *)
+let interpreted_answers sch t qs =
+  let rows q =
+    let acc = ref [] in
+    T.iter (fun i row -> if P.eval sch q row then acc := i :: !acc) t;
+    Array.of_list (List.rev !acc)
+  in
+  let expected_rows = Array.map rows qs in
+  let expected = Array.map (fun q -> P.count_interpreted sch q t) qs in
+  let isolated = Array.map (fun n -> n = 1) expected in
+  (expected_rows, expected, isolated)
+
+let indices = Array.map Query.Bitset.indices
+
 let prop_engines_agree =
   qcheck ~count:200 "compiled/bitset engine agrees with the interpreter"
-    Gen.model_table_predicate
-    (fun (m, t, p) ->
+    gen_batch
+    (fun (m, t, qs) ->
       let sch = Dataset.Model.schema m in
-      let interp = P.count_interpreted sch p t in
-      let c = P.compile sch p in
-      let b = P.bits c t in
-      P.count_compiled c t = interp
-      && P.count_compiled ~cache:false c t = interp
-      && Query.Bitset.count b = interp
-      && Array.length (Query.Bitset.indices b) = interp
-      && P.isolates_compiled c t = (interp = 1))
+      let cs = Array.map (fun q -> P.compile sch q) qs in
+      let expected_rows, expected, isolated = interpreted_answers sch t qs in
+      let prev = P.engine () in
+      P.set_engine P.Compiled;
+      let single_count, single_isolates =
+        Fun.protect
+          ~finally:(fun () -> P.set_engine prev)
+          (fun () ->
+            (Array.map (fun q -> P.count sch q t) qs,
+             Array.map (fun q -> P.isolates sch q t) qs))
+      in
+      Array.map Array.length expected_rows = expected
+      && single_count = expected
+      && single_isolates = isolated
+      && indices (Array.map (fun c -> P.bits c t) cs) = expected_rows)
 
 let prop_count_many_matches_counts =
   qcheck ~count:100 "batched count_many equals the per-predicate loop"
-    QCheck.Gen.(
-      Gen.model_table >>= fun (m, t) ->
-      list_size (int_range 0 10) (Gen.predicate m) >>= fun ps ->
-      return (m, t, ps))
-    (fun (m, t, ps) ->
+    gen_batch
+    (fun (m, t, qs) ->
       let sch = Dataset.Model.schema m in
-      (* Duplicate the whole list so the batch always contains repeated
-         programs (and hence repeated atoms) — the dedup paths must fan
-         identical answers out to every duplicate slot. *)
-      let qs = Array.of_list (ps @ ps) in
       let cs = Array.map (fun q -> P.compile sch q) qs in
-      let expected = Array.map (fun c -> P.count_compiled c t) cs in
-      let interp = Array.map (fun q -> P.count_interpreted sch q t) qs in
+      let expected_rows, expected, isolated = interpreted_answers sch t qs in
       P.count_many t cs = expected
       && P.count_many ~cache:false t cs = expected
-      && expected = interp
-      && P.isolates_many t cs = Array.map (fun n -> n = 1) expected
-      && Array.map Query.Bitset.count (P.bits_many t cs) = expected)
+      && P.isolates_many t cs = isolated
+      && indices (P.bits_many t cs) = expected_rows)
 
 let prop_exact_count_mechanism =
   qcheck "exact_count mechanism returns the true count" Gen.model_table_predicate

@@ -577,10 +577,6 @@ let test_bitset_word_boundaries () =
       Alcotest.(check int) (Printf.sprintf "ones count n=%d" n) n (B.count (B.ones n));
       Alcotest.(check int) (Printf.sprintf "zeros count n=%d" n) 0 (B.count (B.create n));
       Alcotest.(check int) (Printf.sprintf "even count n=%d" n) ((n + 1) / 2) (B.count even);
-      Alcotest.(check bool) (Printf.sprintf "bnot zeros = ones n=%d" n) true
-        (B.equal (B.bnot (B.create n)) (B.ones n));
-      Alcotest.(check int) (Printf.sprintf "bnot complement n=%d" n)
-        (n - B.count even) (B.count (B.bnot even));
       Alcotest.(check bool) (Printf.sprintf "get round-trip n=%d" n) true
         (List.for_all (fun i -> B.get even i = (i mod 2 = 0)) (List.init n Fun.id));
       Alcotest.(check bool) (Printf.sprintf "indices n=%d" n) true
@@ -588,28 +584,12 @@ let test_bitset_word_boundaries () =
         = List.filter (fun i -> i mod 2 = 0) (List.init n Fun.id)))
     [ 0; 1; 62; 63; 64; 65; 126; 127 ]
 
-let test_bitset_algebra () =
-  let n = 100 in
-  let a = B.init n (fun i -> i mod 3 = 0) in
-  let b = B.init n (fun i -> i mod 5 = 0) in
-  Alcotest.(check bool) "de morgan" true
-    (B.equal (B.bnot (B.band a b)) (B.bor (B.bnot a) (B.bnot b)));
-  (* multiples of 15 below 100 *)
-  Alcotest.(check int) "and count" 7 (B.count (B.band a b));
-  Alcotest.(check int) "capped below cap is exact" 7 (B.count_capped 10 (B.band a b));
-  Alcotest.(check bool) "capped cuts past cap" true (B.count_capped 1 a > 1)
-
 let test_bitset_validation () =
   Alcotest.(check bool) "negative length" true
     (try ignore (B.create (-1)); false with Invalid_argument _ -> true);
-  Alcotest.(check bool) "length mismatch" true
-    (try ignore (B.band (B.create 63) (B.create 64)); false
-     with Invalid_argument _ -> true);
   Alcotest.(check bool) "get out of range" true
     (try ignore (B.get (B.create 5) 5); false with Invalid_argument _ -> true);
-  Alcotest.(check int) "popcount16 all ones" 16 (B.popcount16 0xffff);
-  Alcotest.(check int) "popcount max_int" 62 (B.popcount max_int);
-  Alcotest.(check int) "popcount -1 (full 63-bit word)" 63 (B.popcount (-1))
+  Alcotest.(check int) "popcount16 all ones" 16 (B.popcount16 0xffff)
 
 (* --- engines --- *)
 
@@ -644,13 +624,13 @@ let test_engines_agree_on_fixtures () =
         (P.count_compiled ~cache:false c t);
       Alcotest.(check int) (P.to_string p ^ " bits") interp
         (Array.length (B.indices (P.bits c t)));
-      Alcotest.(check bool) (P.to_string p ^ " isolates") (interp = 1)
-        (P.isolates_compiled c t);
       List.iter
         (fun e ->
           with_engine e (fun () ->
               Alcotest.(check int) (P.to_string p ^ " dispatched") interp
-                (P.count schema p t)))
+                (P.count schema p t);
+              Alcotest.(check bool) (P.to_string p ^ " isolates") (interp = 1)
+                (P.isolates schema p t)))
         [ P.Interpreted; P.Compiled; P.Checked ])
     engine_preds
 
@@ -706,6 +686,31 @@ let test_engine_of_string () =
       Alcotest.(check bool) (P.engine_name e) true
         (P.engine_of_string (P.engine_name e) = Some e))
     [ P.Interpreted; P.Compiled; P.Checked ]
+
+let test_by_engine_switch () =
+  (* The one engine switch: each mode runs its side, Checked runs both,
+     returns the interpreter's answer when they agree and fails when they
+     do not. *)
+  let ran = ref [] in
+  let side name v () =
+    ran := name :: !ran;
+    v
+  in
+  let run e interp compiled =
+    ran := [];
+    with_engine e (fun () ->
+        P.by_engine ~what:(fun () -> "test") ~show:string_of_int
+          (side "interp" interp) (side "compiled" compiled))
+  in
+  Alcotest.(check int) "interpreted" 1 (run P.Interpreted 1 2);
+  Alcotest.(check (list string)) "interpreted runs one side" [ "interp" ] !ran;
+  Alcotest.(check int) "compiled" 2 (run P.Compiled 1 2);
+  Alcotest.(check (list string)) "compiled runs one side" [ "compiled" ] !ran;
+  Alcotest.(check int) "checked agreeing" 3 (run P.Checked 3 3);
+  Alcotest.(check (list string)) "checked runs both" [ "compiled"; "interp" ] !ran;
+  Alcotest.check_raises "checked disagreeing"
+    (Failure "test: engine mismatch (interpreter 1, compiled 2)") (fun () ->
+      ignore (run P.Checked 1 2))
 
 let test_checked_engine_full_stack () =
   (* Re-run representative mechanism/curator/erasure fixtures with the
@@ -891,6 +896,34 @@ let test_batch_counters () =
       Alcotest.(check int) "no cache rejections" 0
         (value "query.bitset_cache_rejected"))
 
+let test_mechanism_concurrent_first_run () =
+  (* With telemetry on, a mechanism's first runs compute its ledger
+     digest; Pso.Game makes those runs from several pool domains at once.
+     A long query list widens the window in which they overlap. *)
+  let t = Dataset.Model.sample_table (rng ()) model 20 in
+  let qs =
+    Array.init 4000 (fun i ->
+        P.And
+          ( P.Atom (P.Eq ("a0", V.Int (i mod 8))),
+            P.Atom (P.Range ("a1", 0., float_of_int i)) ))
+  in
+  let pool = Parallel.Pool.create ~jobs:4 () in
+  with_obs (fun () ->
+      Fun.protect
+        ~finally:(fun () -> Parallel.Pool.shutdown pool)
+        (fun () ->
+          for round = 1 to 5 do
+            let m = Query.Mechanism.exact_counts_batch (Query.Mechanism.batch qs) in
+            let outs =
+              Parallel.Pool.parallel_init_array pool 8 (fun _ ->
+                  Query.Mechanism.run m (rng ()) t)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "round %d: every run agrees" round)
+              true
+              (Array.for_all (fun o -> o = outs.(0)) outs)
+          done))
+
 (* --- QCheck properties --- *)
 
 let qcheck =
@@ -1059,7 +1092,6 @@ let () =
       ( "bitset",
         [
           Alcotest.test_case "word boundaries" `Quick test_bitset_word_boundaries;
-          Alcotest.test_case "algebra" `Quick test_bitset_algebra;
           Alcotest.test_case "validation" `Quick test_bitset_validation;
         ] );
       ( "engine",
@@ -1071,6 +1103,7 @@ let () =
           Alcotest.test_case "cache invalidation" `Quick test_engine_cache_invalidation;
           Alcotest.test_case "engine_of_string" `Quick test_engine_of_string;
           Alcotest.test_case "checked full stack" `Quick test_checked_engine_full_stack;
+          Alcotest.test_case "by_engine switch" `Quick test_by_engine_switch;
         ] );
       ( "batch",
         [
@@ -1083,6 +1116,8 @@ let () =
           Alcotest.test_case "curator ask_many" `Quick test_curator_ask_many;
           Alcotest.test_case "oracle ask_many" `Quick test_oracle_ask_many;
           Alcotest.test_case "telemetry counters" `Quick test_batch_counters;
+          Alcotest.test_case "concurrent first run" `Quick
+            test_mechanism_concurrent_first_run;
         ] );
       ("properties", qcheck);
     ]
