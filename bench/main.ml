@@ -11,7 +11,11 @@
    `--speedup` times every experiment at jobs=1 vs jobs=K and checks the
    two tables are byte-identical;
    `--json FILE` writes the kernel timings as JSON;
-   `--no-perf` / `--no-tables` skip a part. *)
+   `--no-perf` / `--no-tables` skip a part.
+
+   Telemetry (--trace, --metrics-json, --ledger, --timeline, --prom,
+   --watch) is not a bench option: `pso_audit run E7 [--full]` runs the
+   same registry entry under the one telemetry lifecycle. *)
 
 open Bechamel
 open Toolkit
@@ -441,15 +445,6 @@ let () =
   let jobs = ref (Parallel.Pool.recommended_jobs ()) in
   let speedup = ref false in
   let json = ref None in
-  let trace = ref None in
-  let metrics_json = ref None in
-  let metrics = ref false in
-  let ledger = ref None in
-  let progress = ref false in
-  let prom = ref None in
-  let timeline = ref None in
-  let watch = ref false in
-  let tick_ms = ref 250 in
   let args =
     [
       ("--full", Arg.Set full, "full-scale experiment parameters (slow)");
@@ -463,27 +458,6 @@ let () =
         Arg.Set speedup,
         "time each experiment at jobs=1 vs --jobs and diff the tables" );
       ("--json", Arg.String (fun s -> json := Some s), "write kernel timings to FILE as JSON");
-      ( "--trace",
-        Arg.String (fun s -> trace := Some s),
-        "write a Chrome trace_event JSON file (Perfetto / chrome://tracing)" );
-      ( "--metrics-json",
-        Arg.String (fun s -> metrics_json := Some s),
-        "write counters and histograms as obs-metrics/v1 JSON" );
-      ( "--ledger",
-        Arg.String (fun s -> ledger := Some s),
-        "write the audit journal as ledger/v1 JSONL to FILE" );
-      ("--metrics", Arg.Set metrics, "print a metrics summary table to stderr");
-      ("--progress", Arg.Set progress, "stderr heartbeat with items/sec and ETA");
-      ( "--prom",
-        Arg.String (fun s -> prom := Some s),
-        "rewrite FILE atomically on every telemetry tick in Prometheus text format" );
-      ( "--timeline",
-        Arg.String (fun s -> timeline := Some s),
-        "write the snapshot ring as obs-timeline/v1 JSON on completion" );
-      ("--watch", Arg.Set watch, "live stderr dashboard (replaces --progress)");
-      ( "--tick-ms",
-        Arg.Set_int tick_ms,
-        "telemetry snapshot period for --prom/--watch (default 250)" );
     ]
   in
   let usage =
@@ -513,69 +487,11 @@ let () =
     Arg.usage args usage;
     exit 2
   | _ -> ());
-  if !tick_ms < 1 then begin
-    prerr_endline "bench: --tick-ms must be >= 1";
-    Arg.usage args usage;
-    exit 2
-  end;
   Parallel.Pool.set_default_jobs !jobs;
-  if !progress && not !watch then Obs.Progress.enable ();
-  let live = !prom <> None || !timeline <> None || !watch in
-  let obs_wanted = !trace <> None || !metrics_json <> None || !metrics || live in
-  if obs_wanted then begin
-    Obs.reset ();
-    Obs.enable ()
-  end;
-  if !ledger <> None then begin
-    Obs.Ledger.reset ();
-    Obs.Ledger.enable ()
-  end;
-  if live then begin
-    Obs.Timeline.reset ();
-    Obs.Timeline.set_jobs !jobs;
-    Option.iter
-      (fun path ->
-        Obs.Timeline.subscribe (fun values _ ->
-            Obs.Prom.write_file path (Obs.Prom.render values)))
-      !prom;
-    if !watch then Obs.Timeline.subscribe (Obs.Watch.subscriber ~jobs:!jobs ());
-    Obs.Timeline.start ~period_ns:(Int64.of_int (!tick_ms * 1_000_000)) ()
-  end;
   let scale = if !full then Experiments.Common.Full else Experiments.Common.Quick in
   if !tables then
     if !speedup then speedup_tables ~scale ~only:!only ~jobs:!jobs ()
     else experiment_tables ~scale ~only:!only ();
   if !perf then perf_benchmarks ~only:!only ~json:!json ~jobs:!jobs ();
-  (* Also reaps a ticker left running by the timeline overhead kernels. *)
-  Obs.Timeline.stop ();
-  if live then begin
-    ignore (Obs.Timeline.capture ~final:true ());
-    Option.iter
-      (fun path ->
-        Obs.Timeline.write_file path;
-        Format.eprintf "[obs] wrote %s to %s@." Obs.Timeline.schema path)
-      !timeline;
-    Option.iter
-      (fun path -> Format.eprintf "[obs] wrote Prometheus text to %s@." path)
-      !prom
-  end;
-  Option.iter
-    (fun path ->
-      Obs.Ledger.disable ();
-      Obs.Ledger.write_file path;
-      Format.eprintf "[obs] wrote %s to %s@." Obs.Ledger.schema path)
-    !ledger;
-  if obs_wanted then begin
-    let report = Obs.snapshot ~jobs:!jobs () in
-    Option.iter
-      (fun path ->
-        Obs.Export.write_file path (Obs.Export.chrome_trace report);
-        Format.eprintf "[obs] wrote Chrome trace to %s@." path)
-      !trace;
-    Option.iter
-      (fun path ->
-        Obs.Export.write_file path (Obs.Export.metrics_json report);
-        Format.eprintf "[obs] wrote %s to %s@." Obs.Export.schema path)
-      !metrics_json;
-    if !metrics then Format.eprintf "%a@." Obs.Export.pp_summary report
-  end
+  (* Reaps the ticker the timeline-10hz overhead kernel leaves running. *)
+  Obs.Timeline.stop ()

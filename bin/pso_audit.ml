@@ -15,9 +15,12 @@
 
    Observability: every long-running subcommand accepts --trace FILE
    (Chrome trace_event JSON), --metrics-json FILE (obs-metrics/v1),
-   --metrics (summary table on stderr) and --progress (stderr heartbeat).
-   All telemetry output goes to stderr or to files, never stdout, so
-   golden tables stay byte-identical with telemetry enabled. *)
+   --metrics (summary table on stderr), --ledger FILE (ledger/v1 JSONL),
+   --timeline FILE (obs-timeline/v1), --prom FILE (Prometheus text) and
+   --watch (live stderr heartbeat), all run by [with_obs], the one
+   telemetry lifecycle in the tree. All telemetry output goes to stderr or
+   to files, never stdout, so golden tables stay byte-identical with
+   telemetry enabled. *)
 
 open Cmdliner
 
@@ -71,13 +74,46 @@ let engine_arg =
 
 let set_engine = Option.iter Query.Predicate.set_engine
 
+(* --- file input and output --- *)
+
+(* Every file error is exit 2 with one stderr line, never an uncaught
+   exception. *)
+let die fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "pso_audit: %s@." msg;
+      exit 2)
+    fmt
+
+let read_file ?(on_error = fun path msg -> die "cannot read %s: %s" path msg)
+    path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> on_error path msg
+
+(* [path]'s JSON document, whose "schema" field must equal [expect]. *)
+let read_json ?on_error ~expect path =
+  let doc =
+    match Core.Json.of_string (read_file ?on_error path) with
+    | Ok doc -> doc
+    | Error msg -> die "%s: invalid JSON: %s" path msg
+  in
+  (match Core.Json.member "schema" doc with
+  | Some (Core.Json.String s) when String.equal s expect -> ()
+  | Some (Core.Json.String s) ->
+    die "%s: expected schema %s, found %s" path expect s
+  | _ -> die "%s: missing schema field" path);
+  doc
+
+let cannot_write path msg = die "cannot write %s: %s" path msg
+
+let write path f = try f path with Sys_error msg -> cannot_write path msg
+
 (* --- observability flags --- *)
 
 type obs_cfg = {
   trace : string option;
   metrics_json : string option;
   metrics : bool;
-  progress : bool;
   ledger : string option;
   prom : string option;
   timeline : string option;
@@ -107,12 +143,6 @@ let obs_term =
       value & flag
       & info [ "metrics" ]
           ~doc:"Print a metrics summary table to stderr on completion.")
-  in
-  let progress =
-    Arg.(
-      value & flag
-      & info [ "progress" ]
-          ~doc:"Print a heartbeat with items/sec and ETA to stderr.")
   in
   let ledger =
     Arg.(
@@ -154,8 +184,8 @@ let obs_term =
       & info [ "watch" ]
           ~doc:
             "Live stderr dashboard redrawn on every telemetry tick (top \
-             counters with rates, gauges, sketch quantiles). Replaces the \
-             --progress heartbeat when both are given.")
+             counters with rates, gauges, sketch quantiles); on a pipe, one \
+             compact line per tick, the last one tagged (final).")
   in
   let tick_ms =
     Arg.(
@@ -164,35 +194,21 @@ let obs_term =
           ~doc:"Telemetry snapshot period for --prom/--watch (default 250).")
   in
   Term.(
-    const (fun trace metrics_json metrics progress ledger prom timeline watch
-               tick_ms ->
-        {
-          trace;
-          metrics_json;
-          metrics;
-          progress;
-          ledger;
-          prom;
-          timeline;
-          watch;
-          tick_ms;
-        })
-    $ trace $ metrics_json $ metrics $ progress $ ledger $ prom $ timeline
-    $ watch $ tick_ms)
+    const (fun trace metrics_json metrics ledger prom timeline watch tick_ms ->
+        { trace; metrics_json; metrics; ledger; prom; timeline; watch; tick_ms })
+    $ trace $ metrics_json $ metrics $ ledger $ prom $ timeline $ watch
+    $ tick_ms)
 
-(* Runs [f] with telemetry enabled when any obs output was requested, then
+(* The one telemetry lifecycle: enable -> tick -> capture -> export. Runs
+   [f] with telemetry enabled when any obs output was requested, then
    exports. [f] returns an exit code instead of calling [exit] directly so
-   the snapshot/export runs before the process terminates. *)
+   the snapshot/export runs before the process terminates. An unwritable
+   output path exits 2 after the workload, naming the path. *)
 let with_obs cfg f =
-  if cfg.tick_ms <= 0 then begin
-    Format.eprintf "pso_audit: --tick-ms must be > 0 (got %d)@." cfg.tick_ms;
-    exit 2
-  end;
+  if cfg.tick_ms <= 0 then die "--tick-ms must be > 0 (got %d)" cfg.tick_ms;
   (* The Timeline layer (ticker + subscribers) runs whenever any live
-     consumer was requested; --watch absorbs --progress so stderr has a
-     single writer. *)
+     consumer was requested. *)
   let live = cfg.prom <> None || cfg.timeline <> None || cfg.watch in
-  if cfg.progress && not cfg.watch then Obs.Progress.enable ();
   (match cfg.ledger with
   | Some _ ->
     Obs.Ledger.reset ();
@@ -202,7 +218,7 @@ let with_obs cfg f =
     Option.iter
       (fun path ->
         Obs.Ledger.disable ();
-        Obs.Ledger.write_file path;
+        write path Obs.Ledger.write_file;
         Format.eprintf "[obs] wrote %s to %s@." Obs.Ledger.schema path)
       cfg.ledger
   in
@@ -237,10 +253,14 @@ let with_obs cfg f =
          completed workload: its deterministic entries are byte-identical
          at every --jobs, unlike the wall-clock-placed periodic ticks. *)
       Obs.Timeline.stop ();
-      ignore (Obs.Timeline.capture ~final:true ());
+      (* The ticker swallows a failed --prom rewrite; this capture runs
+         the subscriber on the calling domain, where the error surfaces. *)
+      (try ignore (Obs.Timeline.capture ~final:true ())
+       with Sys_error msg ->
+         cannot_write (Option.value cfg.prom ~default:"stderr") msg);
       Option.iter
         (fun path ->
-          Obs.Timeline.write_file path;
+          write path Obs.Timeline.write_file;
           Format.eprintf "[obs] wrote %s to %s@." Obs.Timeline.schema path)
         cfg.timeline;
       Option.iter
@@ -250,12 +270,14 @@ let with_obs cfg f =
     let report = Obs.snapshot ~jobs () in
     Option.iter
       (fun path ->
-        Obs.Export.write_file path (Obs.Export.chrome_trace report);
+        write path (fun path ->
+            Obs.Export.write_file path (Obs.Export.chrome_trace report));
         Format.eprintf "[obs] wrote Chrome trace to %s@." path)
       cfg.trace;
     Option.iter
       (fun path ->
-        Obs.Export.write_file path (Obs.Export.metrics_json report);
+        write path (fun path ->
+            Obs.Export.write_file path (Obs.Export.metrics_json report));
         Format.eprintf "[obs] wrote %s to %s@." Obs.Export.schema path)
       cfg.metrics_json;
     if cfg.metrics then Format.eprintf "%a@." Obs.Export.pp_summary report;
@@ -953,16 +975,7 @@ let validate_json_cmd =
   let run files =
     List.iter
       (fun path ->
-        let contents =
-          try
-            let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          with Sys_error msg ->
-            Format.eprintf "pso_audit: cannot read %s: %s@." path msg;
-            exit 2
-        in
+        let contents = read_file path in
         let schema_of doc =
           match Core.Json.member "schema" doc with
           | Some (Core.Json.String s) -> s
@@ -1137,35 +1150,6 @@ let ledger_report_cmd =
 (* --- report-html --- *)
 
 let report_html_cmd =
-  let read_text path =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error msg ->
-      Format.eprintf "pso_audit: cannot read %s: %s@." path msg;
-      exit 2
-  in
-  let read_json ~expect path =
-    let doc =
-      match Core.Json.of_string (read_text path) with
-      | Ok doc -> doc
-      | Error msg ->
-        Format.eprintf "pso_audit: %s: invalid JSON: %s@." path msg;
-        exit 2
-    in
-    (match Core.Json.member "schema" doc with
-    | Some (Core.Json.String s) when String.equal s expect -> ()
-    | Some (Core.Json.String s) ->
-      Format.eprintf "pso_audit: %s: expected schema %s, found %s@." path
-        expect s;
-      exit 2
-    | _ ->
-      Format.eprintf "pso_audit: %s: missing schema field@." path;
-      exit 2);
-    doc
-  in
   let run out timeline metrics ledger bench title =
     if timeline = None && metrics = None && ledger = None && bench = [] then begin
       Format.eprintf
@@ -1207,9 +1191,8 @@ let report_html_cmd =
     let html =
       Obs.Report_html.render ?timeline ?metrics ?ledger ?bench ~title ()
     in
-    let oc = open_out out in
-    output_string oc html;
-    close_out oc;
+    write out (fun out ->
+        Out_channel.with_open_bin out (fun oc -> output_string oc html));
     Format.printf "wrote run report to %s@." out
   in
   let out_arg =
@@ -1271,35 +1254,15 @@ let report_html_cmd =
    [(kernel name, ns per run)] rows. Any shape violation is a hard error:
    the CI gate must not silently pass on a malformed snapshot. *)
 let read_bench_snapshot path =
-  let fail fmt =
-    Format.kasprintf
-      (fun msg ->
-        Format.eprintf "pso_audit: %s: %s@." path msg;
-        exit 2)
-      fmt
-  in
-  let contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error msg -> fail "cannot read: %s" msg
-  in
   let doc =
-    match Core.Json.of_string contents with
-    | Ok doc -> doc
-    | Error msg -> fail "invalid JSON: %s" msg
+    read_json
+      ~on_error:(fun path msg -> die "%s: cannot read: %s" path msg)
+      ~expect:"bench-kernels/v1" path
   in
-  (match Core.Json.member "schema" doc with
-  | Some (Core.Json.String "bench-kernels/v1") -> ()
-  | Some (Core.Json.String other) ->
-    fail "expected schema bench-kernels/v1, found %s" other
-  | _ -> fail "missing schema field");
   let kernels =
     match Option.bind (Core.Json.member "kernels" doc) Core.Json.to_list with
     | Some ks -> ks
-    | None -> fail "missing kernels list"
+    | None -> die "%s: missing kernels list" path
   in
   List.map
     (fun k ->
@@ -1307,8 +1270,10 @@ let read_bench_snapshot path =
         ( Option.bind (Core.Json.member "name" k) Core.Json.to_string_opt,
           Option.bind (Core.Json.member "ns_per_run" k) Core.Json.to_float )
       with
-      | Some name, Some ns -> (name, ns)
-      | _ -> fail "malformed kernel entry")
+      (* A zero or negative timing would turn every ratio into nan or a
+         sign flip that passes any tolerance. *)
+      | Some name, Some ns when Float.is_finite ns && ns > 0. -> (name, ns)
+      | _ -> die "%s: malformed kernel entry" path)
     kernels
 
 let bench_compare_cmd =

@@ -7,7 +7,8 @@
    and a branch; nothing here ever draws randomness, so telemetry cannot
    perturb experiment tables.
 
-   Typical lifecycle (what bin/pso_audit.ml and bench/main.ml do):
+   Typical lifecycle (the full one, with the Timeline ticker and the
+   ledger, is written once: [with_obs] in bin/pso_audit.ml):
 
      Obs.enable ();
      ... run instrumented work ...
@@ -28,7 +29,6 @@ module Histogram = Metric.Histogram
 module Sketch = Sketch
 module Sketchm = Metric.Sketchm
 module Ledger = Ledger
-module Progress = Progress
 module Export = Export
 module Timeline = Timeline
 module Prom = Prom

@@ -2,9 +2,9 @@
 
    On a TTY the previous frame is erased with cursor-up + clear-to-end
    escapes and repainted in place; on a pipe each tick emits one compact
-   line instead, so redirected logs stay greppable. The dashboard
-   replaces the --progress heartbeat when both are requested: one writer
-   to stderr, no interleaving.
+   line instead, so redirected logs stay greppable. It is the only
+   heartbeat: the final post-workload capture prints a last line tagged
+   "(final)".
 
    Rendering is generic over whatever metrics the run registered: all
    gauges, the busiest counters by per-interval delta (with rates), and

@@ -114,23 +114,13 @@ let parallel_init_array pool n f =
   if n = 0 then [||]
   else if pool.jobs = 1 || n = 1 then begin
     Obs.Counter.incr c_regions;
-    let progress = Obs.Progress.start ~total:n () in
-    let out =
-      Obs.with_span
-        ~argsf:(fun () -> [ ("items", string_of_int n) ])
-        "pool.region"
-        (fun () ->
-          sequential_init n (fun i ->
-              let v = run_item f i in
-              Obs.Progress.tick progress ~done_:(i + 1);
-              v))
-    in
-    Obs.Progress.finish progress ~done_:n;
-    out
+    Obs.with_span
+      ~argsf:(fun () -> [ ("items", string_of_int n) ])
+      "pool.region"
+      (fun () -> sequential_init n (run_item f))
   end
   else begin
     Obs.Counter.incr c_regions;
-    let progress = Obs.Progress.start ~total:n () in
     let slots = Array.make n None in
     let next = Atomic.make 0 in
     let finish_mutex = Mutex.create () in
@@ -142,7 +132,7 @@ let parallel_init_array pool n f =
        uneven per-index costs balance automatically. Results land in
        their index's slot, which keeps the output independent of how
        work was interleaved. *)
-    let steal ~caller () =
+    let steal () =
       let mine = ref 0 in
       Obs.with_span
         ~argsf:(fun () -> [ ("items", string_of_int !mine) ])
@@ -163,7 +153,6 @@ let parallel_init_array pool n f =
               incr completed;
               if !completed = n then Condition.signal finished;
               Mutex.unlock finish_mutex;
-              if caller then Obs.Progress.tick progress ~done_:!completed;
               loop ()
             end
           in
@@ -176,15 +165,14 @@ let parallel_init_array pool n f =
       "pool.region"
       (fun () ->
         for _ = 1 to helpers do
-          submit pool (steal ~caller:false)
+          submit pool steal
         done;
-        steal ~caller:true ();
+        steal ();
         Mutex.lock finish_mutex;
         while !completed < n do
           Condition.wait finished finish_mutex
         done;
         Mutex.unlock finish_mutex);
-    Obs.Progress.finish progress ~done_:n;
     (match !error with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

@@ -38,13 +38,14 @@
 #      eps-DP coupling certificate exactly and reject every negative
 #      control (nonzero exit otherwise), and the tampered-certificate
 #      smoke (certify --tamper) must reject every corrupted witness
-#  12. live-telemetry smoke: a quick E2 run with --prom + --timeline (plus
-#      --metrics-json and --ledger) must leave the golden table untouched,
-#      both new artifacts must pass validate-json (prometheus-text and
-#      obs-timeline/v1), report-html must fuse all four sources into a
-#      self-contained page with every section present, and the 10 Hz
-#      snapshot ticker must cost <=10% on the batched-count kernel
-#      (bench-pair, same re-measure retry as the other perf gates)
+#  12. live-telemetry smoke: a quick E2 run with --prom + --timeline +
+#      --watch (plus --metrics-json and --ledger) must leave the golden
+#      table untouched, its stderr must end the --watch heartbeat with the
+#      "(final)" line, both new artifacts must pass validate-json
+#      (prometheus-text and obs-timeline/v1), report-html must fuse all
+#      four sources into a self-contained page with every section present,
+#      and the 10 Hz snapshot ticker must cost <=10% on the batched-count
+#      kernel (bench-pair, same re-measure retry as the other perf gates)
 #  13. census-scale smoke: the E14 table must be byte-identical at --jobs 1
 #      and --jobs 2 and must match the committed golden, and the census
 #      subcommand's streaming and materialized paths must produce identical
@@ -217,16 +218,23 @@ if grep -q ACCEPTED "$tmp1" || ! grep -q REJECTED "$tmp1"; then
   exit 1
 fi
 
-# Live-telemetry smoke: periodic snapshots plus the Prometheus mirror must
-# not perturb results (golden byte-identity), both exports must satisfy
-# their validators, and the fused HTML report must carry every section.
-prom=$(mktemp) timeline=$(mktemp) report=$(mktemp)
-trap 'rm -f "$tmp1" "$tmp2" "$trace" "$metrics" "$ledger1" "$ledger2" "$prom" "$timeline" "$report"' EXIT
+# Live-telemetry smoke: periodic snapshots, the Prometheus mirror and the
+# --watch heartbeat must not perturb results (golden byte-identity), the
+# heartbeat must close with its final-capture line, both exports must
+# satisfy their validators, and the fused HTML report must carry every
+# section.
+prom=$(mktemp) timeline=$(mktemp) report=$(mktemp) watch=$(mktemp)
+trap 'rm -f "$tmp1" "$tmp2" "$trace" "$metrics" "$ledger1" "$ledger2" "$prom" "$timeline" "$report" "$watch"' EXIT
 dune exec bin/pso_audit.exe -- run E2 --quick --seed 20210621 --jobs 2 \
-  --prom "$prom" --timeline "$timeline" --tick-ms 50 \
-  --metrics-json "$metrics" --ledger "$ledger1" > "$tmp1" 2> /dev/null
+  --prom "$prom" --timeline "$timeline" --watch --tick-ms 50 \
+  --metrics-json "$metrics" --ledger "$ledger1" > "$tmp1" 2> "$watch"
 if ! diff -u test/golden/E2.txt "$tmp1"; then
   echo "ci: live telemetry perturbed the E2 table (differs from test/golden/E2.txt)" >&2
+  exit 1
+fi
+if ! grep -q '^\[obs\] watch tick=.*(final)$' "$watch"; then
+  echo "ci: --watch printed no final heartbeat line" >&2
+  cat "$watch" >&2
   exit 1
 fi
 dune exec bin/pso_audit.exe -- validate-json "$prom" "$timeline"

@@ -287,6 +287,68 @@ let test_pso_audit_live_telemetry () =
   Sys.remove prom;
   Sys.remove timeline
 
+(* --watch is the only heartbeat: on a pipe it prints one compact line per
+   tick and a last line for the final capture, without touching stdout. *)
+let test_pso_audit_watch () =
+  let r =
+    run
+      (pso_audit
+         [
+           "run"; "E2"; "--quick"; "--seed"; "20210621"; "--watch";
+           "--tick-ms"; "50";
+         ])
+  in
+  Alcotest.(check int) "watched run exits 0" 0 r.code;
+  let golden =
+    read_file
+      (if Sys.file_exists "golden" then Filename.concat "golden" "E2.txt"
+       else Filename.concat "test" (Filename.concat "golden" "E2.txt"))
+  in
+  Alcotest.(check string) "stdout is the E2 golden" golden r.stdout;
+  let ticks =
+    String.split_on_char '\n' r.stderr
+    |> List.filter (fun l -> String.starts_with ~prefix:"[obs] watch tick=" l)
+  in
+  Alcotest.(check bool) "at least one watch line" true (ticks <> []);
+  Alcotest.(check bool) "last watch line is the final capture" true
+    (String.ends_with ~suffix:"(final)" (List.nth ticks (List.length ticks - 1)))
+
+(* An unwritable output path is exit 2 with one line naming it, never an
+   uncaught exception. *)
+let missing_dir_path name =
+  let dir = Filename.temp_file "cli" ".dir" in
+  Sys.remove dir;
+  Filename.concat dir name
+
+let check_cannot_write name r =
+  Alcotest.(check int) (name ^ " exits 2") 2 r.code;
+  Alcotest.(check int) (name ^ " prints one stderr line") 1
+    (List.length (String.split_on_char '\n' (String.trim r.stderr)));
+  Alcotest.(check bool) (name ^ " names the write") true
+    (contains r.stderr "pso_audit: cannot write ");
+  Alcotest.(check bool) (name ^ " is not an uncaught exception") false
+    (contains r.stderr "uncaught exception")
+
+let test_pso_audit_unwritable_outputs () =
+  check_cannot_write "--metrics-json into a missing directory"
+    (run
+       (pso_audit
+          [
+            "run"; "E2"; "--quick"; "--metrics-json";
+            missing_dir_path "m.json";
+          ]));
+  let snapshot = Filename.temp_file "cli" ".bench.json" in
+  let oc = open_out snapshot in
+  output_string oc
+    {|{"schema":"bench-kernels/v1","version":1,"jobs":1,"kernels":[
+       {"name":"a","ns_per_run":100.0,"r_square":0.99}]}|};
+  close_out oc;
+  check_cannot_write "report-html into a missing directory"
+    (run
+       (pso_audit
+          [ "report-html"; missing_dir_path "o.html"; "--bench"; snapshot ]));
+  Sys.remove snapshot
+
 let test_pso_audit_tick_ms_validation () =
   let r = run (pso_audit [ "run"; "E2"; "--quick"; "--tick-ms"; "0" ]) in
   Alcotest.(check int) "--tick-ms 0 exits 2" 2 r.code;
@@ -351,7 +413,11 @@ let test_pso_audit_dpcheck_flags_broken_case () =
 (* --- bench --- *)
 
 let test_bench_bad_invocations () =
-  check_fails_with_usage "bench unknown option" (bench [ "--frob" ]) ~code:2;
+  (* --metrics: telemetry flags belong to pso_audit, not to bench. *)
+  List.iter
+    (fun flag ->
+      check_fails_with_usage "bench unknown option" (bench [ flag ]) ~code:2)
+    [ "--frob"; "--metrics" ];
   check_fails_with_usage "bench anonymous argument" (bench [ "E2" ]) ~code:2;
   check_fails_with_usage "bench jobs zero" (bench [ "--jobs"; "0" ]) ~code:2;
   check_fails_with_usage "bench negative jobs" (bench [ "--jobs=-2" ]) ~code:2;
@@ -406,6 +472,9 @@ let () =
             test_pso_audit_live_telemetry;
           Alcotest.test_case "tick-ms validation" `Quick
             test_pso_audit_tick_ms_validation;
+          Alcotest.test_case "watch heartbeat" `Slow test_pso_audit_watch;
+          Alcotest.test_case "unwritable outputs" `Slow
+            test_pso_audit_unwritable_outputs;
           Alcotest.test_case "report-html contract" `Slow
             test_pso_audit_report_html;
         ] );

@@ -347,6 +347,16 @@ let test_cli_bench_pair () =
   Alcotest.(check int) "+100% beyond 10%" 1 fail.code;
   let missing = run (pso_audit [ "bench-pair"; snapshot; "base"; "nope" ]) in
   Alcotest.(check int) "unknown kernel exits 2" 2 missing.code;
+  (* A zero timing would print a nan delta and pass any tolerance. *)
+  let oc = open_out snapshot in
+  output_string oc
+    {|{"schema":"bench-kernels/v1","version":1,"jobs":1,"kernels":[
+       {"name":"a","ns_per_run":0,"r_square":0.99}]}|};
+  close_out oc;
+  let zero = run (pso_audit [ "bench-pair"; snapshot; "a"; "a" ]) in
+  Alcotest.(check int) "zero ns_per_run exits 2" 2 zero.code;
+  Alcotest.(check bool) "zero ns_per_run prints no verdict" false
+    (contains zero.stdout "within tolerance");
   Sys.remove snapshot
 
 let () =
