@@ -13,8 +13,8 @@
    `--json FILE` writes the kernel timings as JSON;
    `--no-perf` / `--no-tables` skip a part.
 
-   Telemetry (--trace, --metrics-json, --ledger, --timeline, --prom,
-   --watch) is not a bench option: `pso_audit run E7 [--full]` runs the
+   Telemetry (--trace, --metrics, --ledger, --timeline, --prom, --watch)
+   is not a bench option: `pso_audit run E7 [--full]` runs the
    same registry entry under the one telemetry lifecycle. *)
 
 open Bechamel

@@ -11,16 +11,16 @@
      experiment   run one of E1..E14 (or `all`)
      census       census-scale sharded reconstruction (streaming tabulation)
      run          alias for experiment with explicit --quick/--full scale
-     validate-json  parse JSON files written by --trace / --metrics-json
+     validate-json  check the JSON, JSONL and Prometheus files a run writes
 
    Observability: every long-running subcommand accepts --trace FILE
-   (Chrome trace_event JSON), --metrics-json FILE (obs-metrics/v1),
-   --metrics (summary table on stderr), --ledger FILE (ledger/v1 JSONL),
-   --timeline FILE (obs-timeline/v1), --prom FILE (Prometheus text) and
-   --watch (live stderr heartbeat), all run by [with_obs], the one
-   telemetry lifecycle in the tree. All telemetry output goes to stderr or
-   to files, never stdout, so golden tables stay byte-identical with
-   telemetry enabled. *)
+   (Chrome trace_event JSON), --metrics (summary table on stderr),
+   --ledger FILE (ledger/v1 JSONL), --timeline FILE (obs-timeline/v2,
+   whose final point is the run's metrics record), --prom FILE
+   (Prometheus text) and --watch (live stderr heartbeat), all run by
+   [with_obs], the one telemetry lifecycle in the tree. All telemetry
+   output goes to stderr or to files, never stdout, so golden tables
+   stay byte-identical with telemetry enabled. *)
 
 open Cmdliner
 
@@ -112,7 +112,6 @@ let write path f = try f path with Sys_error msg -> cannot_write path msg
 
 type obs_cfg = {
   trace : string option;
-  metrics_json : string option;
   metrics : bool;
   ledger : string option;
   prom : string option;
@@ -130,13 +129,6 @@ let obs_term =
           ~doc:
             "Write a Chrome trace_event JSON file (open in Perfetto or \
              chrome://tracing); one track per worker domain.")
-  in
-  let metrics_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE"
-          ~doc:"Write counters and histograms as obs-metrics/v1 JSON.")
   in
   let metrics =
     Arg.(
@@ -172,11 +164,12 @@ let obs_term =
       & opt (some string) None
       & info [ "timeline" ] ~docv:"FILE"
           ~doc:
-            "Write the run's snapshot ring as obs-timeline/v1 JSON on \
+            "Write the run's snapshot ring as obs-timeline/v2 JSON on \
              completion: periodic captures of every metric with \
              per-interval deltas and rates, plus a final post-workload \
-             capture whose deterministic entries are byte-identical at \
-             every --jobs.")
+             capture (the run's metrics record, histogram buckets and \
+             sketch extrema included) whose deterministic entries are \
+             byte-identical at every --jobs.")
   in
   let watch =
     Arg.(
@@ -191,24 +184,22 @@ let obs_term =
     Arg.(
       value & opt int 250
       & info [ "tick-ms" ] ~docv:"MS"
-          ~doc:"Telemetry snapshot period for --prom/--watch (default 250).")
+          ~doc:
+            "Telemetry snapshot period for --prom/--timeline/--watch \
+             (default 250).")
   in
   Term.(
-    const (fun trace metrics_json metrics ledger prom timeline watch tick_ms ->
-        { trace; metrics_json; metrics; ledger; prom; timeline; watch; tick_ms })
-    $ trace $ metrics_json $ metrics $ ledger $ prom $ timeline $ watch
-    $ tick_ms)
+    const (fun trace metrics ledger prom timeline watch tick_ms ->
+        { trace; metrics; ledger; prom; timeline; watch; tick_ms })
+    $ trace $ metrics $ ledger $ prom $ timeline $ watch $ tick_ms)
 
 (* The one telemetry lifecycle: enable -> tick -> capture -> export. Runs
    [f] with telemetry enabled when any obs output was requested, then
    exports. [f] returns an exit code instead of calling [exit] directly so
-   the snapshot/export runs before the process terminates. An unwritable
+   the capture/export runs before the process terminates. An unwritable
    output path exits 2 after the workload, naming the path. *)
 let with_obs cfg f =
   if cfg.tick_ms <= 0 then die "--tick-ms must be > 0 (got %d)" cfg.tick_ms;
-  (* The Timeline layer (ticker + subscribers) runs whenever any live
-     consumer was requested. *)
-  let live = cfg.prom <> None || cfg.timeline <> None || cfg.watch in
   (match cfg.ledger with
   | Some _ ->
     Obs.Ledger.reset ();
@@ -222,10 +213,10 @@ let with_obs cfg f =
         Format.eprintf "[obs] wrote %s to %s@." Obs.Ledger.schema path)
       cfg.ledger
   in
-  let wanted =
-    cfg.trace <> None || cfg.metrics_json <> None || cfg.metrics || live
-  in
-  if not wanted then begin
+  (* Periodic captures serve the live consumers; every telemetry output
+     reads the final one. *)
+  let ticking = cfg.prom <> None || cfg.timeline <> None || cfg.watch in
+  if not (ticking || cfg.trace <> None || cfg.metrics) then begin
     let code = f () in
     finish_ledger ();
     code
@@ -233,40 +224,38 @@ let with_obs cfg f =
   else begin
     let jobs = Parallel.Pool.jobs (Parallel.Pool.default ()) in
     Obs.reset ();
+    Obs.Timeline.reset ();
+    Obs.Timeline.set_jobs jobs;
     Obs.enable ();
-    if live then begin
-      Obs.Timeline.reset ();
-      Obs.Timeline.set_jobs jobs;
-      Option.iter
-        (fun path ->
-          Obs.Timeline.subscribe (fun values _ ->
-              Obs.Prom.write_file path (Obs.Prom.render values)))
-        cfg.prom;
-      if cfg.watch then Obs.Timeline.subscribe (Obs.Watch.subscriber ~jobs ());
-      Obs.Timeline.start
-        ~period_ns:(Int64.of_int (cfg.tick_ms * 1_000_000))
-        ()
-    end;
+    Option.iter
+      (fun path ->
+        Obs.Timeline.subscribe (fun values _ ->
+            Obs.Prom.write_file path (Obs.Prom.render values)))
+      cfg.prom;
+    if cfg.watch then Obs.Timeline.subscribe (Obs.Watch.subscriber ~jobs ());
+    if ticking then
+      Obs.Timeline.start ~period_ns:(Int64.of_int (cfg.tick_ms * 1_000_000)) ();
     let code = f () in
-    if live then begin
-      (* Stop ticking before the final capture so it freezes the
-         completed workload: its deterministic entries are byte-identical
-         at every --jobs, unlike the wall-clock-placed periodic ticks. *)
-      Obs.Timeline.stop ();
-      (* The ticker swallows a failed --prom rewrite; this capture runs
-         the subscriber on the calling domain, where the error surfaces. *)
-      (try ignore (Obs.Timeline.capture ~final:true ())
-       with Sys_error msg ->
-         cannot_write (Option.value cfg.prom ~default:"stderr") msg);
-      Option.iter
-        (fun path ->
-          write path Obs.Timeline.write_file;
-          Format.eprintf "[obs] wrote %s to %s@." Obs.Timeline.schema path)
-        cfg.timeline;
-      Option.iter
-        (fun path -> Format.eprintf "[obs] wrote Prometheus text to %s@." path)
-        cfg.prom
-    end;
+    (* Stop ticking before the final capture so it freezes the completed
+       workload: its deterministic entries are byte-identical at every
+       --jobs, unlike the wall-clock-placed periodic ticks. *)
+    Obs.Timeline.stop ();
+    (* The ticker swallows a failed --prom rewrite; this capture runs the
+       subscriber on the calling domain, where the error surfaces. *)
+    let final =
+      try Obs.Timeline.capture ~final:true ()
+      with Sys_error msg ->
+        cannot_write (Option.value cfg.prom ~default:"stderr") msg
+    in
+    Option.iter
+      (fun path ->
+        write path (fun path ->
+            Obs.Export.write_file path (Obs.Timeline.to_json ()));
+        Format.eprintf "[obs] wrote %s to %s@." Obs.Timeline.schema path)
+      cfg.timeline;
+    Option.iter
+      (fun path -> Format.eprintf "[obs] wrote Prometheus text to %s@." path)
+      cfg.prom;
     let report = Obs.snapshot ~jobs () in
     Option.iter
       (fun path ->
@@ -274,13 +263,8 @@ let with_obs cfg f =
             Obs.Export.write_file path (Obs.Export.chrome_trace report));
         Format.eprintf "[obs] wrote Chrome trace to %s@." path)
       cfg.trace;
-    Option.iter
-      (fun path ->
-        write path (fun path ->
-            Obs.Export.write_file path (Obs.Export.metrics_json report));
-        Format.eprintf "[obs] wrote %s to %s@." Obs.Export.schema path)
-      cfg.metrics_json;
-    if cfg.metrics then Format.eprintf "%a@." Obs.Export.pp_summary report;
+    if cfg.metrics then
+      Format.eprintf "%a@." (Obs.Export.pp_summary final) report;
     finish_ledger ();
     code
   end
@@ -1056,9 +1040,9 @@ let validate_json_cmd =
     (Cmd.info "validate-json"
        ~doc:
          "Parse telemetry artifacts and report their schema: JSON documents \
-          (--trace / --metrics-json output), JSONL (--ledger output), \
-          Prometheus text expositions (--prom output, line-grammar check) \
-          and obs-timeline/v1 documents (--timeline output, structural \
+          (--trace output), JSONL (--ledger output), Prometheus text \
+          expositions (--prom output, line-grammar check) and \
+          obs-timeline/v2 documents (--timeline output, structural \
           check). Exits 2 on malformed input.")
     Term.(const run $ files_arg)
 
@@ -1150,11 +1134,11 @@ let ledger_report_cmd =
 (* --- report-html --- *)
 
 let report_html_cmd =
-  let run out timeline metrics ledger bench title =
-    if timeline = None && metrics = None && ledger = None && bench = [] then begin
+  let run out timeline ledger bench title =
+    if timeline = None && ledger = None && bench = [] then begin
       Format.eprintf
         "pso_audit: report-html needs at least one source (--timeline, \
-         --metrics-json, --ledger or --bench)@.";
+         --ledger or --bench)@.";
       exit 2
     end;
     let timeline =
@@ -1169,9 +1153,6 @@ let report_html_cmd =
             exit 2);
           doc)
         timeline
-    in
-    let metrics =
-      Option.map (fun path -> read_json ~expect:Obs.Export.schema path) metrics
     in
     let ledger =
       Option.map
@@ -1189,7 +1170,7 @@ let report_html_cmd =
       | snaps -> Some snaps
     in
     let html =
-      Obs.Report_html.render ?timeline ?metrics ?ledger ?bench ~title ()
+      Obs.Report_html.render ?timeline ?ledger ?bench ~title ()
     in
     write out (fun out ->
         Out_channel.with_open_bin out (fun oc -> output_string oc html));
@@ -1206,14 +1187,10 @@ let report_html_cmd =
       value
       & opt (some string) None
       & info [ "timeline" ] ~docv:"FILE"
-          ~doc:"An obs-timeline/v1 document (from --timeline).")
-  in
-  let metrics_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE"
-          ~doc:"An obs-metrics/v1 document (from --metrics-json).")
+          ~doc:
+            "An obs-timeline/v2 document (from --timeline): sparklines of \
+             every series plus the final metric tables from its last \
+             snapshot.")
   in
   let ledger_arg =
     Arg.(
@@ -1245,8 +1222,7 @@ let report_html_cmd =
           per-analyst ledger accounting and a bench trajectory. Exits 2 on \
           any malformed source.")
     Term.(
-      const run $ out_arg $ timeline_arg $ metrics_arg $ ledger_arg $ bench_arg
-      $ title_arg)
+      const run $ out_arg $ timeline_arg $ ledger_arg $ bench_arg $ title_arg)
 
 (* --- bench-compare --- *)
 

@@ -28,7 +28,7 @@ val steps : t -> (string * float * float) list
 val spent_epsilon : t -> float
 (** Running [Σ ε] across all spends — the value journaled as the
     [cumulative] field of audit-ledger spend events, and accumulated in
-    the ["dp.epsilon_spent"] gauge of obs-metrics/v1. *)
+    the ["dp.epsilon_spent"] gauge of every metrics export. *)
 
 val basic : t -> float * float
 (** Sequential composition: [(Σ εᵢ, Σ δᵢ)]. *)

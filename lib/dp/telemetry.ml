@@ -20,7 +20,7 @@ let magnitude = Obs.Histogram.make "dp.noise_magnitude"
 let spends = Obs.Counter.make "dp.accountant_spends"
 
 (* Total ε recorded by accountants (and the noisy curator), exported in
-   obs-metrics/v1; a gauge so the cross-domain merge stays exact. *)
+   every metrics view; a gauge so the cross-domain merge stays exact. *)
 let epsilon_spent = Obs.Gauge.make "dp.epsilon_spent"
 
 let ledger_noise ?mechanism ?scale n =

@@ -1,114 +1,14 @@
-(* Three views of one snapshot:
+(* Two views of a finished run:
 
-   - [metrics_json]: the stable `obs-metrics/v1` document (canonical
-     Json rendering: keys sorted, round-tripping floats);
    - [chrome_trace]: a Chrome `trace_event` document, one track per
      domain, loadable in chrome://tracing or https://ui.perfetto.dev;
-   - [pp_summary]: the human table behind `--metrics`.
+   - [pp_summary]: the human table behind `--metrics`, read from the
+     final Timeline point (the run's metrics record, `obs-timeline/v2`)
+     plus the per-domain track rows of the span report.
 
-   The `counters` and `histograms` sections of `obs-metrics/v1` are
-   deterministic for a deterministic workload — identical bytes at every
-   --jobs — except for entries flagged `"timing": true`, which measure
-   wall-clock or scheduling. The `domains` section is always
-   scheduling-dependent. *)
-
-let schema = "obs-metrics/v1"
-
-let schema_version = 1
-
-let metrics_json (r : Metric.report) =
-  Json.Obj
-    [
-      ("schema", Json.String schema);
-      ("version", Json.Number (float_of_int schema_version));
-      ("jobs", Json.Number (float_of_int r.Metric.jobs));
-      ( "counters",
-        Json.List
-          (List.map
-             (fun ((m : Metric.meta), v) ->
-               Json.Obj
-                 [
-                   ("name", Json.String m.Metric.name);
-                   ("timing", Json.Bool m.Metric.timing);
-                   ("value", Json.Number (float_of_int v));
-                 ])
-             r.Metric.counters) );
-      ( "gauges",
-        Json.List
-          (List.map
-             (fun ((m : Metric.meta), v) ->
-               Json.Obj
-                 [
-                   ("name", Json.String m.Metric.name);
-                   ("timing", Json.Bool m.Metric.timing);
-                   ("value", Json.number v);
-                 ])
-             r.Metric.gauges) );
-      ( "histograms",
-        Json.List
-          (List.map
-             (fun (h : Metric.hist) ->
-               Json.Obj
-                 [
-                   ("name", Json.String h.Metric.h_name);
-                   ("timing", Json.Bool h.Metric.h_timing);
-                   ("count", Json.Number (float_of_int h.Metric.h_count));
-                   ( "buckets",
-                     Json.List
-                       (List.map
-                          (fun (b, c) ->
-                            Json.Obj
-                              [
-                                ("le", Json.number (Metric.bucket_upper b));
-                                ("count", Json.Number (float_of_int c));
-                              ])
-                          h.Metric.h_buckets) );
-                 ])
-             r.Metric.histograms) );
-      ( "sketches",
-        Json.List
-          (List.map
-             (fun (s : Metric.sketch_report) ->
-               let q p =
-                 if Sketch.is_empty s.Metric.sk then Json.Null
-                 else Json.number (Sketch.quantile s.Metric.sk p)
-               in
-               let ext f =
-                 if Sketch.is_empty s.Metric.sk then Json.Null
-                 else begin
-                   let v = f s.Metric.sk in
-                   if Float.is_nan v then Json.Null else Json.number v
-                 end
-               in
-               Json.Obj
-                 [
-                   ("name", Json.String s.Metric.sk_name);
-                   ("timing", Json.Bool s.Metric.sk_timing);
-                   ( "count",
-                     Json.Number (float_of_int (Sketch.count s.Metric.sk)) );
-                   ("min", ext Sketch.min_value);
-                   ("max", ext Sketch.max_value);
-                   ("p50", q 0.5);
-                   ("p90", q 0.9);
-                   ("p95", q 0.95);
-                   ("p99", q 0.99);
-                 ])
-             r.Metric.sketches) );
-      ( "domains",
-        Json.List
-          (List.map
-             (fun (d : Metric.domain_report) ->
-               Json.Obj
-                 [
-                   ("tid", Json.Number (float_of_int d.Metric.tid));
-                   ("domain", Json.Number (float_of_int d.Metric.domain_id));
-                   ( "spans",
-                     Json.Number (float_of_int (List.length d.Metric.events)) );
-                   ("busy_ns", Json.Number (Int64.to_float d.Metric.busy_ns));
-                   ("dropped", Json.Number (float_of_int d.Metric.ev_dropped));
-                 ])
-             r.Metric.domains) );
-    ]
+   Metric rows flagged "(timing)" measure wall-clock or scheduling; every
+   other row is identical at every --jobs for a deterministic workload.
+   The track rows are always scheduling-dependent. *)
 
 (* --- Chrome trace_event --- *)
 
@@ -171,66 +71,60 @@ let write_file path doc =
 
 (* Upper bound of the bucket holding quantile [q], a deterministic
    order-of-magnitude summary (exact quantiles would need raw samples). *)
-let quantile_upper (h : Metric.hist) q =
-  if h.Metric.h_count = 0 then nan
-  else begin
-    let target = q *. float_of_int h.Metric.h_count in
-    let rec go acc = function
-      | [] -> nan
-      | (b, c) :: rest ->
-        let acc = acc + c in
-        if float_of_int acc >= target then Metric.bucket_upper b else go acc rest
-    in
-    go 0 h.Metric.h_buckets
-  end
+let quantile_upper (h : Timeline.hsample) q =
+  let target = q *. float_of_int h.Timeline.ph_count in
+  let rec go acc = function
+    | [] -> nan
+    | (le, c) :: rest ->
+      let acc = acc + c in
+      if float_of_int acc >= target then le else go acc rest
+  in
+  if h.Timeline.ph_count = 0 then nan else go 0 h.Timeline.ph_buckets
 
-let pp_summary fmt (r : Metric.report) =
-  Format.fprintf fmt "== obs metrics (schema %s, jobs=%d) ==@." schema
+let pp_summary (p : Timeline.point) fmt (r : Metric.report) =
+  let timing t = if t then "  (timing)" else "" in
+  Format.fprintf fmt "== obs metrics (schema %s, jobs=%d) ==@." Timeline.schema
     r.Metric.jobs;
   Format.fprintf fmt "@.%-34s  %14s@." "counter" "value";
   Format.fprintf fmt "%s  %s@." (String.make 34 '-') (String.make 14 '-');
   List.iter
-    (fun ((m : Metric.meta), v) ->
-      Format.fprintf fmt "%-34s  %14d%s@." m.Metric.name v
-        (if m.Metric.timing then "  (timing)" else ""))
-    r.Metric.counters;
-  if r.Metric.gauges <> [] then begin
+    (fun (c : Timeline.csample) ->
+      Format.fprintf fmt "%-34s  %14d%s@." c.Timeline.c_name c.Timeline.c_value
+        (timing c.Timeline.c_timing))
+    p.Timeline.p_counters;
+  if p.Timeline.p_gauges <> [] then begin
     Format.fprintf fmt "@.%-34s  %14s@." "gauge" "value";
     Format.fprintf fmt "%s  %s@." (String.make 34 '-') (String.make 14 '-');
     List.iter
-      (fun ((m : Metric.meta), v) ->
-        Format.fprintf fmt "%-34s  %14.6g%s@." m.Metric.name v
-          (if m.Metric.timing then "  (timing)" else ""))
-      r.Metric.gauges
+      (fun (g : Timeline.gsample) ->
+        Format.fprintf fmt "%-34s  %14.6g%s@." g.Timeline.g_name
+          g.Timeline.g_value (timing g.Timeline.g_timing))
+      p.Timeline.p_gauges
   end;
-  if r.Metric.sketches <> [] then begin
+  if p.Timeline.p_sketches <> [] then begin
     Format.fprintf fmt "@.%-34s  %10s  %10s  %10s  %10s@." "sketch" "count"
       "p50" "p95" "p99";
     Format.fprintf fmt "%s  %s  %s  %s  %s@." (String.make 34 '-')
       (String.make 10 '-') (String.make 10 '-') (String.make 10 '-')
       (String.make 10 '-');
     List.iter
-      (fun (s : Metric.sketch_report) ->
+      (fun (s : Timeline.ssample) ->
         Format.fprintf fmt "%-34s  %10d  %10.3g  %10.3g  %10.3g%s@."
-          s.Metric.sk_name
-          (Sketch.count s.Metric.sk)
-          (Sketch.quantile s.Metric.sk 0.5)
-          (Sketch.quantile s.Metric.sk 0.95)
-          (Sketch.quantile s.Metric.sk 0.99)
-          (if s.Metric.sk_timing then "  (timing)" else ""))
-      r.Metric.sketches
+          s.Timeline.ps_name s.Timeline.ps_count s.Timeline.ps_p50
+          s.Timeline.ps_p95 s.Timeline.ps_p99 (timing s.Timeline.ps_timing))
+      p.Timeline.p_sketches
   end;
-  if r.Metric.histograms <> [] then begin
+  if p.Timeline.p_histograms <> [] then begin
     Format.fprintf fmt "@.%-34s  %10s  %10s  %10s@." "histogram" "count"
       "p50<=" "p95<=";
     Format.fprintf fmt "%s  %s  %s  %s@." (String.make 34 '-')
       (String.make 10 '-') (String.make 10 '-') (String.make 10 '-');
     List.iter
-      (fun (h : Metric.hist) ->
-        Format.fprintf fmt "%-34s  %10d  %10.3g  %10.3g%s@." h.Metric.h_name
-          h.Metric.h_count (quantile_upper h 0.5) (quantile_upper h 0.95)
-          (if h.Metric.h_timing then "  (timing)" else ""))
-      r.Metric.histograms
+      (fun (h : Timeline.hsample) ->
+        Format.fprintf fmt "%-34s  %10d  %10.3g  %10.3g%s@." h.Timeline.ph_name
+          h.Timeline.ph_count (quantile_upper h 0.5) (quantile_upper h 0.95)
+          (timing h.Timeline.ph_timing))
+      p.Timeline.p_histograms
   end;
   Format.fprintf fmt "@.%-10s  %8s  %8s  %12s  %8s@." "track" "domain" "spans"
     "busy" "dropped";

@@ -73,8 +73,8 @@ let max_entries = 1 lsl 20
 
 (* The 2^20 per-domain cap tripping used to be discoverable only by
    spotting the trailing "truncated" marker in the file; surface it once
-   on stderr at merge time (and as the ledger.events_truncated counter in
-   obs-metrics/v1, pulled by Metric.values). *)
+   on stderr at merge time (and as the ledger.events_truncated counter of
+   every metrics export, pulled by Metric.values). *)
 let warned_truncated = ref false
 
 let mutex = Mutex.create ()

@@ -14,7 +14,7 @@
      through [Domain.DLS] (the same pattern as the predicate digest
      cache), so recording never takes a lock and never contends.
 
-   - Deterministic merge: [snapshot] folds collectors in ascending
+   - Deterministic merge: [values] folds collectors in ascending
      domain-index order. Counters and histogram buckets are integer
      sums, so merged totals are independent of how the pool interleaved
      work — byte-identical at every --jobs for a deterministic workload.
@@ -329,10 +329,9 @@ let with_span ?(args = []) ?argsf name f =
 
 (* --- aggregation --- *)
 
-(* One consistent cross-domain view of every scalar metric, shared by
-   [snapshot] (final obs-metrics/v1 report) and the periodic Timeline
-   captures / Prometheus exporter, which need full histogram bucket rows
-   rather than the sparse nonzero encoding [report] uses. *)
+(* One consistent cross-domain view of every scalar metric, read by the
+   Timeline captures (whose final point is the run's metrics record) and
+   the Prometheus exporter. *)
 
 type values = {
   v_counters : (meta * int) list; (* ascending name *)
@@ -446,12 +445,8 @@ let values () =
 
 (* --- snapshot --- *)
 
-type hist = {
-  h_name : string;
-  h_timing : bool;
-  h_count : int;
-  h_buckets : (int * int) list; (* nonzero (bucket index, count), ascending *)
-}
+(* The span side of a run: per-domain event tracks for the Chrome trace
+   and the --metrics track table. Scalar metrics live in [values]. *)
 
 type domain_report = {
   tid : int; (* dense track index, ascending domain id *)
@@ -461,45 +456,12 @@ type domain_report = {
   ev_dropped : int;
 }
 
-type sketch_report = {
-  sk_name : string;
-  sk_timing : bool;
-  sk : Sketch.t; (* merged across domains, ascending domain order *)
-}
-
-type report = {
-  epoch_ns : int64;
-  jobs : int;
-  counters : (meta * int) list; (* ascending name *)
-  gauges : (meta * float) list; (* ascending name *)
-  histograms : hist list; (* ascending name *)
-  sketches : sketch_report list; (* ascending name *)
-  domains : domain_report list;
-}
+type report = { epoch_ns : int64; jobs : int; domains : domain_report list }
 
 let snapshot ?(jobs = 1) () =
-  let v = values () in
   Mutex.lock registry_mutex;
   let cs = List.sort (fun a b -> compare a.domain b.domain) !collectors in
   Mutex.unlock registry_mutex;
-  let counters = v.v_counters in
-  let gauges = v.v_gauges in
-  let sketches =
-    List.map
-      (fun (m, sk) -> { sk_name = m.name; sk_timing = m.timing; sk })
-      v.v_sketches
-  in
-  let histograms =
-    List.map
-      (fun (m, acc) ->
-        let count = Array.fold_left ( + ) 0 acc in
-        let bs = ref [] in
-        for b = buckets - 1 downto 0 do
-          if acc.(b) > 0 then bs := (b, acc.(b)) :: !bs
-        done;
-        { h_name = m.name; h_timing = m.timing; h_count = count; h_buckets = !bs })
-      v.v_histograms
-  in
   let domains =
     List.mapi
       (fun tid (c : collector) ->
@@ -519,4 +481,4 @@ let snapshot ?(jobs = 1) () =
         })
       cs
   in
-  { epoch_ns = !epoch; jobs; counters; gauges; histograms; sketches; domains }
+  { epoch_ns = !epoch; jobs; domains }

@@ -10,11 +10,17 @@
    Typical lifecycle (the full one, with the Timeline ticker and the
    ledger, is written once: [with_obs] in bin/pso_audit.ml):
 
+     Obs.reset (); Obs.Timeline.reset ();
      Obs.enable ();
      ... run instrumented work ...
+     let final = Obs.Timeline.capture ~final:true () in
+     Obs.Export.write_file "run.timeline.json" (Obs.Timeline.to_json ());
      let report = Obs.snapshot ~jobs () in
      Obs.Export.write_file "run.trace.json" (Obs.Export.chrome_trace report);
-     Format.eprintf "%a" Obs.Export.pp_summary report
+     Format.eprintf "%a" (Obs.Export.pp_summary final) report
+
+   The final Timeline point is the run's one metrics record
+   (obs-timeline/v2); [snapshot] only carries the span tracks.
 
    Deterministic metrics (the default) must count logical events — trials,
    noise draws, rows evaluated — updated inside work items. Metrics of

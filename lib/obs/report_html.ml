@@ -1,15 +1,15 @@
 (* The fused HTML run report: one self-contained static file stitching
-   together whichever artifacts a run produced — the obs-timeline/v1
-   series (drawn as inline SVG sparklines), the final obs-metrics/v1
-   tables, the per-analyst ledger report, and a bench-kernels/v1
-   trajectory across snapshots.
+   together whichever artifacts a run produced — the obs-timeline/v2
+   series (drawn as inline SVG sparklines) and the final tables read
+   from its last snapshot, the per-analyst ledger report, and a
+   bench-kernels/v1 trajectory across snapshots.
 
    Self-contained is a hard property, checked by tests: inline <style>,
    inline SVG, no <script>, no external URL anywhere — the file can be
    archived next to the run's JSON artifacts and opened offline years
    later. Sources are optional and independent; each present source
-   renders one <section> with a stable id (timeline, metrics, ledger,
-   bench) so CI can grep for the fused pieces. *)
+   renders its <section>s with stable ids (timeline and metrics from the
+   timeline, ledger, bench) so CI can grep for the fused pieces. *)
 
 let esc s =
   let b = Buffer.create (String.length s) in
@@ -142,7 +142,8 @@ let table b ~caption ~head rows =
     rows;
   Buffer.add_string b "</table>\n"
 
-let metrics_section b doc =
+(* [snap]: the timeline's last snapshot, the run's final metrics. *)
+let metrics_section b snap =
   Buffer.add_string b {|<section id="metrics"><h2>Metrics</h2>|};
   let name_cell o =
     esc (Option.value ~default:"?" (jstr "name" o))
@@ -152,14 +153,14 @@ let metrics_section b doc =
   let counters =
     List.map
       (fun o -> [ name_cell o; fnum (Option.value ~default:nan (jnum "value" o)) ])
-      (jlist "counters" doc)
+      (jlist "counters" snap)
   in
   if counters <> [] then
     table b ~caption:"Counters" ~head:[ "counter"; "value" ] counters;
   let gauges =
     List.map
       (fun o -> [ name_cell o; fnum (Option.value ~default:nan (jnum "value" o)) ])
-      (jlist "gauges" doc)
+      (jlist "gauges" snap)
   in
   if gauges <> [] then table b ~caption:"Gauges" ~head:[ "gauge"; "value" ] gauges;
   let sketches =
@@ -167,7 +168,7 @@ let metrics_section b doc =
       (fun o ->
         let f field = fnum (Option.value ~default:nan (jnum field o)) in
         [ name_cell o; f "count"; f "p50"; f "p95"; f "p99" ])
-      (jlist "sketches" doc)
+      (jlist "sketches" snap)
   in
   if sketches <> [] then
     table b ~caption:"Sketches"
@@ -181,7 +182,7 @@ let metrics_section b doc =
           fnum (Option.value ~default:nan (jnum "count" o));
           string_of_int (List.length (jlist "buckets" o));
         ])
-      (jlist "histograms" doc)
+      (jlist "histograms" snap)
   in
   if hists <> [] then
     table b ~caption:"Histograms"
@@ -275,14 +276,19 @@ th,td{border:1px solid #ddd;padding:.25rem .6rem;text-align:right}th:first-child
 .spark{display:block;width:120px;height:28px;color:#3656a8}
 .timing{background:#fde8d8;color:#8a4b08;font-size:.7rem;padding:0 .3rem;border-radius:3px;vertical-align:middle}|}
 
-let render ?timeline ?metrics ?ledger ?bench ~title () =
+let render ?timeline ?ledger ?bench ~title () =
   let b = Buffer.create 16384 in
   Buffer.add_string b "<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">";
   Buffer.add_string b (Printf.sprintf "<title>%s</title>" (esc title));
   Buffer.add_string b (Printf.sprintf "<style>%s</style></head><body>\n" style);
   Buffer.add_string b (Printf.sprintf "<h1>%s</h1>\n" (esc title));
-  Option.iter (timeline_section b) timeline;
-  Option.iter (metrics_section b) metrics;
+  Option.iter
+    (fun doc ->
+      timeline_section b doc;
+      match List.rev (jlist "snapshots" doc) with
+      | last :: _ -> metrics_section b last
+      | [] -> ())
+    timeline;
   Option.iter (fun rows -> ledger_section b rows) ledger;
   (match bench with
   | Some ((_ :: _) as snaps) -> bench_section b snaps

@@ -24,9 +24,10 @@
    Determinism contract: the timeline as a whole is timing-class — how
    many ticks land, and where, depends on wall-clock. But the *final*
    capture (taken after the workload completes, with the ticker stopped)
-   aggregates exactly the same integer state as [Metric.snapshot], so
-   its [timing = false] entries are byte-identical at every --jobs; with
-   no intermediate ticks its deltas equal its values and are equally
+   is the run's metrics record: its [timing = false] entries (counter
+   and gauge values, histogram buckets, sketch count/extrema/quantiles)
+   are integer merges, byte-identical at every --jobs; with no
+   intermediate ticks its deltas equal its values and are equally
    deterministic. Exports carry [timing] on every sample so consumers
    can keep the two classes apart. *)
 
@@ -123,13 +124,17 @@ type hsample = {
   ph_timing : bool;
   ph_count : int;
   ph_delta : int;
+  ph_buckets : (float * int) list; (* nonzero (le, count), ascending le *)
 }
 
 type ssample = {
   ps_name : string;
   ps_timing : bool;
   ps_count : int;
+  ps_min : float;
+  ps_max : float;
   ps_p50 : float;
+  ps_p90 : float;
   ps_p95 : float;
   ps_p99 : float;
   ps_wcount : int; (* window (since previous point) *)
@@ -161,7 +166,7 @@ let ring : point Queue.t = Queue.create ()
 
 let seq_next = ref 0
 
-let t_start = ref 0L (* 0 = not started; set lazily by the first capture *)
+let t_start = ref (Clock.now_ns ()) (* the origin of t_ns, set by [reset] *)
 
 let last_t = ref 0L
 
@@ -207,9 +212,8 @@ let last () = locked (fun () -> Queue.fold (fun _ p -> Some p) None ring)
 
 let build_point ~final (v : Metric.values) =
   let now = Clock.now_ns () in
-  if !t_start = 0L then t_start := now;
   let t_ns = Int64.sub now !t_start in
-  let dt_ns = if Queue.is_empty ring then t_ns else Int64.sub t_ns !last_t in
+  let dt_ns = Int64.sub t_ns !last_t in
   last_t := t_ns;
   let p_counters =
     List.map
@@ -249,11 +253,16 @@ let build_point ~final (v : Metric.values) =
           Option.value ~default:0 (Hashtbl.find_opt prev_hists m.name)
         in
         Hashtbl.replace prev_hists m.name count;
+        let buckets = ref [] in
+        for b = Metric.buckets - 1 downto 0 do
+          if row.(b) > 0 then buckets := (Metric.bucket_upper b, row.(b)) :: !buckets
+        done;
         {
           ph_name = m.name;
           ph_timing = m.timing;
           ph_count = count;
           ph_delta = count - before;
+          ph_buckets = !buckets;
         })
       v.Metric.v_histograms
   in
@@ -270,7 +279,10 @@ let build_point ~final (v : Metric.values) =
           ps_name = m.name;
           ps_timing = m.timing;
           ps_count = Sketch.count sk;
+          ps_min = Sketch.min_value sk;
+          ps_max = Sketch.max_value sk;
           ps_p50 = Sketch.quantile sk 0.5;
+          ps_p90 = Sketch.quantile sk 0.9;
           ps_p95 = Sketch.quantile sk 0.95;
           ps_p99 = Sketch.quantile sk 0.99;
           ps_wcount = Sketch.count window;
@@ -313,8 +325,9 @@ let reset () =
   Mutex.lock capture_mutex;
   Queue.clear ring;
   seq_next := 0;
-  t_start := 0L;
+  t_start := Clock.now_ns ();
   last_t := 0L;
+  cfg_jobs := 1;
   cfg_period := 0L;
   capacity := default_capacity;
   Hashtbl.reset prev_counters;
@@ -379,9 +392,11 @@ let stop () =
     Atomic.set ticker_stop true;
     Domain.join d
 
-(* --- obs-timeline/v1 export --- *)
+(* --- obs-timeline/v2 export --- *)
 
-let schema = "obs-timeline/v1"
+let schema = "obs-timeline/v2"
+
+let version = 2
 
 let rate ~delta ~dt_ns =
   Json.number (delta *. 1e9 /. Int64.to_float dt_ns)
@@ -422,6 +437,16 @@ let point_json p =
             ("timing", Json.Bool h.ph_timing);
             ("count", Json.number (float_of_int h.ph_count));
             ("delta", Json.number (float_of_int h.ph_delta));
+            ( "buckets",
+              Json.List
+                (List.map
+                   (fun (le, n) ->
+                     Json.Obj
+                       [
+                         ("le", Json.number le);
+                         ("count", Json.number (float_of_int n));
+                       ])
+                   h.ph_buckets) );
           ])
       p.p_histograms
   in
@@ -433,7 +458,10 @@ let point_json p =
             ("name", Json.String s.ps_name);
             ("timing", Json.Bool s.ps_timing);
             ("count", Json.number (float_of_int s.ps_count));
+            ("min", Json.number s.ps_min);
+            ("max", Json.number s.ps_max);
             ("p50", Json.number s.ps_p50);
+            ("p90", Json.number s.ps_p90);
             ("p95", Json.number s.ps_p95);
             ("p99", Json.number s.ps_p99);
             ("window_count", Json.number (float_of_int s.ps_wcount));
@@ -460,14 +488,12 @@ let to_json () =
       Json.Obj
         [
           ("schema", Json.String schema);
-          ("version", Json.Number 1.);
+          ("version", Json.number (float_of_int version));
           ("jobs", Json.number (float_of_int !cfg_jobs));
           ("period_ns", Json.number (Int64.to_float !cfg_period));
           ( "snapshots",
             Json.List (List.map point_json (List.of_seq (Queue.to_seq ring))) );
         ])
-
-let write_file path = Export.write_file path (to_json ())
 
 (* Structural check used by `pso_audit validate-json` and the tests.
    Deliberately shape-only: it does not re-derive deltas or rates. *)
@@ -489,41 +515,43 @@ let validate j =
     if String.equal s schema then Ok () else err "schema %S, expected %S" s schema
   in
   let* v = field "version" Json.to_int "document" j in
-  let* () = if v = 1 then Ok () else err "version %d, expected 1" v in
+  let* () =
+    if v = version then Ok () else err "version %d, expected %d" v version
+  in
   let* _jobs = field "jobs" Json.to_int "document" j in
   let* snaps = field "snapshots" Json.to_list "document" j in
-  let check_samples ctx kind fields o =
+  let all check l =
+    List.fold_left (fun acc x -> Result.bind acc (fun () -> check x)) (Ok ()) l
+  in
+  let numbers ctx fields o = all (fun f -> field f is_num ctx o) fields in
+  let check_samples ?(extra = fun _ _ -> Ok ()) ctx kind fields o =
     let* l = field kind Json.to_list ctx o in
-    List.fold_left
-      (fun acc s ->
-        let* () = acc in
-        let ctx = Printf.sprintf "%s.%s" ctx kind in
+    let ctx = Printf.sprintf "%s.%s" ctx kind in
+    all
+      (fun s ->
         let* _ = field "name" Json.to_string_opt ctx s in
         let* _ = field "timing" is_bool ctx s in
-        List.fold_left
-          (fun acc f ->
-            let* () = acc in
-            let* () = field f is_num ctx s in
-            Ok ())
-          (Ok ()) fields)
-      (Ok ()) l
+        let* () = numbers ctx fields s in
+        extra ctx s)
+      l
   in
-  List.fold_left
-    (fun acc s ->
-      let* () = acc in
+  let buckets ctx h =
+    let* bs = field "buckets" Json.to_list ctx h in
+    all (numbers (ctx ^ ".buckets") [ "le"; "count" ]) bs
+  in
+  all
+    (fun s ->
       let* seq = field "seq" Json.to_int "snapshot" s in
       let ctx = Printf.sprintf "snapshot %d" seq in
-      let* _ = field "t_ns" is_num ctx s in
-      let* _ = field "dt_ns" is_num ctx s in
+      let* () = numbers ctx [ "t_ns"; "dt_ns" ] s in
       let* _ = field "final" is_bool ctx s in
       let* () = check_samples ctx "counters" [ "value"; "delta"; "rate_per_s" ] s in
       let* () = check_samples ctx "gauges" [ "value"; "delta"; "rate_per_s" ] s in
-      let* () = check_samples ctx "histograms" [ "count"; "delta" ] s in
       let* () =
-        check_samples ctx "sketches"
-          [ "count"; "p50"; "p95"; "p99"; "window_count"; "window_p50";
-            "window_p95"; "window_p99" ]
-          s
+        check_samples ~extra:buckets ctx "histograms" [ "count"; "delta" ] s
       in
-      Ok ())
-    (Ok ()) snaps
+      check_samples ctx "sketches"
+        [ "count"; "min"; "max"; "p50"; "p90"; "p95"; "p99"; "window_count";
+          "window_p50"; "window_p95"; "window_p99" ]
+        s)
+    snaps

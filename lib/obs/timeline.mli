@@ -10,9 +10,8 @@
     domain-local collector arrays, so a point never observes half an
     item (no torn reads). The timeline as a whole is timing-class (tick
     placement depends on wall-clock), but a final capture taken after
-    the workload with the ticker stopped aggregates exactly the state
-    {!Metric.snapshot} would: its [timing = false] entries are
-    byte-identical at every [--jobs]. *)
+    the workload with the ticker stopped is the run's metrics record:
+    its [timing = false] entries are byte-identical at every [--jobs]. *)
 
 (** {1 Pool integration} — called by lib/parallel, not by users. *)
 
@@ -39,13 +38,20 @@ type hsample = {
   ph_timing : bool;
   ph_count : int;
   ph_delta : int;
+  ph_buckets : (float * int) list;
 }
+(** [ph_buckets]: the nonzero buckets as (upper bound [le], observations
+    in that bucket since {!reset}), ascending [le]; the same buckets
+    {!Prom} renders cumulatively. *)
 
 type ssample = {
   ps_name : string;
   ps_timing : bool;
   ps_count : int;
+  ps_min : float;
+  ps_max : float;
   ps_p50 : float;
+  ps_p90 : float;
   ps_p95 : float;
   ps_p99 : float;
   ps_wcount : int;
@@ -53,8 +59,8 @@ type ssample = {
   ps_wp95 : float;
   ps_wp99 : float;
 }
-(** Cumulative quantiles plus the window (since the previous point) view
-    derived with {!Sketch.diff}. *)
+(** Cumulative exact extrema and quantiles ([nan] while empty) plus the
+    window (since the previous point) view derived with {!Sketch.diff}. *)
 
 type point = {
   seq : int;
@@ -85,14 +91,16 @@ val subscribe : subscriber -> unit
     aggregation (histogram bucket rows included) and the built point. *)
 
 val set_jobs : int -> unit
-(** Echoed into the [obs-timeline/v1] header. *)
+(** Echoed into the [obs-timeline/v2] header. *)
 
 val set_capacity : int -> unit
 (** Ring size (default 512); the oldest points fall off first. *)
 
 val reset : unit -> unit
-(** Clear points, deltas, subscribers and configuration. Does not stop a
-    running ticker — call {!stop} first. *)
+(** Clear points, deltas, subscribers and configuration (jobs 1, default
+    capacity), and start the clock: the next point's [t_ns] and [dt_ns]
+    measure from here. Does not stop a running ticker — call {!stop}
+    first. *)
 
 (** {1 Ticker} *)
 
@@ -105,14 +113,17 @@ val stop : unit -> unit
 
 val running : unit -> bool
 
-(** {1 obs-timeline/v1 export} *)
+(** {1 obs-timeline/v2 export} *)
 
 val schema : string
 
 val to_json : unit -> Json.t
-
-val write_file : string -> unit
+(** The ring as an [obs-timeline/v2] document: header ([jobs],
+    [period_ns]) plus one object per point. Histogram samples list their
+    nonzero [buckets] as [{le, count}]; sketch samples carry [min], [max],
+    [p50], [p90], [p95], [p99]; non-finite values render as [null]. *)
 
 val validate : Json.t -> (unit, string) result
-(** Shape check of an [obs-timeline/v1] document (schema, version, and
-    per-snapshot sample fields); does not re-derive deltas or rates. *)
+(** Shape check of an [obs-timeline/v2] document (schema, version, and
+    per-snapshot sample fields, histogram buckets included); does not
+    re-derive deltas or rates. Never raises. *)

@@ -9,12 +9,13 @@
 #      must match a fresh render (test/test_golden.exe check mode)
 #   4. negative-auditor smoke: the ε-DP auditor must flag the deliberately
 #      broken Laplace variant (exit 1), proving the audit has power
-#   5. observability smoke: one quick experiment with --trace + --metrics,
-#      both JSON outputs must parse, and the table on stdout must still
-#      match the committed golden byte-for-byte (telemetry must not perturb
-#      results); then E5 at --jobs 4 with --metrics-json, whose mechanisms
-#      journal their first runs from several domains at once, must match
-#      its golden too
+#   5. observability smoke: one quick experiment with --trace + --timeline
+#      + --metrics, the trace must parse and the obs-timeline/v2 document
+#      (whose final snapshot is the run's metrics record) must validate,
+#      and the table on stdout must still match the committed golden
+#      byte-for-byte (telemetry must not perturb results); then E5 at
+#      --jobs 4 with --timeline, whose mechanisms journal their first runs
+#      from several domains at once, must match its golden too
 #   6. query-engine smoke: E2 (single queries) and E5 (batched composition
 #      queries) with --engine check (interpreter and compiled evaluator
 #      compared on every query, failing on any divergence) must still match
@@ -39,11 +40,12 @@
 #      control (nonzero exit otherwise), and the tampered-certificate
 #      smoke (certify --tamper) must reject every corrupted witness
 #  12. live-telemetry smoke: a quick E2 run with --prom + --timeline +
-#      --watch (plus --metrics-json and --ledger) must leave the golden
-#      table untouched, its stderr must end the --watch heartbeat with the
-#      "(final)" line, both new artifacts must pass validate-json
-#      (prometheus-text and obs-timeline/v1), report-html must fuse all
-#      four sources into a self-contained page with every section present,
+#      --watch (plus --ledger) must leave the golden table untouched, its
+#      stderr must end the --watch heartbeat with the "(final)" line, both
+#      artifacts must pass validate-json (prometheus-text and
+#      obs-timeline/v2), report-html must fuse the timeline (sparklines and
+#      the final metric tables), ledger and bench sources into a
+#      self-contained page with every section present,
 #      and the 10 Hz snapshot ticker must cost <=10% on the batched-count
 #      kernel (bench-pair, same re-measure retry as the other perf gates)
 #  13. census-scale smoke: the E14 table must be byte-identical at --jobs 1
@@ -96,17 +98,18 @@ if ! grep -q VIOLATION "$tmp1"; then
 fi
 
 # Observability smoke: telemetry fully on must (a) produce parseable JSON
-# for both the Chrome trace and the obs-metrics/v1 document, and (b) leave
-# the experiment table byte-identical to the committed golden snapshot.
+# for the Chrome trace and a valid obs-timeline/v2 document (the run's
+# metrics record), and (b) leave the experiment table byte-identical to
+# the committed golden snapshot.
 dune exec bin/pso_audit.exe -- run E2 --quick --seed 20210621 --jobs 2 \
-  --trace "$trace" --metrics-json "$metrics" --metrics > "$tmp1" 2> /dev/null
+  --trace "$trace" --timeline "$metrics" --metrics > "$tmp1" 2> /dev/null
 dune exec bin/pso_audit.exe -- validate-json "$trace" "$metrics"
 if ! diff -u test/golden/E2.txt "$tmp1"; then
   echo "ci: telemetry perturbed the E2 table (differs from test/golden/E2.txt)" >&2
   exit 1
 fi
 dune exec bin/pso_audit.exe -- run E5 --quick --seed 20210621 --jobs 4 \
-  --metrics-json "$metrics" > "$tmp1" 2> /dev/null
+  --timeline "$metrics" > "$tmp1" 2> /dev/null
 dune exec bin/pso_audit.exe -- validate-json "$metrics"
 if ! diff -u test/golden/E5.txt "$tmp1"; then
   echo "ci: telemetry at --jobs 4 perturbed the E5 table (differs from test/golden/E5.txt)" >&2
@@ -222,12 +225,12 @@ fi
 # --watch heartbeat must not perturb results (golden byte-identity), the
 # heartbeat must close with its final-capture line, both exports must
 # satisfy their validators, and the fused HTML report must carry every
-# section.
+# section (the metrics section is the timeline's final snapshot).
 prom=$(mktemp) timeline=$(mktemp) report=$(mktemp) watch=$(mktemp)
 trap 'rm -f "$tmp1" "$tmp2" "$trace" "$metrics" "$ledger1" "$ledger2" "$prom" "$timeline" "$report" "$watch"' EXIT
 dune exec bin/pso_audit.exe -- run E2 --quick --seed 20210621 --jobs 2 \
   --prom "$prom" --timeline "$timeline" --watch --tick-ms 50 \
-  --metrics-json "$metrics" --ledger "$ledger1" > "$tmp1" 2> "$watch"
+  --ledger "$ledger1" > "$tmp1" 2> "$watch"
 if ! diff -u test/golden/E2.txt "$tmp1"; then
   echo "ci: live telemetry perturbed the E2 table (differs from test/golden/E2.txt)" >&2
   exit 1
@@ -239,8 +242,7 @@ if ! grep -q '^\[obs\] watch tick=.*(final)$' "$watch"; then
 fi
 dune exec bin/pso_audit.exe -- validate-json "$prom" "$timeline"
 dune exec bin/pso_audit.exe -- report-html "$report" \
-  --timeline "$timeline" --metrics-json "$metrics" --ledger "$ledger1" \
-  --bench "$tmp2" > /dev/null
+  --timeline "$timeline" --ledger "$ledger1" --bench "$tmp2" > /dev/null
 for section in timeline metrics ledger bench; do
   if ! grep -q "id=\"$section\"" "$report"; then
     echo "ci: report-html is missing its $section section" >&2

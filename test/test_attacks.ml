@@ -484,13 +484,13 @@ let test_scale_suppressed_run_quality () =
     (s.Attacks.Census_scale.cells_matched
     < exact.Attacks.Census_scale.cells_matched)
 
-let obs_counter (r : Obs.report) name =
+let obs_counter (values : Obs.Metric.values) name =
   let rec go = function
     | [] -> 0
     | ((m : Obs.Metric.meta), v) :: rest ->
       if m.Obs.Metric.name = name then v else go rest
   in
-  go r.Obs.Metric.counters
+  go values.Obs.Metric.v_counters
 
 let test_scale_warm_start_saves_iterations () =
   (* The acceptance criterion: warm-started block solves spend measurably
@@ -512,7 +512,7 @@ let test_scale_warm_start_saves_iterations () =
         let stats =
           Attacks.Census_scale.run cfg (Prob.Rng.create ~seed:5L ())
         in
-        (stats, Obs.snapshot ~jobs:1 ()))
+        (stats, Obs.Metric.values ()))
   in
   let cold_stats, cold_snap = measure false in
   let warm_stats, warm_snap = measure true in

@@ -172,7 +172,7 @@ let test_pso_audit_run_validation () =
 
 let test_pso_audit_run_trace_and_metrics () =
   let trace = Filename.temp_file "cli" ".trace.json" in
-  let metrics = Filename.temp_file "cli" ".metrics.json" in
+  let metrics = Filename.temp_file "cli" ".timeline.json" in
   let base_args id = [ "run"; id; "--quick"; "--seed"; "5" ] in
   let plain = run (pso_audit (base_args "E2" @ [ "--jobs"; "2" ])) in
   Alcotest.(check int) "plain run exits 0" 0 plain.code;
@@ -181,7 +181,7 @@ let test_pso_audit_run_trace_and_metrics () =
       (pso_audit
          (base_args "E2"
          @ [
-             "--jobs"; "2"; "--trace"; trace; "--metrics-json"; metrics;
+             "--jobs"; "2"; "--trace"; trace; "--timeline"; metrics;
              "--metrics";
            ]))
   in
@@ -197,48 +197,76 @@ let test_pso_audit_run_trace_and_metrics () =
   let metrics_doc = parse_json "metrics" (read_file metrics) in
   (match Core.Json.member "schema" metrics_doc with
   | Some (Core.Json.String s) ->
-    Alcotest.(check string) "metrics schema" "obs-metrics/v1" s
+    Alcotest.(check string) "metrics schema" "obs-timeline/v2" s
   | _ -> Alcotest.fail "metrics schema missing");
   let v = run (pso_audit [ "validate-json"; trace; metrics ]) in
   Alcotest.(check int) "validate-json accepts both files" 0 v.code;
   Sys.remove trace;
   Sys.remove metrics
 
-(* Non-timing counters in the exported metrics are the machine-checkable
-   determinism contract: identical at every --jobs. *)
+(* The non-timing entries of the final timeline point, the run's metrics
+   record, are the machine-checkable determinism contract: identical at
+   every --jobs. Values only: deltas and rates depend on where the
+   periodic ticks landed. *)
 let test_pso_audit_metrics_jobs_invariance () =
-  let counters jobs =
-    let path = Filename.temp_file "cli" ".metrics.json" in
+  let final_point jobs =
+    let path = Filename.temp_file "cli" ".timeline.json" in
     let r =
       run
         (pso_audit
            [
              "run"; "E2"; "--quick"; "--seed"; "5"; "--jobs";
-             string_of_int jobs; "--metrics-json"; path;
+             string_of_int jobs; "--timeline"; path;
            ])
     in
     Alcotest.(check int) (Printf.sprintf "jobs=%d exits 0" jobs) 0 r.code;
-    let doc = parse_json "metrics" (read_file path) in
+    let doc = parse_json "timeline" (read_file path) in
     Sys.remove path;
-    match Core.Json.member "counters" doc with
-    | Some (Core.Json.List cs) ->
-      List.filter_map
-        (fun c ->
-          match
-            (Core.Json.member "timing" c, Core.Json.member "name" c,
-             Core.Json.member "value" c)
-          with
-          | Some (Core.Json.Bool false), Some (Core.Json.String n),
-            Some (Core.Json.Number v) ->
-            Some (n, v)
-          | _ -> None)
-        cs
-    | _ -> Alcotest.fail "counters missing"
+    match Core.Json.member "snapshots" doc with
+    | Some (Core.Json.List (_ :: _ as snaps)) ->
+      let final = List.nth snaps (List.length snaps - 1) in
+      Alcotest.(check (option bool)) "last snapshot is the final capture"
+        (Some true)
+        (match Core.Json.member "final" final with
+        | Some (Core.Json.Bool b) -> Some b
+        | _ -> None);
+      final
+    | _ -> Alcotest.fail "timeline has no snapshots"
   in
-  let c1 = counters 1 and c4 = counters 4 in
-  Alcotest.(check bool) "some counters exported" true (List.length c1 > 0);
-  Alcotest.(check (list (pair string (float 0.))))
-    "non-timing counters identical at jobs 1 and 4" c1 c4
+  (* (name, rendered fields) of each non-timing entry of one section. *)
+  let entries section fields point =
+    match Core.Json.member section point with
+    | Some (Core.Json.List rows) ->
+      List.filter_map
+        (fun row ->
+          match (Core.Json.member "timing" row, Core.Json.member "name" row) with
+          | Some (Core.Json.Bool false), Some (Core.Json.String n) ->
+            Some
+              ( n,
+                List.map
+                  (fun f ->
+                    match Core.Json.member f row with
+                    | Some v -> Core.Json.to_string v
+                    | None -> Alcotest.failf "%s %s lacks %S" section n f)
+                  fields )
+          | _ -> None)
+        rows
+    | _ -> Alcotest.failf "%s missing" section
+  in
+  let p1 = final_point 1 and p4 = final_point 4 in
+  List.iter
+    (fun (section, fields) ->
+      let e1 = entries section fields p1 in
+      Alcotest.(check bool) (section ^ " exported") true (e1 <> []);
+      Alcotest.(check (list (pair string (list string))))
+        (Printf.sprintf "non-timing %s identical at jobs 1 and 4" section)
+        e1 (entries section fields p4))
+    [
+      ("counters", [ "value" ]);
+      ("gauges", [ "value" ]);
+      ("histograms", [ "count"; "buckets" ]);
+      ("sketches", [ "count"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]);
+    ]
 
 let test_pso_audit_validate_json_rejects_garbage () =
   let bad = Filename.temp_file "cli" ".json" in
@@ -273,7 +301,7 @@ let test_pso_audit_live_telemetry () =
   let tl_doc = parse_json "timeline" (read_file timeline) in
   (match Core.Json.member "schema" tl_doc with
   | Some (Core.Json.String s) ->
-    Alcotest.(check string) "timeline schema" "obs-timeline/v1" s
+    Alcotest.(check string) "timeline schema" "obs-timeline/v2" s
   | _ -> Alcotest.fail "timeline schema missing");
   (match Core.Json.member "snapshots" tl_doc with
   | Some (Core.Json.List (_ :: _)) -> ()
@@ -282,8 +310,8 @@ let test_pso_audit_live_telemetry () =
   Alcotest.(check int) "validate-json accepts both artifacts" 0 v.code;
   Alcotest.(check bool) "prom recognized as prometheus-text" true
     (contains v.stdout "(prometheus-text)");
-  Alcotest.(check bool) "timeline recognized as obs-timeline/v1" true
-    (contains v.stdout "(obs-timeline/v1)");
+  Alcotest.(check bool) "timeline recognized as obs-timeline/v2" true
+    (contains v.stdout "(obs-timeline/v2)");
   Sys.remove prom;
   Sys.remove timeline
 
@@ -330,13 +358,10 @@ let check_cannot_write name r =
     (contains r.stderr "uncaught exception")
 
 let test_pso_audit_unwritable_outputs () =
-  check_cannot_write "--metrics-json into a missing directory"
+  check_cannot_write "--timeline into a missing directory"
     (run
        (pso_audit
-          [
-            "run"; "E2"; "--quick"; "--metrics-json";
-            missing_dir_path "m.json";
-          ]));
+          [ "run"; "E2"; "--quick"; "--timeline"; missing_dir_path "t.json" ]));
   let snapshot = Filename.temp_file "cli" ".bench.json" in
   let oc = open_out snapshot in
   output_string oc
@@ -357,23 +382,19 @@ let test_pso_audit_tick_ms_validation () =
 
 let test_pso_audit_report_html () =
   let timeline = Filename.temp_file "cli" ".timeline.json" in
-  let metrics = Filename.temp_file "cli" ".metrics.json" in
   let out = Filename.temp_file "cli" ".html" in
   let gen =
     run
       (pso_audit
-         [
-           "run"; "E2"; "--quick"; "--seed"; "5"; "--timeline"; timeline;
-           "--metrics-json"; metrics;
-         ])
+         [ "run"; "E2"; "--quick"; "--seed"; "5"; "--timeline"; timeline ])
   in
   Alcotest.(check int) "artifact-producing run exits 0" 0 gen.code;
   let r =
     run
       (pso_audit
          [
-           "report-html"; out; "--timeline"; timeline; "--metrics-json";
-           metrics; "--title"; "cli test report";
+           "report-html"; out; "--timeline"; timeline; "--title";
+           "cli test report";
          ])
   in
   Alcotest.(check int) "report-html exits 0" 0 r.code;
@@ -399,7 +420,81 @@ let test_pso_audit_report_html () =
   Alcotest.(check int) "malformed source exits 2" 2 bad.code;
   Alcotest.(check bool) "malformed source named" true
     (contains bad.stderr "invalid JSON");
-  List.iter Sys.remove [ timeline; metrics; out; garbage ]
+  List.iter Sys.remove [ timeline; out; garbage ]
+
+(* Mutated timeline documents: both file-reading subcommands accept them
+   (exit 0) or reject them with exit 2 and one stderr line, never an
+   uncaught exception. *)
+let test_pso_audit_mutated_timeline () =
+  let timeline = Filename.temp_file "cli" ".timeline.json" in
+  let gen =
+    run
+      (pso_audit
+         [ "run"; "E2"; "--quick"; "--seed"; "5"; "--timeline"; timeline ])
+  in
+  Alcotest.(check int) "artifact-producing run exits 0" 0 gen.code;
+  let text = read_file timeline in
+  let doc = parse_json "timeline" text in
+  let set_field name v = function
+    | Core.Json.Obj kvs ->
+      Core.Json.Obj (List.map (fun (k, x) -> (k, if k = name then v else x)) kvs)
+    | j -> j
+  in
+  let drop_field name = function
+    | Core.Json.Obj kvs -> Core.Json.Obj (List.remove_assoc name kvs)
+    | j -> j
+  in
+  let last_snapshot f =
+    match Core.Json.member "snapshots" doc with
+    | Some (Core.Json.List snaps) ->
+      let n = List.length snaps in
+      set_field "snapshots"
+        (Core.Json.List (List.mapi (fun i s -> if i = n - 1 then f s else s) snaps))
+        doc
+    | _ -> Alcotest.fail "timeline has no snapshots"
+  in
+  let mutants =
+    [
+      ("truncated", String.sub text 0 (String.length text / 2)); ("empty", "");
+    ]
+    @ List.map
+        (fun (name, doc) -> (name, Core.Json.to_string ~pretty:true doc))
+        [
+          ("v1 schema",
+            set_field "schema" (Core.Json.String "obs-timeline/v1") doc);
+          ("version retyped", set_field "version" (Core.Json.String "2") doc);
+          ("snapshots dropped", drop_field "snapshots" doc);
+          ("snapshots retyped", set_field "snapshots" (Core.Json.Number 3.) doc);
+          ("final counters dropped", last_snapshot (drop_field "counters"));
+          ("final seq retyped", last_snapshot (set_field "seq" Core.Json.Null));
+          ("final histograms retyped",
+            last_snapshot (set_field "histograms" (Core.Json.Bool true)));
+        ]
+  in
+  let path = Filename.temp_file "cli" ".mutant.json" in
+  let out = Filename.temp_file "cli" ".html" in
+  List.iter
+    (fun (name, contents) ->
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc;
+      List.iter
+        (fun (cmd, args) ->
+          let r = run (pso_audit args) in
+          let what = Printf.sprintf "%s on %s" cmd name in
+          Alcotest.(check bool) (what ^ " exits 0 or 2") true
+            (r.code = 0 || r.code = 2);
+          if r.code = 2 then
+            Alcotest.(check int) (what ^ " prints one stderr line") 1
+              (List.length (String.split_on_char '\n' (String.trim r.stderr)));
+          Alcotest.(check bool) (what ^ " is not an uncaught exception") false
+            (contains r.stderr "uncaught exception"))
+        [
+          ("validate-json", [ "validate-json"; path ]);
+          ("report-html", [ "report-html"; out; "--timeline"; path ]);
+        ])
+    mutants;
+  List.iter Sys.remove [ timeline; path; out ]
 
 let test_pso_audit_dpcheck_flags_broken_case () =
   let r =
@@ -477,6 +572,8 @@ let () =
             test_pso_audit_unwritable_outputs;
           Alcotest.test_case "report-html contract" `Slow
             test_pso_audit_report_html;
+          Alcotest.test_case "mutated timeline documents" `Slow
+            test_pso_audit_mutated_timeline;
         ] );
       ( "bench",
         [

@@ -590,7 +590,7 @@ let test_bulk_samples_counter () =
         List.filter_map
           (fun ((m : Obs.Metric.meta), v) ->
             if m.Obs.Metric.timing then None else Some (m.Obs.Metric.name, v))
-          (Obs.snapshot ()).Obs.Metric.counters
+          (Obs.Metric.values ()).Obs.Metric.v_counters
       in
       Alcotest.(check (option int)) "bulk samples counted" (Some 22)
         (List.assoc_opt "dp.bulk_samples" counters);

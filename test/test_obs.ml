@@ -6,7 +6,9 @@
      inside a same-domain parent at the next shallower depth (the collector
      is domain-local, so cross-domain parents are impossible by
      construction — the check documents it);
-   - obs-metrics/v1 round-trips through Core.Json parse/render;
+   - the final obs-timeline/v2 point (the run's metrics record) and the
+     Chrome trace round-trip through Core.Json parse/render, with exact
+     gauge totals and full sketch rows;
    - the Chrome trace has one named track per domain and at least two
      domains once workers participate;
    - disabled telemetry is a no-op and records nothing;
@@ -33,10 +35,11 @@ let h_values = Obs.Histogram.make "test.obs.values"
 let sk_index = Obs.Sketchm.make "test.obs.index"
 
 (* A seeded Monte Carlo workload touching counters, histograms, gauges,
-   sketches and the instrumented pool/dp paths; returns the snapshot.
-   Per-trial accountants route dyadic ε through dp.epsilon_spent, so the
-   gauge total (2.0 exactly) is itself a jobs-invariance probe. *)
-let workload jobs =
+   sketches and the instrumented pool/dp paths; returns [finish ()], run
+   with telemetry still on. Per-trial accountants route dyadic ε through
+   dp.epsilon_spent, so the gauge total (2.0 exactly) is itself a
+   jobs-invariance probe. *)
+let workload jobs finish =
   with_obs (fun () ->
       with_pool jobs (fun pool ->
           let rng = Prob.Rng.create ~seed:7L () in
@@ -53,50 +56,51 @@ let workload jobs =
                 Dp.Laplace.sum trial_rng ~epsilon:1. ~lo:0. ~hi:1. [| v |])
           in
           ignore (results : float array);
-          Obs.snapshot ~jobs ()))
+          finish ()))
 
-let deterministic_counters (r : Obs.report) =
+let deterministic (rows : (Obs.Metric.meta * 'a) list) =
   List.filter_map
     (fun ((m : Obs.Metric.meta), v) ->
       if m.Obs.Metric.timing then None else Some (m.Obs.Metric.name, v))
-    r.Obs.Metric.counters
+    rows
 
-let deterministic_hists (r : Obs.report) =
-  List.filter_map
-    (fun (h : Obs.Metric.hist) ->
-      if h.Obs.Metric.h_timing then None
-      else Some (h.Obs.Metric.h_name, h.Obs.Metric.h_buckets))
-    r.Obs.Metric.histograms
+let deterministic_counters (v : Obs.Metric.values) =
+  deterministic v.Obs.Metric.v_counters
 
-let deterministic_gauges (r : Obs.report) =
-  List.filter_map
-    (fun ((m : Obs.Metric.meta), v) ->
-      if m.Obs.Metric.timing then None else Some (m.Obs.Metric.name, v))
-    r.Obs.Metric.gauges
+(* Nonzero (bucket index, count) pairs, ascending. *)
+let deterministic_hists (v : Obs.Metric.values) =
+  List.map
+    (fun (name, row) ->
+      let buckets = List.mapi (fun b c -> (b, c)) (Array.to_list row) in
+      (name, List.filter (fun (_, c) -> c > 0) buckets))
+    (deterministic v.Obs.Metric.v_histograms)
+
+let deterministic_gauges (v : Obs.Metric.values) =
+  deterministic v.Obs.Metric.v_gauges
 
 (* A sketch reduced to its deterministic fingerprint: count, exact
-   extrema and the exported quantiles. *)
-let deterministic_sketches (r : Obs.report) =
+   extrema and the exported quantiles. Empty sketches read nan extrema,
+   which no float equality accepts; count 0 is their whole fingerprint,
+   so they are left out. *)
+let deterministic_sketches (v : Obs.Metric.values) =
   List.filter_map
-    (fun (s : Obs.Metric.sketch_report) ->
-      (* Empty sketches read nan extrema, which no float equality
-         accepts; count 0 is their whole fingerprint. *)
-      if s.Obs.Metric.sk_timing || Obs.Sketch.is_empty s.Obs.Metric.sk then None
+    (fun (name, sk) ->
+      if Obs.Sketch.is_empty sk then None
       else
         Some
-          ( s.Obs.Metric.sk_name,
+          ( name,
             [
-              float_of_int (Obs.Sketch.count s.Obs.Metric.sk);
-              Obs.Sketch.min_value s.Obs.Metric.sk;
-              Obs.Sketch.max_value s.Obs.Metric.sk;
-              Obs.Sketch.quantile s.Obs.Metric.sk 0.5;
-              Obs.Sketch.quantile s.Obs.Metric.sk 0.95;
-              Obs.Sketch.quantile s.Obs.Metric.sk 0.99;
+              float_of_int (Obs.Sketch.count sk);
+              Obs.Sketch.min_value sk;
+              Obs.Sketch.max_value sk;
+              Obs.Sketch.quantile sk 0.5;
+              Obs.Sketch.quantile sk 0.95;
+              Obs.Sketch.quantile sk 0.99;
             ] ))
-    r.Obs.Metric.sketches
+    (deterministic v.Obs.Metric.v_sketches)
 
 let test_counters_jobs_independent () =
-  let base = workload 1 in
+  let base = workload 1 Obs.Metric.values in
   let base_counters = deterministic_counters base in
   let base_hists = deterministic_hists base in
   (* The workload really counted something. *)
@@ -124,7 +128,7 @@ let test_counters_jobs_independent () =
   | _ -> Alcotest.fail "test.obs.index sketch missing");
   List.iter
     (fun jobs ->
-      let r = workload jobs in
+      let r = workload jobs Obs.Metric.values in
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "counters at jobs=%d match jobs=1" jobs)
         base_counters (deterministic_counters r);
@@ -260,16 +264,27 @@ let roundtrip name doc =
   | Ok parsed ->
     Alcotest.(check bool) (name ^ " round-trips") true (Core.Json.equal doc parsed)
 
-let test_metrics_json_roundtrip () =
-  let report = workload 2 in
-  let doc = Obs.Export.metrics_json report in
-  roundtrip "obs-metrics/v1" doc;
+let test_metrics_roundtrip () =
+  let doc, trace =
+    workload 2 (fun () ->
+        Obs.Timeline.reset ();
+        ignore (Obs.Timeline.capture ~final:true ());
+        let doc = Obs.Timeline.to_json () in
+        Obs.Timeline.reset ();
+        (doc, Obs.Export.chrome_trace (Obs.snapshot ~jobs:2 ())))
+  in
+  roundtrip "obs-timeline/v2" doc;
   (match Core.Json.member "schema" doc with
   | Some (Core.Json.String s) ->
-    Alcotest.(check string) "schema field" "obs-metrics/v1" s
+    Alcotest.(check string) "schema field" "obs-timeline/v2" s
   | _ -> Alcotest.fail "schema field missing");
+  let final =
+    match Core.Json.member "snapshots" doc with
+    | Some (Core.Json.List [ p ]) -> p
+    | _ -> Alcotest.fail "expected exactly the final snapshot"
+  in
   let named_rows section =
-    match Core.Json.member section doc with
+    match Core.Json.member section final with
     | Some (Core.Json.List rows) ->
       List.filter_map
         (fun row ->
@@ -295,7 +310,7 @@ let test_metrics_json_roundtrip () =
         | _ -> Alcotest.failf "sketch row lacks numeric %s" field)
       [ "count"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]
   | None -> Alcotest.fail "test.obs.index sketch not exported");
-  roundtrip "chrome trace" (Obs.Export.chrome_trace report)
+  roundtrip "chrome trace" trace
 
 (* --- Chrome trace shape --- *)
 
@@ -356,7 +371,7 @@ let test_disabled_noop () =
   let r = Obs.snapshot () in
   Alcotest.(check (option int))
     "counter untouched while disabled" (Some 0)
-    (List.assoc_opt "test.obs.sum" (deterministic_counters r));
+    (List.assoc_opt "test.obs.sum" (deterministic_counters (Obs.Metric.values ())));
   Alcotest.(check bool)
     "no spans recorded while disabled" true
     (List.for_all
@@ -388,7 +403,7 @@ let test_bucket_edges () =
     with_obs (fun () ->
         Obs.Histogram.observe h_values 1.;
         Obs.Histogram.observe h_values 0.;
-        Obs.snapshot ())
+        Obs.Metric.values ())
   in
   Alcotest.(check (option (list (pair int int))))
     "observations land in their buckets"
@@ -439,7 +454,7 @@ let () =
       ( "export",
         [
           Alcotest.test_case "metrics json round-trip" `Slow
-            test_metrics_json_roundtrip;
+            test_metrics_roundtrip;
         ] );
       ( "edges",
         [

@@ -885,7 +885,7 @@ let test_batch_counters () =
         List.filter_map
           (fun ((m : Obs.Metric.meta), v) ->
             if m.Obs.Metric.timing then None else Some (m.Obs.Metric.name, v))
-          (Obs.snapshot ()).Obs.Metric.counters
+          (Obs.Metric.values ()).Obs.Metric.v_counters
       in
       let value name = Option.value ~default:0 (List.assoc_opt name counters) in
       Alcotest.(check int) "batch_evals counts both batches"

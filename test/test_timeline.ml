@@ -9,8 +9,12 @@
    - window sketches (Sketch.diff) subtract cumulative captures;
    - Prometheus rendering passes the line-grammar validator, and
      corrupted expositions are rejected;
-   - obs-timeline/v1 documents pass the structural validator, and
-     tampered documents are rejected;
+   - the clock starts at [reset]: the first point has a nonzero interval
+     and finite rates;
+   - obs-timeline/v2 documents pass the structural validator, and
+     tampered or v1 documents are rejected;
+   - mutated documents (a dropped field, a retyped scalar, truncated
+     text) never make the validator or the HTML report raise;
    - the fused HTML report is self-contained (no scripts, no external
      references) and names every registered metric. *)
 
@@ -28,6 +32,44 @@ let with_obs f =
       Obs.Timeline.reset ();
       Obs.disable ())
     f
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
+  in
+  go 0
+
+(* Nodes [f] accepts, counted in the order [mutate_nth] visits them. *)
+let rec count_nodes f (j : Json.t) =
+  (if f j then 1 else 0)
+  +
+  match j with
+  | Json.Obj kvs -> List.fold_left (fun acc (_, v) -> acc + count_nodes f v) 0 kvs
+  | Json.List l -> List.fold_left (fun acc v -> acc + count_nodes f v) 0 l
+  | _ -> 0
+
+(* Rewrites the [k]-th node (pre-order, from 0) for which [f] returns
+   [Some]. *)
+let mutate_nth k f doc =
+  let seen = ref (-1) in
+  let rec go j =
+    let here =
+      match f j with
+      | Some j' ->
+        incr seen;
+        if !seen = k then Some j' else None
+      | None -> None
+    in
+    match here with
+    | Some j' -> j'
+    | None -> (
+      match j with
+      | Json.Obj kvs -> Json.Obj (List.map (fun (key, v) -> (key, go v)) kvs)
+      | Json.List l -> Json.List (List.map go l)
+      | j -> j)
+  in
+  go doc
 
 let c_trials = Obs.Counter.make "test.timeline.trials"
 
@@ -53,7 +95,8 @@ let workload pool =
   ignore (results : int array)
 
 (* The deterministic fingerprint of a point: cumulative fields of
-   [timing = false] entries. Deltas and rates measure "since the last
+   [timing = false] entries, histogram buckets and sketch extrema
+   included. Deltas and rates measure "since the last
    wall-clock-placed tick", so they join the deterministic contract only
    when no periodic tick fired (then delta = value); these tests capture
    manually, without a ticker, so deltas are included. *)
@@ -84,8 +127,12 @@ let fingerprint (p : Obs.Timeline.point) =
         if h.Obs.Timeline.ph_timing then None
         else
           Some
-            (Printf.sprintf "h:%s=%d" h.Obs.Timeline.ph_name
-               h.Obs.Timeline.ph_count))
+            (Printf.sprintf "h:%s=%d[%s]" h.Obs.Timeline.ph_name
+               h.Obs.Timeline.ph_count
+               (String.concat ","
+                  (List.map
+                     (fun (le, n) -> Printf.sprintf "%.17g:%d" le n)
+                     h.Obs.Timeline.ph_buckets))))
       p.Obs.Timeline.p_histograms
   in
   let sketches =
@@ -94,8 +141,10 @@ let fingerprint (p : Obs.Timeline.point) =
         if s.Obs.Timeline.ps_timing then None
         else
           Some
-            (Printf.sprintf "s:%s=%d@%.17g/%.17g/%.17g" s.Obs.Timeline.ps_name
-               s.Obs.Timeline.ps_count s.Obs.Timeline.ps_p50
+            (Printf.sprintf "s:%s=%d@%.17g..%.17g@%.17g/%.17g/%.17g/%.17g"
+               s.Obs.Timeline.ps_name s.Obs.Timeline.ps_count
+               s.Obs.Timeline.ps_min s.Obs.Timeline.ps_max
+               s.Obs.Timeline.ps_p50 s.Obs.Timeline.ps_p90
                s.Obs.Timeline.ps_p95 s.Obs.Timeline.ps_p99))
       p.Obs.Timeline.p_sketches
   in
@@ -125,7 +174,34 @@ let test_final_jobs_invariance () =
   in
   Alcotest.(check bool)
     "trials counted" true
-    (trials.Obs.Timeline.c_value >= 96)
+    (trials.Obs.Timeline.c_value >= 96);
+  let values =
+    List.find
+      (fun (h : Obs.Timeline.hsample) ->
+        String.equal h.Obs.Timeline.ph_name "test.timeline.values")
+      p1.Obs.Timeline.p_histograms
+  in
+  Alcotest.(check int)
+    "buckets sum to the histogram count" values.Obs.Timeline.ph_count
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 values.Obs.Timeline.ph_buckets)
+
+(* The clock starts at [reset], not at the first capture: the first
+   point measures a real interval, so no rate is undefined. *)
+let test_origin_at_reset () =
+  Obs.Timeline.set_jobs 4;
+  with_obs (fun () ->
+      Obs.Counter.incr c_trials;
+      Unix.sleepf 0.005;
+      let p = Obs.Timeline.capture () in
+      Alcotest.(check bool) "first interval is nonzero" true
+        (p.Obs.Timeline.dt_ns > 0L);
+      Alcotest.(check int64) "first point's t_ns is its interval"
+        p.Obs.Timeline.dt_ns p.Obs.Timeline.t_ns;
+      let doc = Obs.Timeline.to_json () in
+      Alcotest.(check bool) "no null rate" false
+        (contains (Json.to_string doc) {|"rate_per_s":null|});
+      Alcotest.(check (option int)) "reset restores jobs 1" (Some 1)
+        (Option.bind (Json.member "jobs" doc) Json.to_int))
 
 (* Two counters bumped in lockstep inside every item, with enough work
    between the bumps that an ungated concurrent aggregation would
@@ -273,9 +349,98 @@ let test_timeline_validate () =
           (match Obs.Timeline.validate (drop_field "schema" doc) with
           | Ok () -> Alcotest.fail "accepted document without schema"
           | Error _ -> ());
-          match Obs.Timeline.validate (drop_field "snapshots" doc) with
+          (match Obs.Timeline.validate (drop_field "snapshots" doc) with
           | Ok () -> Alcotest.fail "accepted document without snapshots"
+          | Error _ -> ());
+          let set_field name v = function
+            | Json.Obj kvs ->
+              Json.Obj (List.map (fun (k, x) -> (k, if k = name then v else x)) kvs)
+            | j -> j
+          in
+          (match
+             Obs.Timeline.validate
+               (set_field "schema" (Json.String "obs-timeline/v1") doc)
+           with
+          | Ok () -> Alcotest.fail "accepted an obs-timeline/v1 document"
+          | Error msg ->
+            Alcotest.(check string) "v1 rejected by schema"
+              {|schema "obs-timeline/v1", expected "obs-timeline/v2"|} msg);
+          (* A bucket without its bound is rejected. *)
+          let unbounded =
+            mutate_nth 0
+              (function
+                | Json.Obj kvs when List.mem_assoc "le" kvs ->
+                  Some (Json.Obj (List.remove_assoc "le" kvs))
+                | _ -> None)
+              doc
+          in
+          match Obs.Timeline.validate unbounded with
+          | Ok () -> Alcotest.fail "accepted a bucket without le"
           | Error _ -> ()))
+
+(* --- fuzz: mutated documents never raise --- *)
+
+let valid_doc () =
+  with_obs (fun () ->
+      with_pool 2 (fun pool ->
+          workload pool;
+          ignore (Obs.Timeline.capture ());
+          workload pool;
+          ignore (Obs.Timeline.capture ~final:true ());
+          Obs.Timeline.to_json ()))
+
+let test_fuzz_documents () =
+  let doc = valid_doc () in
+  let text = Json.to_string doc in
+  let objects = count_nodes (function Json.Obj (_ :: _) -> true | _ -> false) doc in
+  let scalars =
+    count_nodes
+      (function Json.Obj _ | Json.List _ -> false | _ -> true)
+      doc
+  in
+  let retype = function
+    | Json.Null -> Json.Bool true
+    | Json.Bool _ -> Json.Number 1.
+    | Json.Number _ -> Json.String "x"
+    | Json.String _ -> Json.Null
+    | j -> j
+  in
+  (* The contract: [validate] answers Ok or Error, and a document it
+     accepts renders. An exception fails the property. *)
+  let survives doc =
+    match Obs.Timeline.validate doc with
+    | Error _ -> true
+    | Ok () ->
+      String.length (Obs.Report_html.render ~timeline:doc ~title:"fuzz" ()) > 0
+  in
+  let prop (kind, r1, r2) =
+    match kind with
+    | 0 ->
+      survives
+        (mutate_nth (r1 mod objects)
+           (function
+             | Json.Obj (_ :: _ as kvs) ->
+               let drop = r2 mod List.length kvs in
+               Some (Json.Obj (List.filteri (fun i _ -> i <> drop) kvs))
+             | _ -> None)
+           doc)
+    | 1 ->
+      survives
+        (mutate_nth (r1 mod scalars)
+           (function
+             | Json.Obj _ | Json.List _ -> None
+             | j -> Some (retype j))
+           doc)
+    | _ -> (
+      match Json.of_string (String.sub text 0 (r1 mod String.length text)) with
+      | Error _ -> true
+      | Ok doc -> survives doc)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |])
+    (QCheck.Test.make ~name:"mutated obs-timeline/v2 documents" ~count:300
+       QCheck.(triple (int_bound 2) (int_bound 1_000_000) (int_bound 1_000))
+       prop)
+
 
 let test_report_html_self_contained () =
   with_obs (fun () ->
@@ -285,19 +450,10 @@ let test_report_html_self_contained () =
           workload pool;
           ignore (Obs.Timeline.capture ~final:true ());
           let timeline = Obs.Timeline.to_json () in
-          let metrics =
-            Obs.Export.metrics_json (Obs.snapshot ~jobs:2 ())
-          in
           let html =
-            Obs.Report_html.render ~timeline ~metrics ~title:"test report" ()
+            Obs.Report_html.render ~timeline ~title:"test report" ()
           in
-          let contains sub =
-            let rec go i =
-              if i + String.length sub > String.length html then false
-              else String.sub html i (String.length sub) = sub || go (i + 1)
-            in
-            go 0
-          in
+          let contains = contains html in
           List.iter
             (fun sub ->
               Alcotest.(check bool)
@@ -328,12 +484,16 @@ let () =
             test_final_jobs_invariance;
           Alcotest.test_case "no torn reads under ticking" `Slow
             test_no_torn_reads;
+          Alcotest.test_case "clock starts at reset" `Quick
+            test_origin_at_reset;
           Alcotest.test_case "sketch window diff" `Quick test_sketch_diff;
           Alcotest.test_case "prom round-trip" `Quick test_prom_round_trip;
           Alcotest.test_case "prom rejects garbage" `Quick
             test_prom_rejects_garbage;
           Alcotest.test_case "timeline validates and rejects tampering" `Quick
             test_timeline_validate;
+          Alcotest.test_case "mutated documents never raise" `Quick
+            test_fuzz_documents;
           Alcotest.test_case "report html self-contained" `Quick
             test_report_html_self_contained;
         ] );
