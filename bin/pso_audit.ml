@@ -8,9 +8,8 @@
      report       print the full legal-technical report
      dpcheck      empirically audit the eps-DP mechanisms (Definition 1.2)
      certify      mechanically verify the eps-DP coupling certificates
-     experiment   run one of E1..E14 (or `all`)
+     run          run one of E1..E14 (or `all`) at --quick or --full scale
      census       census-scale sharded reconstruction (streaming tabulation)
-     run          alias for experiment with explicit --quick/--full scale
      validate-json  check the JSON, JSONL and Prometheus files a run writes
 
    Observability: every long-running subcommand accepts --trace FILE
@@ -762,49 +761,7 @@ let certify_cmd =
           rejected.")
     Term.(const run $ mechanism_arg $ tamper_arg $ legal_arg $ seed_arg)
 
-(* --- experiment / run --- *)
-
-let run_experiments ~seed ~jobs ~engine ~scale ~obs id =
-  set_jobs jobs;
-  set_engine engine;
-  (* Validate the id before enabling telemetry so a typo exits cleanly. *)
-  let entries =
-    if String.lowercase_ascii id = "all" then Experiments.Registry.all
-    else
-      match Experiments.Registry.find id with
-      | Some e -> [ e ]
-      | None ->
-        Format.eprintf "unknown experiment %S (expected E1..E14 or all)@." id;
-        exit 2
-  in
-  exit_with @@ with_obs obs
-  @@ fun () ->
-  let rng = rng_of_seed seed in
-  let fmt = Format.std_formatter in
-  List.iter
-    (fun (e : Experiments.Registry.entry) ->
-      e.Experiments.Registry.print ~scale rng fmt)
-    entries;
-  0
-
-let id_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"E1..E14 or all.")
-
-let full_arg =
-  Arg.(value & flag & info [ "full" ] ~doc:"Full-scale parameters (slower).")
-
-let experiment_cmd =
-  let run seed jobs engine full id obs =
-    let scale =
-      if full then Experiments.Common.Full else Experiments.Common.Quick
-    in
-    run_experiments ~seed ~jobs ~engine ~scale ~obs id
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Run an experiment from DESIGN.md's index.")
-    Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ full_arg $ id_arg
-      $ obs_term)
+(* --- run --- *)
 
 let run_cmd =
   let run seed jobs engine quick full id obs =
@@ -815,18 +772,47 @@ let run_cmd =
     let scale =
       if full then Experiments.Common.Full else Experiments.Common.Quick
     in
-    run_experiments ~seed ~jobs ~engine ~scale ~obs id
+    set_jobs jobs;
+    set_engine engine;
+    (* Validate the id before enabling telemetry so a typo exits cleanly. *)
+    let entries =
+      if String.lowercase_ascii id = "all" then Experiments.Registry.all
+      else
+        match Experiments.Registry.find id with
+        | Some e -> [ e ]
+        | None ->
+          Format.eprintf "unknown experiment %S (expected E1..E14 or all)@." id;
+          exit 2
+    in
+    exit_with @@ with_obs obs
+    @@ fun () ->
+    let rng = rng_of_seed seed in
+    let fmt = Format.std_formatter in
+    List.iter
+      (fun (e : Experiments.Registry.entry) ->
+        e.Experiments.Registry.print ~scale rng fmt)
+      entries;
+    0
   in
   let quick_arg =
     Arg.(
       value & flag
       & info [ "quick" ] ~doc:"Quick-scale parameters (the default).")
   in
+  let full_arg =
+    Arg.(value & flag & info [ "full" ] ~doc:"Full-scale parameters (slower).")
+  in
+  let id_arg =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"ID" ~doc:"E1..E14 or all.")
+  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Run an experiment from DESIGN.md's index (alias of experiment with \
-          an explicit --quick/--full scale choice).")
+         "Run an experiment from DESIGN.md's index at quick (the default) \
+          or full scale.")
     Term.(
       const run $ seed_arg $ jobs_arg $ engine_arg $ quick_arg $ full_arg
       $ id_arg $ obs_term)
@@ -834,8 +820,7 @@ let run_cmd =
 (* --- census --- *)
 
 let census_cmd =
-  let run seed jobs blocks mean_block_size shards threshold cold shave
-      materialize obs =
+  let run seed jobs blocks mean_block_size shards threshold cold shave obs =
     set_jobs jobs;
     if blocks < 1 || mean_block_size < 1 || shards < 1 then begin
       Format.eprintf
@@ -863,11 +848,10 @@ let census_cmd =
     in
     let rng = rng_of_seed seed in
     let t0 = Obs.now_ns () in
-    let stats = Cs.run ~materialize cfg rng in
+    let stats = Cs.run cfg rng in
     let dt_ns = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) in
-    Format.printf "census: %d blocks (mean size %d) over %d shards%s%s@."
+    Format.printf "census: %d blocks (mean size %d) over %d shards%s@."
       blocks mean_block_size shards
-      (if materialize then " [materialized]" else " [streaming]")
       (if cold then " [cold]" else " [warm-started]");
     Format.printf "  population          %d@." stats.Cs.population;
     Format.printf "  records             %d@." stats.Cs.records;
@@ -878,8 +862,7 @@ let census_cmd =
     Format.printf "  fixed cells         %d@." stats.Cs.fixed_cells;
     Format.printf "  joint match rate    %.4f@." (Cs.match_rate stats);
     Format.printf "  sex-age match rate  %.4f@." (Cs.sex_age_rate stats);
-    Format.printf "  solves              %d (%d warm-started)@." stats.Cs.solves
-      stats.Cs.warm_solves;
+    Format.printf "  warm-started        %d@." stats.Cs.warm_solves;
     Format.printf "  iterations          %d (%d in warm solves)@."
       stats.Cs.iterations stats.Cs.warm_iterations;
     (* Throughput is wall-clock: stderr only, so stdout stays deterministic
@@ -933,15 +916,6 @@ let census_cmd =
             "Sharpen interval propagation with per-cell branch-and-bound \
              before solving (slower, pins more cells).")
   in
-  let materialize_arg =
-    Arg.(
-      value & flag
-      & info [ "materialize" ]
-          ~doc:
-            "Build the whole population up front and tabulate it in one \
-             pass (the memory-heavy reference path) instead of streaming \
-             block by block. Stats are identical to streaming.")
-  in
   Cmd.v
     (Cmd.info "census"
        ~doc:
@@ -951,7 +925,7 @@ let census_cmd =
           scale; E14 is the golden-pinned variant).")
     Term.(
       const run $ seed_arg $ jobs_arg $ blocks_arg $ mean_arg $ shards_arg
-      $ threshold_arg $ cold_arg $ shave_arg $ materialize_arg $ obs_term)
+      $ threshold_arg $ cold_arg $ shave_arg $ obs_term)
 
 (* --- validate-json --- *)
 
@@ -1428,7 +1402,7 @@ let () =
        (Cmd.group (Cmd.info "pso_audit" ~version:Core.version ~doc)
           [
             synth_cmd; anonymize_cmd; game_cmd; audit_cmd; theorems_cmd; report_cmd;
-            dpcheck_cmd; certify_cmd; experiment_cmd; run_cmd; census_cmd;
+            dpcheck_cmd; certify_cmd; run_cmd; census_cmd;
             validate_json_cmd;
             ledger_verify_cmd; ledger_report_cmd; report_html_cmd;
             bench_compare_cmd;

@@ -402,7 +402,6 @@ type stats = {
   sex_age_matched : int;
   suppressed_cells : int;
   fixed_cells : int;
-  solves : int;
   warm_solves : int;
   iterations : int;
   warm_iterations : int;
@@ -418,7 +417,6 @@ let zero_stats =
     sex_age_matched = 0;
     suppressed_cells = 0;
     fixed_cells = 0;
-    solves = 0;
     warm_solves = 0;
     iterations = 0;
     warm_iterations = 0;
@@ -434,7 +432,6 @@ let add_stats a b =
     sex_age_matched = a.sex_age_matched + b.sex_age_matched;
     suppressed_cells = a.suppressed_cells + b.suppressed_cells;
     fixed_cells = a.fixed_cells + b.fixed_cells;
-    solves = a.solves + b.solves;
     warm_solves = a.warm_solves + b.warm_solves;
     iterations = a.iterations + b.iterations;
     warm_iterations = a.warm_iterations + b.warm_iterations;
@@ -533,7 +530,6 @@ let solve_one cfg ~warm ~people ~pub acc =
         min_overlap (sex_age_marginal truth) (sex_age_marginal sol.counts);
       suppressed_cells = sup.s_suppressed;
       fixed_cells = sol.fixed_cells;
-      solves = 1;
       warm_solves = (if is_warm then 1 else 0);
       iterations = sol.iterations;
       warm_iterations = (if is_warm then sol.iterations else 0);
@@ -552,54 +548,23 @@ let shard_range cfg s =
   let last = min cfg.blocks (first + per) - 1 in
   (first, last)
 
-let run ?pool ?(materialize = false) cfg rng =
+let run ?pool cfg rng =
   validate cfg;
   let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
-  if not materialize then
-    (* Streaming: each shard generates, tabulates, solves and drops one
-       block at a time — peak memory is one block per live shard. *)
-    Parallel.Trials.fold pool rng ~trials:cfg.shards ~init:zero_stats
-      ~combine:add_stats (fun shard_rng s ->
-        let first, last = shard_range cfg s in
-        let warm = ref None in
-        let acc = ref zero_stats in
-        for block = first to last do
-          let block_rng = Prob.Rng.split shard_rng in
-          let people =
-            Synth.census_block block_rng ~block
-              ~mean_block_size:cfg.mean_block_size
-          in
-          let pub = Census.tabulate_block ~block people in
-          acc := solve_one cfg ~warm ~people ~pub !acc
-        done;
-        !acc)
-  else begin
-    (* Materialized reference path: build the whole population with the
-       same per-block generators, tabulate it with the legacy whole-array
-       [Census.tabulate], then run the identical solve loop. Stats must
-       match streaming byte-for-byte. *)
-    let per_shard =
-      Parallel.Trials.map pool rng ~trials:cfg.shards (fun shard_rng s ->
-          let first, last = shard_range cfg s in
-          Array.init
-            (max 0 (last - first + 1))
-            (fun i ->
-              let block_rng = Prob.Rng.split shard_rng in
-              Synth.census_block block_rng ~block:(first + i)
-                ~mean_block_size:cfg.mean_block_size))
-    in
-    let population = Array.concat (List.concat_map Array.to_list (Array.to_list per_shard)) in
-    let tables = Census.tabulate population in
-    let stats = ref zero_stats in
-    Array.iteri
-      (fun s blocks_of_shard ->
-        let first, _ = shard_range cfg s in
-        let warm = ref None in
-        Array.iteri
-          (fun i people ->
-            stats :=
-              solve_one cfg ~warm ~people ~pub:tables.(first + i) !stats)
-          blocks_of_shard)
-      per_shard;
-    !stats
-  end
+  (* Each shard generates, tabulates, solves and drops one block at a
+     time — peak memory is one block per live shard. *)
+  Parallel.Trials.fold pool rng ~trials:cfg.shards ~init:zero_stats
+    ~combine:add_stats (fun shard_rng s ->
+      let first, last = shard_range cfg s in
+      let warm = ref None in
+      let acc = ref zero_stats in
+      for block = first to last do
+        let block_rng = Prob.Rng.split shard_rng in
+        let people =
+          Synth.census_block block_rng ~block
+            ~mean_block_size:cfg.mean_block_size
+        in
+        let pub = Census.tabulate_block ~block people in
+        acc := solve_one cfg ~warm ~people ~pub !acc
+      done;
+      !acc)

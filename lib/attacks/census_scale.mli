@@ -25,8 +25,7 @@
     Determinism: block [b]'s generator is derived by sequential
     {!Prob.Rng.split}s from its shard's generator, and shard results
     combine in shard order, so every statistic is byte-identical at every
-    [--jobs] count, and the streaming and materialized paths agree
-    exactly. *)
+    [--jobs] count. *)
 
 type bound = { b_lo : int; b_hi : int }
 (** Inclusive bounds on a published count. *)
@@ -100,7 +99,6 @@ type stats = {
   sex_age_matched : int;  (** same, on the (sex, age) marginal *)
   suppressed_cells : int;
   fixed_cells : int;
-  solves : int;
   warm_solves : int;
   iterations : int;
   warm_iterations : int;  (** iterations spent inside warm-started solves *)
@@ -112,11 +110,7 @@ val match_rate : stats -> float
 
 val sex_age_rate : stats -> float
 
-val run :
-  ?pool:Parallel.Pool.t -> ?materialize:bool -> config -> Prob.Rng.t -> stats
-(** Run the full scenario. Streaming by default: each shard generates,
-    tabulates, solves and drops one block at a time, so peak memory is
-    independent of the population size. [~materialize:true] instead builds
-    the whole population first and tabulates it with {!Census.tabulate} —
-    the memory-heavy reference path; its stats are identical to streaming
-    (the CI smoke diff checks this byte-for-byte). *)
+val run : ?pool:Parallel.Pool.t -> config -> Prob.Rng.t -> stats
+(** Run the full scenario: each shard generates, tabulates, solves and
+    drops one block at a time, so peak memory is independent of the
+    population size. *)

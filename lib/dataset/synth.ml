@@ -211,43 +211,6 @@ type census_person = {
   person_name : string;
 }
 
-let census_population rng ~blocks ~mean_block_size =
-  if blocks <= 0 || mean_block_size <= 0 then invalid_arg "Synth.census_population";
-  let race_dist =
-    Prob.Distribution.of_weights
-      [ (0, 0.60); (1, 0.13); (2, 0.06); (3, 0.09); (4, 0.03); (5, 0.09) ]
-  in
-  let out = ref [] in
-  let serial = ref 0 in
-  for block = 0 to blocks - 1 do
-    let size = 1 + Prob.Sampler.geometric rng ~p:(1. /. float_of_int mean_block_size) in
-    (* Real census blocks are strongly segregated by race/ethnicity — the
-       homogeneity that makes marginal tables nearly determine the joint
-       distribution (and reconstruction so sharp). *)
-    let dominant_race = Prob.Distribution.sample rng race_dist in
-    let block_eth_rate = if Prob.Sampler.bernoulli rng ~p:0.2 then 0.6 else 0.05 in
-    for _ = 1 to size do
-      let first = first_names.(Prob.Rng.int rng (Array.length first_names)) in
-      let last = last_names.(Prob.Rng.int rng (Array.length last_names)) in
-      let person =
-        {
-          block;
-          sex = Prob.Rng.int rng 2;
-          age = Prob.Rng.int rng 100;
-          race =
-            (if Prob.Sampler.bernoulli rng ~p:0.85 then dominant_race
-             else Prob.Distribution.sample rng race_dist);
-          ethnicity =
-            (if Prob.Sampler.bernoulli rng ~p:block_eth_rate then 1 else 0);
-          person_name = Printf.sprintf "%s %s #%d" first last !serial;
-        }
-      in
-      incr serial;
-      out := person :: !out
-    done
-  done;
-  Array.of_list (List.rev !out)
-
 let census_race_dist =
   Prob.Distribution.of_weights
     [ (0, 0.60); (1, 0.13); (2, 0.06); (3, 0.09); (4, 0.03); (5, 0.09) ]
@@ -255,6 +218,9 @@ let census_race_dist =
 let census_block rng ~block ~mean_block_size =
   if block < 0 || mean_block_size <= 0 then invalid_arg "Synth.census_block";
   let size = 1 + Prob.Sampler.geometric rng ~p:(1. /. float_of_int mean_block_size) in
+  (* Real census blocks are strongly segregated by race/ethnicity — the
+     homogeneity that makes marginal tables nearly determine the joint
+     distribution (and reconstruction so sharp). *)
   let dominant_race = Prob.Distribution.sample rng census_race_dist in
   let block_eth_rate = if Prob.Sampler.bernoulli rng ~p:0.2 then 0.6 else 0.05 in
   Array.init size (fun i ->
@@ -269,6 +235,9 @@ let census_block rng ~block ~mean_block_size =
       let ethnicity =
         if Prob.Sampler.bernoulli rng ~p:block_eth_rate then 1 else 0
       in
+      (* Every draw is let-bound above: record-field evaluation order is
+         unspecified, so drawing inside the literal would make the people
+         depend on the compiler. *)
       {
         block;
         sex;
@@ -277,6 +246,11 @@ let census_block rng ~block ~mean_block_size =
         ethnicity;
         person_name = Printf.sprintf "%s %s #%d-%d" first last block i;
       })
+
+let census_population rng ~blocks ~mean_block_size =
+  if blocks <= 0 || mean_block_size <= 0 then invalid_arg "Synth.census_population";
+  Array.concat
+    (List.init blocks (fun block -> census_block rng ~block ~mean_block_size))
 
 type genotypes = {
   frequencies : float array;

@@ -86,20 +86,25 @@ type census_person = {
   person_name : string;  (** ground-truth identity, never published *)
 }
 
-val census_population :
-  Prob.Rng.t -> blocks:int -> mean_block_size:int -> census_person array
-(** Block sizes are geometric-ish around the mean (minimum 1), mimicking the
-    small-block regime where reconstruction bites hardest. *)
-
 val census_block :
   Prob.Rng.t -> block:int -> mean_block_size:int -> census_person array
-(** One block of the same statistical model as {!census_population}, drawn
-    entirely from the given generator — the streaming building block for
-    census-scale runs. Handing block [b] a dedicated child generator (split
-    deterministically from a parent) makes a multi-million-person population
-    generable block-by-block, in any order, with peak memory one block:
-    {!Attacks.Census_scale} tabulates and solves each block and drops it.
-    Names are unique within a run ([#block-index] suffix). *)
+(** One block of the census model, drawn entirely from the given
+    generator. The block size is geometric around the mean (minimum 1),
+    mimicking the small-block regime where reconstruction bites hardest;
+    each block has a dominant race and a low or high ethnicity rate, the
+    segregation that makes marginal tables nearly determine the joint
+    distribution. This is the streaming building block for census-scale
+    runs: handing block [b] a dedicated child generator (split
+    deterministically from a parent) makes a multi-million-person
+    population generable block by block, in any order, with peak memory
+    one block; {!Attacks.Census_scale} tabulates and solves each block and
+    drops it. Names are unique within a run ([#block-index] suffix). *)
+
+val census_population :
+  Prob.Rng.t -> blocks:int -> mean_block_size:int -> census_person array
+(** [census_block] of blocks [0 .. blocks - 1], drawn in order from the
+    one generator and concatenated — the whole population at once, for
+    the block-toy pipeline of {!Attacks.Census}. *)
 
 (** {1 Genotype aggregates (Homer story)} *)
 

@@ -1,5 +1,6 @@
 type row = {
   population : int;
+  records : int;
   blocks : int;
   protection : string;  (* "none" or "DP eps=..." *)
   commercial_coverage : float;
@@ -29,6 +30,7 @@ let measure rng ?dp_epsilon ~blocks ~mean_block_size ~coverage () =
   let reid = Attacks.Census.reidentify recon commercial ~truth in
   {
     population = Array.length truth;
+    records = eval.Attacks.Census.records;
     blocks;
     protection =
       (match dp_epsilon with
@@ -84,13 +86,14 @@ let print ~scale rng fmt =
   Common.table fmt
     ~header:
       [
-        "population"; "blocks"; "tables"; "comm. cov."; "exact recon";
+        "population"; "records"; "blocks"; "tables"; "comm. cov."; "exact recon";
         "age +/-1"; "putative"; "confirmed"; "prior est."; "gap";
       ]
     (List.map
        (fun r ->
          [
            string_of_int r.population;
+           string_of_int r.records;
            string_of_int r.blocks;
            r.protection;
            Common.pct r.commercial_coverage;

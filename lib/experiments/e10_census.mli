@@ -10,6 +10,10 @@
 
 type row = {
   population : int;
+  records : int;
+      (** reconstructed records: the population on exact tables, several
+          times it on DP tables, whose noise is clamped at zero over the
+          full age domain *)
   blocks : int;
   protection : string;  (** "none", or the ε of DP-protected tables *)
   commercial_coverage : float;

@@ -43,7 +43,7 @@ let measure ?pool rng ~blocks ~mean_block_size ~shards =
     suppressed = warm.Cs.suppressed_cells;
     match_rate = Cs.match_rate warm;
     sex_age_rate = Cs.sex_age_rate warm;
-    cold_iters_per_block = per_block cold.Cs.iterations cold.Cs.solves;
+    cold_iters_per_block = per_block cold.Cs.iterations cold.Cs.solved_blocks;
     warm_iters_per_block =
       per_block warm.Cs.warm_iterations warm.Cs.warm_solves;
     rows_per_sec =

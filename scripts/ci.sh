@@ -50,9 +50,8 @@
 #      kernel (bench-pair, same re-measure retry as the other perf gates)
 #  13. census-scale smoke: the E14 table must be byte-identical at --jobs 1
 #      and --jobs 2 and must match the committed golden, and the census
-#      subcommand's streaming and materialized paths must produce identical
-#      stats for the same seed (the peak-memory-vs-correctness trade has no
-#      correctness side)
+#      subcommand's stats for one seed must be byte-identical at --jobs 1
+#      and --jobs 4
 #  14. SpMV speedup gate: in a fresh linalg bench snapshot (which also
 #      validates under bench-kernels/v1 and cross-checks sparse == dense
 #      bitwise on every sample), the CSR SpMV kernel must be at least 10x
@@ -169,9 +168,9 @@ fi
 # ledger's logical-clock determinism, end to end).
 ledger1=$(mktemp) ledger2=$(mktemp)
 trap 'rm -f "$tmp1" "$tmp2" "$trace" "$metrics" "$ledger1" "$ledger2"' EXIT
-dune exec bin/pso_audit.exe -- experiment E2 --seed 20210621 --jobs 1 \
+dune exec bin/pso_audit.exe -- run E2 --seed 20210621 --jobs 1 \
   --ledger "$ledger1" > /dev/null 2> /dev/null
-dune exec bin/pso_audit.exe -- experiment E2 --seed 20210621 --jobs 2 \
+dune exec bin/pso_audit.exe -- run E2 --seed 20210621 --jobs 2 \
   --ledger "$ledger2" > /dev/null 2> /dev/null
 if ! cmp -s "$ledger1" "$ledger2"; then
   echo "ci: ledger determinism violation: files differ between --jobs 1 and --jobs 2" >&2
@@ -277,9 +276,8 @@ fi
 
 # Census-scale smoke: the E14 table (streamed, sharded, warm-started) must
 # be byte-identical across --jobs and match the committed golden, and the
-# census subcommand's streaming and materialized tabulation paths must
-# report identical stats — the reference path exists precisely to catch a
-# streaming-side divergence.
+# census subcommand, run end to end, must print the same stats at every
+# --jobs (its wall-clock rows/sec goes to stderr).
 dune exec bin/pso_audit.exe -- run E14 --quick --seed 20210621 --jobs 1 \
   > "$tmp1" 2> /dev/null
 dune exec bin/pso_audit.exe -- run E14 --quick --seed 20210621 --jobs 2 \
@@ -293,12 +291,11 @@ if ! diff -u test/golden/E14.txt "$tmp1"; then
   exit 1
 fi
 dune exec bin/pso_audit.exe -- census --blocks 24 --mean-block-size 15 \
-  --shards 4 --suppress 3 --seed 7 --jobs 2 > "$tmp1" 2> /dev/null
+  --shards 4 --suppress 3 --seed 7 --jobs 1 > "$tmp1" 2> /dev/null
 dune exec bin/pso_audit.exe -- census --blocks 24 --mean-block-size 15 \
-  --shards 4 --suppress 3 --seed 7 --jobs 2 --materialize > "$tmp2" 2> /dev/null
-# First line names the tabulation path; every stat line below must agree.
-if ! diff -u <(tail -n +2 "$tmp1") <(tail -n +2 "$tmp2"); then
-  echo "ci: census streaming and materialized paths disagree" >&2
+  --shards 4 --suppress 3 --seed 7 --jobs 4 > "$tmp2" 2> /dev/null
+if ! cmp -s "$tmp1" "$tmp2"; then
+  echo "ci: determinism violation: census stats differ between --jobs 1 and --jobs 4" >&2
   exit 1
 fi
 

@@ -64,23 +64,39 @@ let test_pso_audit_bad_invocations () =
   check_fails_with_usage "no subcommand" (pso_audit []) ~code:124;
   check_fails_with_usage "unknown subcommand" (pso_audit [ "frobnicate" ]) ~code:124;
   check_fails_with_usage "unknown option" (pso_audit [ "synth"; "--frob" ]) ~code:124;
-  check_fails_with_usage "missing positional" (pso_audit [ "experiment" ]) ~code:124;
+  check_fails_with_usage "missing positional" (pso_audit [ "run" ]) ~code:124;
   check_fails_with_usage "non-integer trials"
     (pso_audit [ "game"; "--trials"; "many" ])
+    ~code:124;
+  (* [run] is the only experiment subcommand; census has one run path. *)
+  check_fails_with_usage "retired experiment subcommand"
+    (pso_audit [ "experiment"; "E2" ])
+    ~code:124;
+  check_fails_with_usage "retired census --materialize"
+    (pso_audit [ "census"; "--materialize" ])
     ~code:124
 
 let test_pso_audit_validation_errors () =
-  let check name args ~stderr_has =
+  let check ?(one_line = false) name args ~stderr_has =
     let r = run (pso_audit args) in
     Alcotest.(check int) (name ^ " exits 2") 2 r.code;
     Alcotest.(check bool)
       (name ^ " explains itself")
       true
-      (contains r.stderr stderr_has)
+      (contains r.stderr stderr_has);
+    if one_line then
+      Alcotest.(check int) (name ^ " prints one stderr line") 1
+        (List.length (String.split_on_char '\n' (String.trim r.stderr)))
   in
   check "jobs zero" [ "game"; "--jobs"; "0" ] ~stderr_has:"--jobs must be >= 1";
   check "negative jobs" [ "theorems"; "--jobs=-3" ] ~stderr_has:"--jobs must be >= 1";
-  check "unknown experiment" [ "experiment"; "E99" ] ~stderr_has:"unknown experiment";
+  check "unknown experiment" [ "run"; "E99" ] ~stderr_has:"unknown experiment";
+  check ~one_line:true "census zero blocks" [ "census"; "--blocks"; "0" ]
+    ~stderr_has:"must all be >= 1";
+  (* [=] form: cmdliner reads a bare "-1" as an option name. *)
+  check ~one_line:true "census negative suppression"
+    [ "census"; "--suppress=-1" ]
+    ~stderr_has:"--suppress must be >= 0";
   check "dpcheck bad trials" [ "dpcheck"; "--trials"; "0" ]
     ~stderr_has:"--trials must be >= 1";
   check "dpcheck bad confidence" [ "dpcheck"; "--confidence"; "1.5" ]
@@ -100,7 +116,7 @@ let test_pso_audit_synth () =
 
 let test_pso_audit_experiment_jobs_invariance () =
   let render jobs =
-    run (pso_audit [ "experiment"; "E2"; "--seed"; "5"; "--jobs"; string_of_int jobs ])
+    run (pso_audit [ "run"; "E2"; "--seed"; "5"; "--jobs"; string_of_int jobs ])
   in
   let r1 = render 1 and r2 = render 2 in
   Alcotest.(check int) "jobs=1 exits 0" 0 r1.code;
@@ -422,9 +438,62 @@ let test_pso_audit_report_html () =
     (contains bad.stderr "invalid JSON");
   List.iter Sys.remove [ timeline; out; garbage ]
 
-(* Mutated timeline documents: both file-reading subcommands accept them
-   (exit 0) or reject them with exit 2 and one stderr line, never an
-   uncaught exception. *)
+(* Writes each [(name, contents)] mutant to one file and runs every
+   [(command, args)] on it: the exit code must be in [codes] (2 meaning
+   rejected, with exactly one stderr line), never an uncaught exception. *)
+let check_mutants ~codes mutants commands =
+  let path = Filename.temp_file "cli" ".mutant.json" in
+  List.iter
+    (fun (name, contents) ->
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc;
+      List.iter
+        (fun (cmd, args) ->
+          let r = run (pso_audit args) in
+          let what = Printf.sprintf "%s on %s" cmd name in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s exits %s" what
+               (String.concat "/" (List.map string_of_int codes)))
+            true (List.mem r.code codes);
+          if r.code = 2 then
+            Alcotest.(check int) (what ^ " prints one stderr line") 1
+              (List.length (String.split_on_char '\n' (String.trim r.stderr)));
+          Alcotest.(check bool) (what ^ " is not an uncaught exception") false
+            (contains r.stderr "uncaught exception"))
+        (commands path))
+    mutants;
+  Sys.remove path
+
+let set_field name v = function
+  | Core.Json.Obj kvs ->
+    Core.Json.Obj (List.map (fun (k, x) -> (k, if k = name then v else x)) kvs)
+  | j -> j
+
+let drop_field name = function
+  | Core.Json.Obj kvs -> Core.Json.Obj (List.remove_assoc name kvs)
+  | j -> j
+
+(* Rewrites the [i]th element of the list under [field] ([-1]: the last). *)
+let map_nth field i f doc =
+  match Core.Json.member field doc with
+  | Some (Core.Json.List xs) ->
+    let i = if i < 0 then List.length xs + i else i in
+    set_field field
+      (Core.Json.List (List.mapi (fun k x -> if k = i then f x else x) xs))
+      doc
+  | _ -> Alcotest.failf "document has no %s list" field
+
+let truncations text =
+  [ ("truncated", String.sub text 0 (String.length text / 2)); ("empty", "") ]
+
+let rendered docs =
+  List.map (fun (name, doc) -> (name, Core.Json.to_string ~pretty:true doc)) docs
+
+(* Mutated documents: the timeline readers ([validate-json],
+   [report-html]) accept a mutant or reject it with exit 2; the
+   bench-kernels/v1 readers ([bench-compare], [bench-pair]) may also
+   return their gate verdict, exit 1. *)
 let test_pso_audit_mutated_timeline () =
   let timeline = Filename.temp_file "cli" ".timeline.json" in
   let gen =
@@ -435,30 +504,11 @@ let test_pso_audit_mutated_timeline () =
   Alcotest.(check int) "artifact-producing run exits 0" 0 gen.code;
   let text = read_file timeline in
   let doc = parse_json "timeline" text in
-  let set_field name v = function
-    | Core.Json.Obj kvs ->
-      Core.Json.Obj (List.map (fun (k, x) -> (k, if k = name then v else x)) kvs)
-    | j -> j
-  in
-  let drop_field name = function
-    | Core.Json.Obj kvs -> Core.Json.Obj (List.remove_assoc name kvs)
-    | j -> j
-  in
-  let last_snapshot f =
-    match Core.Json.member "snapshots" doc with
-    | Some (Core.Json.List snaps) ->
-      let n = List.length snaps in
-      set_field "snapshots"
-        (Core.Json.List (List.mapi (fun i s -> if i = n - 1 then f s else s) snaps))
-        doc
-    | _ -> Alcotest.fail "timeline has no snapshots"
-  in
-  let mutants =
-    [
-      ("truncated", String.sub text 0 (String.length text / 2)); ("empty", "");
-    ]
-    @ List.map
-        (fun (name, doc) -> (name, Core.Json.to_string ~pretty:true doc))
+  let last_snapshot f = map_nth "snapshots" (-1) f doc in
+  let out = Filename.temp_file "cli" ".html" in
+  check_mutants ~codes:[ 0; 2 ]
+    (truncations text
+    @ rendered
         [
           ("v1 schema",
             set_field "schema" (Core.Json.String "obs-timeline/v1") doc);
@@ -469,32 +519,73 @@ let test_pso_audit_mutated_timeline () =
           ("final seq retyped", last_snapshot (set_field "seq" Core.Json.Null));
           ("final histograms retyped",
             last_snapshot (set_field "histograms" (Core.Json.Bool true)));
-        ]
-  in
-  let path = Filename.temp_file "cli" ".mutant.json" in
-  let out = Filename.temp_file "cli" ".html" in
-  List.iter
-    (fun (name, contents) ->
-      let oc = open_out_bin path in
-      output_string oc contents;
-      close_out oc;
-      List.iter
-        (fun (cmd, args) ->
-          let r = run (pso_audit args) in
-          let what = Printf.sprintf "%s on %s" cmd name in
-          Alcotest.(check bool) (what ^ " exits 0 or 2") true
-            (r.code = 0 || r.code = 2);
-          if r.code = 2 then
-            Alcotest.(check int) (what ^ " prints one stderr line") 1
-              (List.length (String.split_on_char '\n' (String.trim r.stderr)));
-          Alcotest.(check bool) (what ^ " is not an uncaught exception") false
-            (contains r.stderr "uncaught exception"))
-        [
-          ("validate-json", [ "validate-json"; path ]);
-          ("report-html", [ "report-html"; out; "--timeline"; path ]);
         ])
-    mutants;
-  List.iter Sys.remove [ timeline; path; out ]
+    (fun path ->
+      [
+        ("validate-json", [ "validate-json"; path ]);
+        ("report-html", [ "report-html"; out; "--timeline"; path ]);
+      ]);
+  let kernel name ns =
+    Core.Json.Obj
+      [
+        ("name", Core.Json.String name);
+        ("ns_per_run", Core.Json.Number ns);
+        ("r_square", Core.Json.Number 0.99);
+      ]
+  in
+  let snapshot =
+    Core.Json.Obj
+      [
+        ("schema", Core.Json.String "bench-kernels/v1");
+        ("version", Core.Json.Number 1.);
+        ("jobs", Core.Json.Number 1.);
+        ("kernels",
+          Core.Json.List [ kernel "k/base" 1000.; kernel "k/current" 900. ]);
+      ]
+  in
+  let base = Filename.temp_file "cli" ".bench.json" in
+  let oc = open_out_bin base in
+  output_string oc (Core.Json.to_string snapshot);
+  close_out oc;
+  let bench_text = Core.Json.to_string ~pretty:true snapshot in
+  let ns_of f = map_nth "kernels" 1 (set_field "ns_per_run" f) snapshot in
+  check_mutants ~codes:[ 0; 1; 2 ]
+    (truncations bench_text
+    @ [
+        ("overflowing timing",
+          {|{"schema": "bench-kernels/v1", "version": 1, "jobs": 1, "kernels": [
+             {"name": "k/base", "ns_per_run": 1000},
+             {"name": "k/current", "ns_per_run": 9e999}]}|});
+        ("nested garbage", String.make 100_000 '[');
+      ]
+    @ rendered
+        [
+          ("unmutated", snapshot);
+          ("wrong schema",
+            set_field "schema" (Core.Json.String "obs-timeline/v2") snapshot);
+          ("schema dropped", drop_field "schema" snapshot);
+          ("kernels dropped", drop_field "kernels" snapshot);
+          ("kernels retyped", set_field "kernels" (Core.Json.String "k") snapshot);
+          ("kernels empty", set_field "kernels" (Core.Json.List []) snapshot);
+          ("kernel retyped", map_nth "kernels" 0 (fun _ -> Core.Json.Number 1.) snapshot);
+          ("name retyped",
+            map_nth "kernels" 0 (set_field "name" (Core.Json.Number 1.)) snapshot);
+          ("timing dropped", map_nth "kernels" 1 (drop_field "ns_per_run") snapshot);
+          ("timing retyped", ns_of (Core.Json.String "900"));
+          ("timing null", ns_of Core.Json.Null);
+          ("timing zero", ns_of (Core.Json.Number 0.));
+          ("timing negative", ns_of (Core.Json.Number (-900.)));
+          ("timing subnormal", ns_of (Core.Json.Number 5e-324));
+          ("timing huge", ns_of (Core.Json.Number 1e308));
+          ("duplicate kernel",
+            map_nth "kernels" 1 (set_field "name" (Core.Json.String "k/base")) snapshot);
+        ])
+    (fun path ->
+      [
+        ("bench-compare", [ "bench-compare"; base; path ]);
+        ("bench-pair", [ "bench-pair"; path; "k/base"; "k/current" ]);
+      ]);
+  List.iter Sys.remove [ timeline; out; base ]
 
 let test_pso_audit_dpcheck_flags_broken_case () =
   let r =

@@ -442,10 +442,16 @@ let test_synth_ratings () =
   Alcotest.(check int) "partition" (Array.length ratings) total
 
 let test_synth_census () =
-  let people =
-    Dataset.Synth.census_population (rng ()) ~blocks:20 ~mean_block_size:10
-  in
+  let r = rng () in
+  let replay = Prob.Rng.copy r in
+  let people = Dataset.Synth.census_population r ~blocks:20 ~mean_block_size:10 in
   Alcotest.(check bool) "nonempty" true (Array.length people > 0);
+  let blocks =
+    List.init 20 (fun block ->
+        Dataset.Synth.census_block replay ~block ~mean_block_size:10)
+  in
+  Alcotest.(check bool) "census_block draws concatenated, names included" true
+    (people = Array.concat blocks);
   Array.iter
     (fun p ->
       let open Dataset.Synth in

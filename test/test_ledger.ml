@@ -234,7 +234,7 @@ let test_cli_ledger_jobs_invariance () =
       run
         (pso_audit
            [
-             "experiment"; "E2"; "--seed"; "5"; "--jobs"; string_of_int jobs;
+             "run"; "E2"; "--seed"; "5"; "--jobs"; string_of_int jobs;
              "--ledger"; path;
            ])
     in
