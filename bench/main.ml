@@ -112,7 +112,7 @@ let write_json path ~jobs rows =
   close_out oc;
   Format.printf "wrote kernel timings to %s@." path
 
-(* The telemetry-overhead pair: the same counter+histogram loop timed with
+(* The telemetry-overhead pair: the same counter+sketch loop timed with
    the sink disabled (sealed no-op path) and enabled. Both rows land in the
    bench-kernels/v1 JSON, so CI can watch the no-op cost stay near zero.
    No spans inside the loop: span events accumulate in the event buffer and
@@ -121,12 +121,12 @@ let obs_overhead_iters = 4096
 
 let c_overhead = Obs.Counter.make ~timing:true "bench.obs_overhead"
 
-let h_overhead = Obs.Histogram.make ~timing:true "bench.obs_overhead_magnitude"
+let sk_overhead = Obs.Sketchm.make ~timing:true "bench.obs_overhead_magnitude"
 
 let obs_overhead_loop () =
   for i = 1 to obs_overhead_iters do
     Obs.Counter.incr c_overhead;
-    Obs.Histogram.observe h_overhead (float_of_int i)
+    Obs.Sketchm.observe sk_overhead (float_of_int i)
   done
 
 let obs_overhead_tests () =

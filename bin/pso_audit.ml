@@ -14,7 +14,7 @@
 
    Observability: every long-running subcommand accepts --trace FILE
    (Chrome trace_event JSON), --metrics (summary table on stderr),
-   --ledger FILE (ledger/v1 JSONL), --timeline FILE (obs-timeline/v2,
+   --ledger FILE (ledger/v1 JSONL), --timeline FILE (obs-timeline/v3,
    whose final point is the run's metrics record), --prom FILE
    (Prometheus text) and --watch (live stderr heartbeat), all run by
    [with_obs], the one telemetry lifecycle in the tree. All telemetry
@@ -163,12 +163,12 @@ let obs_term =
       & opt (some string) None
       & info [ "timeline" ] ~docv:"FILE"
           ~doc:
-            "Write the run's snapshot ring as obs-timeline/v2 JSON on \
+            "Write the run's snapshot ring as obs-timeline/v3 JSON on \
              completion: periodic captures of every metric with \
              per-interval deltas and rates, plus a final post-workload \
-             capture (the run's metrics record, histogram buckets and \
-             sketch extrema included) whose deterministic entries are \
-             byte-identical at every --jobs.")
+             capture (the run's metrics record: counters, gauges and \
+             sketch counts, extrema and quantiles) whose deterministic \
+             entries are byte-identical at every --jobs.")
   in
   let watch =
     Arg.(
@@ -942,8 +942,9 @@ let validate_json_cmd =
         match Core.Json.of_string contents with
         | Ok doc ->
           (* Schemas with a structural validator get the deep check, not
-             just a parse. *)
-          if String.equal (schema_of doc) Obs.Timeline.schema then begin
+             just a parse; an older timeline version fails it on its
+             schema line instead of passing as an unknown schema. *)
+          if String.starts_with ~prefix:"obs-timeline/" (schema_of doc) then begin
             match Obs.Timeline.validate doc with
             | Ok () -> Format.printf "ok: %s (%s)@." path Obs.Timeline.schema
             | Error msg ->
@@ -1016,7 +1017,7 @@ let validate_json_cmd =
          "Parse telemetry artifacts and report their schema: JSON documents \
           (--trace output), JSONL (--ledger output), Prometheus text \
           expositions (--prom output, line-grammar check) and \
-          obs-timeline/v2 documents (--timeline output, structural \
+          obs-timeline/v3 documents (--timeline output, structural \
           check). Exits 2 on malformed input.")
     Term.(const run $ files_arg)
 
@@ -1162,7 +1163,7 @@ let report_html_cmd =
       & opt (some string) None
       & info [ "timeline" ] ~docv:"FILE"
           ~doc:
-            "An obs-timeline/v2 document (from --timeline): sparklines of \
+            "An obs-timeline/v3 document (from --timeline): sparklines of \
              every series plus the final metric tables from its last \
              snapshot.")
   in

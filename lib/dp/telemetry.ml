@@ -2,10 +2,12 @@
 
    Every mechanism routes its randomness through [noise] / [noise_int] /
    [coin], so "dp.noise_draws" counts privacy-relevant random draws and
-   "dp.noise_magnitude" log-buckets their absolute size. Both are
+   the "dp.noise_magnitude" sketch records their absolute size: its
+   count and quantiles in the final timeline point show how much noise a
+   run actually drew against the scale its ε calls for. Both are
    deterministic across --jobs: the per-trial RNG fan-out makes each
    trial draw the same noise no matter which domain runs it. Counter and
-   histogram handles are idempotent by name, so the Laplace-counts
+   sketch handles are idempotent by name, so the Laplace-counts
    mechanism in lib/query shares the same accounting.
 
    Call sites that know which mechanism they are and at what scale pass
@@ -15,7 +17,7 @@
 
 let draws = Obs.Counter.make "dp.noise_draws"
 
-let magnitude = Obs.Histogram.make "dp.noise_magnitude"
+let magnitude = Obs.Sketchm.make "dp.noise_magnitude"
 
 let spends = Obs.Counter.make "dp.accountant_spends"
 
@@ -32,18 +34,18 @@ let ledger_noise ?mechanism ?scale n =
 
 let noise ?mechanism ?scale x =
   Obs.Counter.incr draws;
-  Obs.Histogram.observe magnitude (Float.abs x);
+  Obs.Sketchm.observe magnitude (Float.abs x);
   ledger_noise ?mechanism ?scale 1;
   x
 
 let noise_int ?mechanism ?scale k =
   Obs.Counter.incr draws;
-  Obs.Histogram.observe magnitude (Float.abs (float_of_int k));
+  Obs.Sketchm.observe magnitude (Float.abs (float_of_int k));
   ledger_noise ?mechanism ?scale 1;
   k
 
 (* Draws whose magnitude is meaningless (a Bernoulli flip, an exponential-
-   mechanism selection): counted, not bucketed. *)
+   mechanism selection): counted, not sketched. *)
 let coin v =
   Obs.Counter.incr draws;
   v
@@ -53,14 +55,14 @@ let coin v =
    of batch adoption is visible in the obs report. *)
 let bulk = Obs.Counter.make "dp.bulk_samples"
 
-(* Telemetry for a whole noise vector at once: per-sample magnitudes (the
-   histogram is what the DP auditors read), one counter add per batch.
-   The enabled check hoists out of the magnitude pass — per-sample [noise]
-   pays a no-op call per draw, but a bulk vector shouldn't pay a second
-   full pass just to record nothing. *)
+(* Telemetry for a whole noise vector at once: per-sample magnitudes (so
+   the noise-magnitude quantiles cover bulk draws too), one counter add
+   per batch. The enabled check hoists out of the magnitude pass —
+   per-sample [noise] pays a no-op call per draw, but a bulk vector
+   shouldn't pay a second full pass just to record nothing. *)
 let noise_many ?mechanism ?scale xs =
   if Obs.enabled () then begin
-    Array.iter (fun x -> Obs.Histogram.observe magnitude (Float.abs x)) xs;
+    Array.iter (fun x -> Obs.Sketchm.observe magnitude (Float.abs x)) xs;
     Obs.Counter.add draws (Array.length xs);
     Obs.Counter.add bulk (Array.length xs)
   end;
@@ -70,7 +72,7 @@ let noise_many ?mechanism ?scale xs =
 let noise_many_int ?mechanism ?scale ks =
   if Obs.enabled () then begin
     Array.iter
-      (fun k -> Obs.Histogram.observe magnitude (Float.abs (float_of_int k)))
+      (fun k -> Obs.Sketchm.observe magnitude (Float.abs (float_of_int k)))
       ks;
     Obs.Counter.add draws (Array.length ks);
     Obs.Counter.add bulk (Array.length ks)

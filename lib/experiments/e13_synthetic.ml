@@ -10,16 +10,15 @@ let attributes = 12
 
 let domain = 16
 
-let model = lazy (Dataset.Synth.kanon_pso_model ~qis:6 ~retained:(attributes - 6) ~domain)
+let model = Dataset.Synth.kanon_pso_model ~qis:6 ~retained:(attributes - 6) ~domain
 
 let domains () =
-  let schema = Dataset.Model.schema (Lazy.force model) in
+  let schema = Dataset.Model.schema model in
   List.map
     (fun name -> (name, List.init domain (fun v -> Dataset.Value.Int v)))
     (Dataset.Schema.names schema)
 
 let measure ~pool rng ~trials ~n ~epsilon =
-  let model = Lazy.force model in
   let mechanism =
     match epsilon with
     | None -> Query.Mechanism.identity_release

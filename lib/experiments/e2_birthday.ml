@@ -12,30 +12,28 @@ type row = {
    weights concentrate near 1/buckets instead of being quantized to
    multiples of 1/365. *)
 let model =
-  lazy
-    (let schema =
-       Dataset.Schema.make
-         [
-           {
-             Dataset.Schema.name = "birthday";
-             kind = Dataset.Value.Kint;
-             role = Dataset.Schema.Quasi_identifier;
-           };
-           {
-             Dataset.Schema.name = "noise";
-             kind = Dataset.Value.Kint;
-             role = Dataset.Schema.Insensitive;
-           };
-         ]
-     in
-     Dataset.Model.make schema
-       [
-         ("birthday", Prob.Distribution.uniform (List.init 365 (fun d -> Dataset.Value.Int d)));
-         ("noise", Prob.Distribution.uniform (List.init 4096 (fun d -> Dataset.Value.Int d)));
-       ])
+  let schema =
+    Dataset.Schema.make
+      [
+        {
+          Dataset.Schema.name = "birthday";
+          kind = Dataset.Value.Kint;
+          role = Dataset.Schema.Quasi_identifier;
+        };
+        {
+          Dataset.Schema.name = "noise";
+          kind = Dataset.Value.Kint;
+          role = Dataset.Schema.Insensitive;
+        };
+      ]
+  in
+  Dataset.Model.make schema
+    [
+      ("birthday", Prob.Distribution.uniform (List.init 365 (fun d -> Dataset.Value.Int d)));
+      ("noise", Prob.Distribution.uniform (List.init 4096 (fun d -> Dataset.Value.Int d)));
+    ]
 
 let measure_with ~pool rng ~trials ~n attacker =
-  let model = Lazy.force model in
   let mechanism = Query.Mechanism.exact_count Query.Predicate.True in
   (* weight_bound = 1: count raw isolations (this experiment is about the
      isolation probability itself, not the weight cutoff). *)

@@ -5,7 +5,7 @@ type row = {
   isolations_any_weight : float;
 }
 
-let model = lazy (Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:16)
+let model = Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:16
 
 let mechanism =
   Query.Mechanism.exact_count
@@ -14,7 +14,7 @@ let mechanism =
 let measure ~pool rng ~trials ~n ~c =
   let buckets = int_of_float (Float.pow (float_of_int n) (c +. 1.)) in
   let outcome =
-    Pso.Game.run ~pool rng ~model:(Lazy.force model) ~n ~mechanism
+    Pso.Game.run ~pool rng ~model ~n ~mechanism
       ~attacker:(Pso.Attacker.hash_bucket ~buckets)
       ~weight_bound:(Pso.Isolation.negligible_bound ~n ~c)
       ~trials

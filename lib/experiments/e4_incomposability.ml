@@ -5,13 +5,13 @@ type row = {
   ci : float * float;
 }
 
-let model = lazy (Dataset.Synth.pso_model ~attributes:4 ~values_per_attribute:16)
+let model = Dataset.Synth.pso_model ~attributes:4 ~values_per_attribute:16
 
 let games ~pool rng ~trials ~n =
   let pad = Pso.Pad.make ~salt:(Prob.Rng.bits64 rng) in
   let play target mechanism attacker =
     let outcome =
-      Pso.Game.run ~pool rng ~model:(Lazy.force model) ~n ~mechanism ~attacker
+      Pso.Game.run ~pool rng ~model ~n ~mechanism ~attacker
         ~weight_bound:(Pso.Isolation.negligible_bound ~n ~c:2.)
         ~trials
     in

@@ -9,7 +9,7 @@ type row = {
   isolations_any_weight : float;
 }
 
-let model = lazy (Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:64)
+let model = Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:64
 
 let measure ~pool rng ~trials ~n ~ell ~variant =
   let salt = Prob.Rng.bits64 rng in
@@ -20,7 +20,7 @@ let measure ~pool rng ~trials ~n ~ell ~variant =
   in
   let c = 2. in
   let outcome =
-    Pso.Game.run ~pool rng ~model:(Lazy.force model) ~n
+    Pso.Game.run ~pool rng ~model ~n
       ~mechanism:scheme.Pso.Composition.mechanism
       ~attacker:scheme.Pso.Composition.attacker
       ~weight_bound:(Pso.Isolation.negligible_bound ~n ~c)

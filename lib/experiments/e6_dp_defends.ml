@@ -5,7 +5,7 @@ type row = {
   ci : float * float;
 }
 
-let model = lazy (Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:64)
+let model = Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:64
 
 let measure rng ~trials ~n ~epsilon =
   let scheme =
@@ -21,7 +21,7 @@ let measure rng ~trials ~n ~epsilon =
         float_of_int nq /. eps )
   in
   let outcome =
-    Pso.Game.run rng ~model:(Lazy.force model) ~n ~mechanism
+    Pso.Game.run rng ~model ~n ~mechanism
       ~attacker:scheme.Pso.Composition.attacker
       ~weight_bound:(Pso.Isolation.negligible_bound ~n ~c:2.)
       ~trials

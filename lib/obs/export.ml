@@ -3,7 +3,7 @@
    - [chrome_trace]: a Chrome `trace_event` document, one track per
      domain, loadable in chrome://tracing or https://ui.perfetto.dev;
    - [pp_summary]: the human table behind `--metrics`, read from the
-     final Timeline point (the run's metrics record, `obs-timeline/v2`)
+     final Timeline point (the run's metrics record, `obs-timeline/v3`)
      plus the per-domain track rows of the span report.
 
    Metric rows flagged "(timing)" measure wall-clock or scheduling; every
@@ -69,18 +69,6 @@ let write_file path doc =
 
 (* --- human summary --- *)
 
-(* Upper bound of the bucket holding quantile [q], a deterministic
-   order-of-magnitude summary (exact quantiles would need raw samples). *)
-let quantile_upper (h : Timeline.hsample) q =
-  let target = q *. float_of_int h.Timeline.ph_count in
-  let rec go acc = function
-    | [] -> nan
-    | (le, c) :: rest ->
-      let acc = acc + c in
-      if float_of_int acc >= target then le else go acc rest
-  in
-  if h.Timeline.ph_count = 0 then nan else go 0 h.Timeline.ph_buckets
-
 let pp_summary (p : Timeline.point) fmt (r : Metric.report) =
   let timing t = if t then "  (timing)" else "" in
   Format.fprintf fmt "== obs metrics (schema %s, jobs=%d) ==@." Timeline.schema
@@ -113,18 +101,6 @@ let pp_summary (p : Timeline.point) fmt (r : Metric.report) =
           s.Timeline.ps_name s.Timeline.ps_count s.Timeline.ps_p50
           s.Timeline.ps_p95 s.Timeline.ps_p99 (timing s.Timeline.ps_timing))
       p.Timeline.p_sketches
-  end;
-  if p.Timeline.p_histograms <> [] then begin
-    Format.fprintf fmt "@.%-34s  %10s  %10s  %10s@." "histogram" "count"
-      "p50<=" "p95<=";
-    Format.fprintf fmt "%s  %s  %s  %s@." (String.make 34 '-')
-      (String.make 10 '-') (String.make 10 '-') (String.make 10 '-');
-    List.iter
-      (fun (h : Timeline.hsample) ->
-        Format.fprintf fmt "%-34s  %10d  %10.3g  %10.3g%s@." h.Timeline.ph_name
-          h.Timeline.ph_count (quantile_upper h 0.5) (quantile_upper h 0.95)
-          (timing h.Timeline.ph_timing))
-      p.Timeline.p_histograms
   end;
   Format.fprintf fmt "@.%-10s  %8s  %8s  %12s  %8s@." "track" "domain" "spans"
     "busy" "dropped";

@@ -1,5 +1,5 @@
-(* The telemetry core: counters, log-bucketed histograms and nested spans,
-   aggregated domain-locally and merged at snapshot time.
+(* The telemetry core: counters, gauges, quantile sketches and nested
+   spans, aggregated domain-locally and merged at snapshot time.
 
    Design constraints (see EXPERIMENTS.md, "Observability"):
 
@@ -15,7 +15,7 @@
      cache), so recording never takes a lock and never contends.
 
    - Deterministic merge: [values] folds collectors in ascending
-     domain-index order. Counters and histogram buckets are integer
+     domain-index order. Counters, gauges and sketch buckets are integer
      sums, so merged totals are independent of how the pool interleaved
      work — byte-identical at every --jobs for a deterministic workload.
 
@@ -55,10 +55,6 @@ let counter_metas : meta list ref = ref [] (* reverse registration order *)
 
 let n_counters = ref 0
 
-let hist_metas : meta list ref = ref []
-
-let n_hists = ref 0
-
 let gauge_metas : meta list ref = ref []
 
 let n_gauges = ref 0
@@ -85,24 +81,6 @@ let register metas n ~timing ~help name =
   Mutex.unlock registry_mutex;
   m
 
-(* --- log-bucketed histograms --- *)
-
-let buckets = 64
-
-(* Bucket 0 holds v <= 0 and non-finite values; bucket b in [1, 63] holds
-   v with floor(log2 v) = b - 24 (clamped), i.e. upper bound 2^(b - 23).
-   The span covers ~1e-7 .. ~1e12, enough for noise magnitudes and
-   nanosecond latencies alike. *)
-let bucket_of v =
-  if not (Float.is_finite v) || v <= 0. then 0
-  else begin
-    let e = int_of_float (Float.floor (Float.log2 v)) in
-    let b = e + 24 in
-    if b < 1 then 1 else if b > 63 then 63 else b
-  end
-
-let bucket_upper b = if b = 0 then 0. else Float.pow 2. (float_of_int (b - 23))
-
 (* --- domain-local collectors --- *)
 
 type event = {
@@ -116,7 +94,6 @@ type event = {
 type collector = {
   domain : int;
   mutable counts : int array; (* indexed by counter id *)
-  mutable hists : int array array; (* hist id -> bucket counts, [||] = untouched *)
   mutable gauges : int array; (* gauge id -> nano-unit integer sum *)
   mutable sks : Sketch.t option array; (* sketch id -> samples, None = untouched *)
   mutable events : event array;
@@ -142,7 +119,6 @@ let collector_key : collector Domain.DLS.key =
         {
           domain = (Domain.self () :> int);
           counts = Array.make (max 8 !n_counters) 0;
-          hists = Array.make (max 8 !n_hists) [||];
           gauges = Array.make (max 8 !n_gauges) 0;
           sks = Array.make (max 8 !n_sketches) None;
           events = [||];
@@ -162,9 +138,6 @@ let reset () =
   List.iter
     (fun c ->
       Array.fill c.counts 0 (Array.length c.counts) 0;
-      Array.iter
-        (fun row -> if Array.length row > 0 then Array.fill row 0 buckets 0)
-        c.hists;
       Array.fill c.gauges 0 (Array.length c.gauges) 0;
       Array.iter (Option.iter Sketch.reset) c.sks;
       c.n_events <- 0;
@@ -254,38 +227,6 @@ module Sketchm = struct
     if Atomic.get on then Sketch.add_n (row (collector ()) t) v k
 end
 
-(* --- histograms --- *)
-
-module Histogram = struct
-  type t = meta
-
-  let make ?(timing = false) ?(help = "") name =
-    register hist_metas n_hists ~timing ~help name
-
-  let observe t v =
-    if Atomic.get on then begin
-      let c = collector () in
-      if t.id >= Array.length c.hists then begin
-        let a =
-          Array.make (max (t.id + 1) ((2 * Array.length c.hists) + 8)) [||]
-        in
-        Array.blit c.hists 0 a 0 (Array.length c.hists);
-        c.hists <- a
-      end;
-      let row =
-        let r = c.hists.(t.id) in
-        if Array.length r > 0 then r
-        else begin
-          let r = Array.make buckets 0 in
-          c.hists.(t.id) <- r;
-          r
-        end
-      in
-      let b = bucket_of v in
-      row.(b) <- row.(b) + 1
-    end
-end
-
 (* --- spans --- *)
 
 let record c ev =
@@ -336,7 +277,6 @@ let with_span ?(args = []) ?argsf name f =
 type values = {
   v_counters : (meta * int) list; (* ascending name *)
   v_gauges : (meta * float) list; (* ascending name *)
-  v_histograms : (meta * int array) list; (* full bucket rows, ascending name *)
   v_sketches : (meta * Sketch.t) list; (* merged copies, ascending name *)
 }
 
@@ -365,7 +305,6 @@ let values () =
   Mutex.lock registry_mutex;
   let cs = List.sort (fun a b -> compare a.domain b.domain) !collectors in
   let cmetas = List.rev !counter_metas in
-  let hmetas = List.rev !hist_metas in
   let gmetas = List.rev !gauge_metas in
   let smetas = List.rev !sketch_metas in
   Mutex.unlock registry_mutex;
@@ -423,25 +362,7 @@ let values () =
       smetas
     |> List.sort (fun ((a : meta), _) (b, _) -> String.compare a.name b.name)
   in
-  let v_histograms =
-    List.map
-      (fun m ->
-        let acc = Array.make buckets 0 in
-        List.iter
-          (fun c ->
-            if m.id < Array.length c.hists then begin
-              let row = c.hists.(m.id) in
-              if Array.length row > 0 then
-                for b = 0 to buckets - 1 do
-                  acc.(b) <- acc.(b) + row.(b)
-                done
-            end)
-          cs;
-        (m, acc))
-      hmetas
-    |> List.sort (fun ((a : meta), _) (b, _) -> String.compare a.name b.name)
-  in
-  { v_counters; v_gauges; v_histograms; v_sketches }
+  { v_counters; v_gauges; v_sketches }
 
 (* --- snapshot --- *)
 

@@ -1,11 +1,12 @@
 (* Obs — the telemetry facade.
 
-   Spans (monotonic-clock timed scopes with parent nesting), counters and
-   log-bucketed histograms, aggregated domain-locally (Domain.DLS) and
-   merged deterministically in domain-index order at snapshot. Disabled
-   (the default), every primitive compiles down to one atomic flag read
-   and a branch; nothing here ever draws randomness, so telemetry cannot
-   perturb experiment tables.
+   Spans (monotonic-clock timed scopes with parent nesting), counters,
+   gauges and quantile sketches (the one distribution metric), aggregated
+   domain-locally (Domain.DLS) and merged deterministically in
+   domain-index order at snapshot. Disabled (the default), every
+   primitive compiles down to one atomic flag read and a branch; nothing
+   here ever draws randomness, so telemetry cannot perturb experiment
+   tables.
 
    Typical lifecycle (the full one, with the Timeline ticker and the
    ledger, is written once: [with_obs] in bin/pso_audit.ml):
@@ -20,7 +21,7 @@
      Format.eprintf "%a" (Obs.Export.pp_summary final) report
 
    The final Timeline point is the run's one metrics record
-   (obs-timeline/v2); [snapshot] only carries the span tracks.
+   (obs-timeline/v3); [snapshot] only carries the span tracks.
 
    Deterministic metrics (the default) must count logical events — trials,
    noise draws, rows evaluated — updated inside work items. Metrics of
@@ -31,7 +32,6 @@
 module Metric = Metric
 module Counter = Metric.Counter
 module Gauge = Metric.Gauge
-module Histogram = Metric.Histogram
 module Sketch = Sketch
 module Sketchm = Metric.Sketchm
 module Ledger = Ledger

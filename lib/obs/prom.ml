@@ -6,11 +6,10 @@
    select the cross-jobs-stable series with one label matcher.
 
    Names are sanitized to the Prometheus grammar ([a-zA-Z0-9_:]) under a
-   "pso_" namespace; counters get the conventional "_total" suffix.
-   Histograms render as cumulative [_bucket{le=...}] series over the
-   occupied log2 buckets plus "+Inf"; sketches render as summaries
-   (quantile series plus [_count]). [write_file] rewrites atomically
-   (tmp + rename) so a concurrent reader never sees a torn file. *)
+   "pso_" namespace; counters get the conventional "_total" suffix and
+   sketches render as summaries (quantile series plus [_count]).
+   [write_file] rewrites atomically (tmp + rename) so a concurrent reader
+   never sees a torn file. *)
 
 let sanitize name =
   String.map
@@ -88,25 +87,6 @@ let render (v : Metric.values) =
       header b ~name ~typ:"gauge" m;
       sample b ~name ~labels:(m, []) (float_repr value))
     v.Metric.v_gauges;
-  List.iter
-    (fun ((m : Metric.meta), row) ->
-      let name = metric_name m in
-      header b ~name ~typ:"histogram" m;
-      let total = Array.fold_left ( + ) 0 row in
-      let acc = ref 0 in
-      Array.iteri
-        (fun i count ->
-          if count > 0 then begin
-            acc := !acc + count;
-            let le = float_repr (Metric.bucket_upper i) in
-            sample b ~name:(name ^ "_bucket") ~labels:(m, [ ("le", le) ])
-              (string_of_int !acc)
-          end)
-        row;
-      sample b ~name:(name ^ "_bucket") ~labels:(m, [ ("le", "+Inf") ])
-        (string_of_int total);
-      sample b ~name:(name ^ "_count") ~labels:(m, []) (string_of_int total))
-    v.Metric.v_histograms;
   List.iter
     (fun ((m : Metric.meta), sk) ->
       let name = metric_name m in

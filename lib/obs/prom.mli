@@ -1,8 +1,8 @@
 (** Prometheus text-exposition export of one metric aggregation.
 
     Metric names are sanitized into a ["pso_"] namespace; counters get
-    ["_total"], histograms render as cumulative [_bucket{le=...}]
-    series, sketches as summaries (quantile series plus [_count]).
+    ["_total"], sketches render as summaries (quantile series plus
+    [_count]).
     Every sample line carries a [class="deterministic"|"timing"] label
     so scrapes can segregate the cross-jobs-stable series, the same
     split every other export applies. *)

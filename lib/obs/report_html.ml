@@ -1,5 +1,5 @@
 (* The fused HTML run report: one self-contained static file stitching
-   together whichever artifacts a run produced — the obs-timeline/v2
+   together whichever artifacts a run produced — the obs-timeline/v3
    series (drawn as inline SVG sparklines) and the final tables read
    from its last snapshot, the per-analyst ledger report, and a
    bench-kernels/v1 trajectory across snapshots.
@@ -174,20 +174,6 @@ let metrics_section b snap =
     table b ~caption:"Sketches"
       ~head:[ "sketch"; "count"; "p50"; "p95"; "p99" ]
       sketches;
-  let hists =
-    List.map
-      (fun o ->
-        [
-          name_cell o;
-          fnum (Option.value ~default:nan (jnum "count" o));
-          string_of_int (List.length (jlist "buckets" o));
-        ])
-      (jlist "histograms" snap)
-  in
-  if hists <> [] then
-    table b ~caption:"Histograms"
-      ~head:[ "histogram"; "count"; "occupied buckets" ]
-      hists;
   Buffer.add_string b "</section>\n"
 
 (* --- ledger section --- *)

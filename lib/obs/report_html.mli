@@ -1,9 +1,9 @@
 (** The fused HTML run report: one self-contained static page (inline
     CSS and SVG, no scripts, no external references) combining whichever
     sources a run produced. Each present source renders [<section>]s
-    with stable ids — [timeline] (obs-timeline/v2 series as sparkline
-    cards) and [metrics] (counter, gauge, sketch and histogram tables of
-    the timeline's last snapshot), [ledger] (per-analyst budget
+    with stable ids — [timeline] (obs-timeline/v3 series as sparkline
+    cards) and [metrics] (counter, gauge and sketch tables of the
+    timeline's last snapshot), [ledger] (per-analyst budget
     accounting), [bench] (ns/run trajectories across bench-kernels/v1
     snapshots, in argument order). Rendering is best-effort over the
     JSON: a missing or mistyped field renders as a gap, never raises. *)

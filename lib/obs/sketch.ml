@@ -1,9 +1,12 @@
-(* A fixed-size mergeable quantile sketch (HDR-histogram style).
+(* A fixed-size mergeable quantile sketch (HDR-histogram style), the one
+   distribution metric behind [Obs.Sketchm], the timeline's sketch
+   samples and the ledger's per-analyst cost percentiles.
 
    Positive samples land in log-linear buckets: 64 powers-of-two octaves
-   (the same ~1e-7 .. ~1e12 span as Metric's log2 histograms) split into
-   [subdiv] linear sub-buckets each, so any quantile is answered with a
-   bounded relative error of ~1/subdiv (~3%). Bucket 0 absorbs zero,
+   (floor(log2 v) from 2^-24 to 2^39, ~6e-8 .. ~1e12, wide enough for
+   noise magnitudes and nanosecond latencies alike) split into [subdiv]
+   linear sub-buckets each, so any quantile is answered with a bounded
+   relative error of ~1/subdiv (~3%). Bucket 0 absorbs zero,
    negative and non-finite samples. Exact min and max are kept alongside,
    and quantile reads are clamped into [min, max], so degenerate streams
    (all samples equal) report exact percentiles.
@@ -42,7 +45,7 @@ let bucket_of v =
   else begin
     let e = int_of_float (Float.floor (Float.log2 v)) in
     let e = if e < min_exp then min_exp else if e > min_exp + octaves - 1 then min_exp + octaves - 1 else e in
-    let lo = Float.pow 2. (float_of_int e) in
+    let lo = Float.ldexp 1. e in
     let sub = int_of_float (Float.floor ((v /. lo -. 1.) *. float_of_int subdiv)) in
     let sub = if sub < 0 then 0 else if sub >= subdiv then subdiv - 1 else sub in
     (((e - min_exp) * subdiv) + sub) + 1
@@ -55,7 +58,7 @@ let bucket_value b =
     let b = b - 1 in
     let e = (b / subdiv) + min_exp in
     let sub = b mod subdiv in
-    let lo = Float.pow 2. (float_of_int e) in
+    let lo = Float.ldexp 1. e in
     lo *. (1. +. ((float_of_int sub +. 0.5) /. float_of_int subdiv))
   end
 

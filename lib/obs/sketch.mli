@@ -1,6 +1,6 @@
 (** A fixed-size mergeable quantile sketch (HDR-histogram style log-linear
-    buckets, 64 octaves x 16 sub-buckets), replacing eyeballed log2
-    histogram reads for latency/cost percentiles.
+    buckets, 64 octaves x 16 sub-buckets): the one distribution metric
+    for noise magnitudes, latencies and per-query costs.
 
     Quantile reads carry a bounded ~3% relative error and are clamped into
     the exact observed [min, max]. All state is integer bucket counts plus

@@ -25,8 +25,8 @@
    many ticks land, and where, depends on wall-clock. But the *final*
    capture (taken after the workload completes, with the ticker stopped)
    is the run's metrics record: its [timing = false] entries (counter
-   and gauge values, histogram buckets, sketch count/extrema/quantiles)
-   are integer merges, byte-identical at every --jobs; with no
+   and gauge values, sketch count/extrema/quantiles) are integer merges,
+   byte-identical at every --jobs; with no
    intermediate ticks its deltas equal its values and are equally
    deterministic. Exports carry [timing] on every sample so consumers
    can keep the two classes apart. *)
@@ -119,14 +119,6 @@ type gsample = {
   g_delta : float;
 }
 
-type hsample = {
-  ph_name : string;
-  ph_timing : bool;
-  ph_count : int;
-  ph_delta : int;
-  ph_buckets : (float * int) list; (* nonzero (le, count), ascending le *)
-}
-
 type ssample = {
   ps_name : string;
   ps_timing : bool;
@@ -150,7 +142,6 @@ type point = {
   final : bool;
   p_counters : csample list; (* ascending name, like Metric.values *)
   p_gauges : gsample list;
-  p_histograms : hsample list;
   p_sketches : ssample list;
 }
 
@@ -178,8 +169,6 @@ let cfg_period = ref 0L (* ns; informational, echoed into the export *)
 let prev_counters : (string, int) Hashtbl.t = Hashtbl.create 64
 
 let prev_gauges : (string, float) Hashtbl.t = Hashtbl.create 16
-
-let prev_hists : (string, int) Hashtbl.t = Hashtbl.create 16
 
 let prev_sketches : (string, Sketch.t) Hashtbl.t = Hashtbl.create 16
 
@@ -245,27 +234,6 @@ let build_point ~final (v : Metric.values) =
         })
       v.Metric.v_gauges
   in
-  let p_histograms =
-    List.map
-      (fun ((m : Metric.meta), row) ->
-        let count = Array.fold_left ( + ) 0 row in
-        let before =
-          Option.value ~default:0 (Hashtbl.find_opt prev_hists m.name)
-        in
-        Hashtbl.replace prev_hists m.name count;
-        let buckets = ref [] in
-        for b = Metric.buckets - 1 downto 0 do
-          if row.(b) > 0 then buckets := (Metric.bucket_upper b, row.(b)) :: !buckets
-        done;
-        {
-          ph_name = m.name;
-          ph_timing = m.timing;
-          ph_count = count;
-          ph_delta = count - before;
-          ph_buckets = !buckets;
-        })
-      v.Metric.v_histograms
-  in
   let p_sketches =
     List.map
       (fun ((m : Metric.meta), sk) ->
@@ -300,7 +268,6 @@ let build_point ~final (v : Metric.values) =
       final;
       p_counters;
       p_gauges;
-      p_histograms;
       p_sketches;
     }
   in
@@ -332,7 +299,6 @@ let reset () =
   capacity := default_capacity;
   Hashtbl.reset prev_counters;
   Hashtbl.reset prev_gauges;
-  Hashtbl.reset prev_hists;
   Hashtbl.reset prev_sketches;
   subscribers := [];
   Mutex.unlock capture_mutex
@@ -392,11 +358,11 @@ let stop () =
     Atomic.set ticker_stop true;
     Domain.join d
 
-(* --- obs-timeline/v2 export --- *)
+(* --- obs-timeline/v3 export --- *)
 
-let schema = "obs-timeline/v2"
+let schema = "obs-timeline/v3"
 
-let version = 2
+let version = 3
 
 let rate ~delta ~dt_ns =
   Json.number (delta *. 1e9 /. Int64.to_float dt_ns)
@@ -428,28 +394,6 @@ let point_json p =
           ])
       p.p_gauges
   in
-  let histograms =
-    List.map
-      (fun h ->
-        Json.Obj
-          [
-            ("name", Json.String h.ph_name);
-            ("timing", Json.Bool h.ph_timing);
-            ("count", Json.number (float_of_int h.ph_count));
-            ("delta", Json.number (float_of_int h.ph_delta));
-            ( "buckets",
-              Json.List
-                (List.map
-                   (fun (le, n) ->
-                     Json.Obj
-                       [
-                         ("le", Json.number le);
-                         ("count", Json.number (float_of_int n));
-                       ])
-                   h.ph_buckets) );
-          ])
-      p.p_histograms
-  in
   let sketches =
     List.map
       (fun s ->
@@ -479,7 +423,6 @@ let point_json p =
       ("final", Json.Bool p.final);
       ("counters", Json.List counters);
       ("gauges", Json.List gauges);
-      ("histograms", Json.List histograms);
       ("sketches", Json.List sketches);
     ]
 
@@ -524,20 +467,15 @@ let validate j =
     List.fold_left (fun acc x -> Result.bind acc (fun () -> check x)) (Ok ()) l
   in
   let numbers ctx fields o = all (fun f -> field f is_num ctx o) fields in
-  let check_samples ?(extra = fun _ _ -> Ok ()) ctx kind fields o =
+  let check_samples ctx kind fields o =
     let* l = field kind Json.to_list ctx o in
     let ctx = Printf.sprintf "%s.%s" ctx kind in
     all
       (fun s ->
         let* _ = field "name" Json.to_string_opt ctx s in
         let* _ = field "timing" is_bool ctx s in
-        let* () = numbers ctx fields s in
-        extra ctx s)
+        numbers ctx fields s)
       l
-  in
-  let buckets ctx h =
-    let* bs = field "buckets" Json.to_list ctx h in
-    all (numbers (ctx ^ ".buckets") [ "le"; "count" ]) bs
   in
   all
     (fun s ->
@@ -547,9 +485,6 @@ let validate j =
       let* _ = field "final" is_bool ctx s in
       let* () = check_samples ctx "counters" [ "value"; "delta"; "rate_per_s" ] s in
       let* () = check_samples ctx "gauges" [ "value"; "delta"; "rate_per_s" ] s in
-      let* () =
-        check_samples ~extra:buckets ctx "histograms" [ "count"; "delta" ] s
-      in
       check_samples ctx "sketches"
         [ "count"; "min"; "max"; "p50"; "p90"; "p95"; "p99"; "window_count";
           "window_p50"; "window_p95"; "window_p99" ]

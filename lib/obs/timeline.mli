@@ -1,5 +1,5 @@
 (** Periodic snapshots of every registered metric — counters, gauges,
-    histograms, quantile sketches — frozen into a ring buffer of
+    quantile sketches — frozen into a ring buffer of
     timestamped points with per-interval deltas and rates, feeding the
     Prometheus exporter ({!Prom}), the live [--watch] dashboard
     ({!Watch}) and the fused HTML run report ({!Report_html}).
@@ -33,17 +33,6 @@ type gsample = {
   g_delta : float;
 }
 
-type hsample = {
-  ph_name : string;
-  ph_timing : bool;
-  ph_count : int;
-  ph_delta : int;
-  ph_buckets : (float * int) list;
-}
-(** [ph_buckets]: the nonzero buckets as (upper bound [le], observations
-    in that bucket since {!reset}), ascending [le]; the same buckets
-    {!Prom} renders cumulatively. *)
-
 type ssample = {
   ps_name : string;
   ps_timing : bool;
@@ -69,7 +58,6 @@ type point = {
   final : bool;
   p_counters : csample list;
   p_gauges : gsample list;
-  p_histograms : hsample list;
   p_sketches : ssample list;
 }
 (** All sample lists ascend by name, mirroring {!Metric.values}. *)
@@ -88,10 +76,10 @@ type subscriber = Metric.values -> point -> unit
 
 val subscribe : subscriber -> unit
 (** Run on every capture, in subscription order, with the full
-    aggregation (histogram bucket rows included) and the built point. *)
+    aggregation (merged sketches included) and the built point. *)
 
 val set_jobs : int -> unit
-(** Echoed into the [obs-timeline/v2] header. *)
+(** Echoed into the [obs-timeline/v3] header. *)
 
 val set_capacity : int -> unit
 (** Ring size (default 512); the oldest points fall off first. *)
@@ -113,17 +101,19 @@ val stop : unit -> unit
 
 val running : unit -> bool
 
-(** {1 obs-timeline/v2 export} *)
+(** {1 obs-timeline/v3 export} *)
 
 val schema : string
 
 val to_json : unit -> Json.t
-(** The ring as an [obs-timeline/v2] document: header ([jobs],
-    [period_ns]) plus one object per point. Histogram samples list their
-    nonzero [buckets] as [{le, count}]; sketch samples carry [min], [max],
-    [p50], [p90], [p95], [p99]; non-finite values render as [null]. *)
+(** The ring as an [obs-timeline/v3] document: header ([jobs],
+    [period_ns]) plus one object per point with [counters], [gauges] and
+    [sketches]. Sketch samples carry [count], [min], [max], [p50], [p90],
+    [p95], [p99] and the window quantiles; non-finite values render as
+    [null]. *)
 
 val validate : Json.t -> (unit, string) result
-(** Shape check of an [obs-timeline/v2] document (schema, version, and
-    per-snapshot sample fields, histogram buckets included); does not
-    re-derive deltas or rates. Never raises. *)
+(** Shape check of an [obs-timeline/v3] document (schema, version, and
+    per-snapshot sample fields); does not re-derive deltas or rates. An
+    older schema is rejected with [schema "...", expected "obs-timeline/v3"].
+    Never raises. *)

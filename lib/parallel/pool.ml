@@ -95,7 +95,7 @@ let c_regions = Obs.Counter.make "pool.regions"
 
 let c_items = Obs.Counter.make "pool.items"
 
-let h_items_per_steal = Obs.Histogram.make ~timing:true "pool.items_per_steal"
+let sk_items_per_steal = Obs.Sketchm.make ~timing:true "pool.items_per_steal"
 
 (* Every item runs bracketed as a Timeline snapshot unit: a periodic
    capture drains in-flight items at these boundaries, so it never
@@ -157,7 +157,7 @@ let parallel_init_array pool n f =
             end
           in
           loop ());
-      Obs.Histogram.observe h_items_per_steal (float_of_int !mine)
+      Obs.Sketchm.observe sk_items_per_steal (float_of_int !mine)
     in
     let helpers = min (pool.jobs - 1) (n - 1) in
     Obs.with_span

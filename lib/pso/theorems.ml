@@ -74,10 +74,13 @@ let laplace_is_dp ?(params = default_params) rng =
 
 (* --- Theorem 2.5 --- *)
 
-let count_model = lazy (Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:16)
+(* The battery's models are built at module init, not [lazy]:
+   [Lazy.force] raises [Undefined] when two domains force one value at
+   once. *)
+let count_model = Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:16
 
 let count_mechanism_secure ?(params = default_params) rng =
-  let model = Lazy.force count_model in
+  let model = count_model in
   let mechanism = Mechanism.exact_count count_query in
   let light =
     game params rng ~model ~mechanism
@@ -114,7 +117,7 @@ let count_mechanism_secure ?(params = default_params) rng =
 (* --- Theorem 2.6 --- *)
 
 let post_processing_robust ?(params = default_params) rng =
-  let model = Lazy.force count_model in
+  let model = count_model in
   let double = function
     | Mechanism.Scalar v -> Mechanism.Scalar ((2. *. v) +. 1.)
     | other -> other
@@ -139,10 +142,10 @@ let post_processing_robust ?(params = default_params) rng =
 
 (* --- Theorem 2.7 --- *)
 
-let pad_model = lazy (Dataset.Synth.pso_model ~attributes:4 ~values_per_attribute:16)
+let pad_model = Dataset.Synth.pso_model ~attributes:4 ~values_per_attribute:16
 
 let incomposability_pair ?(params = default_params) rng =
-  let model = Lazy.force pad_model in
+  let model = pad_model in
   let pad = Pad.make ~salt:(Prob.Rng.bits64 rng) in
   let against mechanism attacker = game params rng ~model ~mechanism ~attacker in
   let m1 = against pad.Pad.m1 pad.Pad.marginal_attacker in
@@ -172,14 +175,14 @@ let incomposability_pair ?(params = default_params) rng =
 
 (* --- Theorems 2.8 / 2.9 --- *)
 
-let composition_model = lazy (Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:64)
+let composition_model = Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:64
 
 let composition_scheme params rng =
   Composition.scouted ~salt:(Prob.Rng.bits64 rng) ~buckets:params.n ~ell:40
     ~scouts:6
 
 let count_composition_breaks ?(params = default_params) rng =
-  let model = Lazy.force composition_model in
+  let model = composition_model in
   let scheme = composition_scheme params rng in
   let outcome =
     game params rng ~model ~mechanism:scheme.Composition.mechanism
@@ -207,7 +210,7 @@ let count_composition_breaks ?(params = default_params) rng =
   }
 
 let dp_prevents_pso ?(params = default_params) rng =
-  let model = Lazy.force composition_model in
+  let model = composition_model in
   let scheme = composition_scheme params rng in
   let epsilon = 1.0 in
   let noisy = Mechanism.laplace_counts_batch ~epsilon scheme.Composition.batch in
@@ -229,7 +232,7 @@ let dp_prevents_pso ?(params = default_params) rng =
 
 (* --- Theorem 2.10 --- *)
 
-let kanon_model = lazy (Dataset.Synth.kanon_pso_model ~qis:6 ~retained:42 ~domain:64)
+let kanon_model = Dataset.Synth.kanon_pso_model ~qis:6 ~retained:42 ~domain:64
 
 let kanon_mechanism ~recoding ~k =
   {
@@ -239,7 +242,7 @@ let kanon_mechanism ~recoding ~k =
   }
 
 let kanon_fails ?(params = default_params) rng =
-  let model = Lazy.force kanon_model in
+  let model = kanon_model in
   let k = 5 in
   let greedy =
     game params rng

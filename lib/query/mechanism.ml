@@ -118,11 +118,11 @@ let exact_counts_batch ?pool b =
 
 let exact_counts qs = exact_counts_batch (batch qs)
 
-(* Same handles as lib/dp (Counter.make is idempotent by name): noise
+(* Same handles as lib/dp (make is idempotent by name): noise
    added by the Laplace-counts mechanism is accounted with the rest. *)
 let c_noise_draws = Obs.Counter.make "dp.noise_draws"
 
-let h_noise_magnitude = Obs.Histogram.make "dp.noise_magnitude"
+let sk_noise_magnitude = Obs.Sketchm.make "dp.noise_magnitude"
 
 let laplace_counts_batch ?pool ~epsilon b =
   if epsilon <= 0. then invalid_arg "Mechanism.laplace_counts: epsilon";
@@ -143,7 +143,7 @@ let laplace_counts_batch ?pool ~epsilon b =
             let out = Array.make n 0. in
             for i = 0 to n - 1 do
               let noise = Prob.Sampler.laplace rng ~scale in
-              Obs.Histogram.observe h_noise_magnitude (Float.abs noise);
+              Obs.Sketchm.observe sk_noise_magnitude (Float.abs noise);
               out.(i) <- counts.(i) +. noise
             done;
             Obs.Counter.add c_noise_draws n;

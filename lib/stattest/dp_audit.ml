@@ -136,19 +136,19 @@ let fixture_n = 40
 
 let fixture_seed = 0x5EED_D9L
 
-let model = lazy (Dataset.Synth.pso_model ~attributes:2 ~values_per_attribute:4)
+(* Built at module init, not [lazy]: [Lazy.force] raises [Undefined]
+   when two domains force one value at once. *)
+let model = Dataset.Synth.pso_model ~attributes:2 ~values_per_attribute:4
 
 let tables =
-  lazy
-    (let model = Lazy.force model in
-     let r = Prob.Rng.create ~seed:fixture_seed () in
-     let base = Dataset.Model.sample_table r model fixture_n in
-     let extra = Dataset.Model.sample_row r model in
-     let bigger =
-       Dataset.Table.append base
-         (Dataset.Table.make (Dataset.Model.schema model) [| extra |])
-     in
-     (bigger, base, extra))
+  let r = Prob.Rng.create ~seed:fixture_seed () in
+  let base = Dataset.Model.sample_table r model fixture_n in
+  let extra = Dataset.Model.sample_row r model in
+  let bigger =
+    Dataset.Table.append base
+      (Dataset.Table.make (Dataset.Model.schema model) [| extra |])
+  in
+  (bigger, base, extra)
 
 (* Continuous outputs are discretized into [bins] equal cells over
    [lo, hi) plus two tail events. *)
@@ -182,7 +182,7 @@ let count_window = (36., 45., 18)
 
 let laplace_case ?(name = "laplace") ?(scale_override = None) ?(broken = false)
     () =
-  let t_a, t_b, _ = Lazy.force tables in
+  let t_a, t_b, _ = tables in
   let lo, hi, bins = count_window in
   let sample t r =
     match scale_override with
@@ -197,7 +197,7 @@ let laplace_case ?(name = "laplace") ?(scale_override = None) ?(broken = false)
     ~sample_b:(sample t_b) ~broken ()
 
 let gaussian_case () =
-  let t_a, t_b, _ = Lazy.force tables in
+  let t_a, t_b, _ = tables in
   let delta = 1e-5 in
   let sample t r = Dp.Gaussian.count r ~epsilon:1. ~delta t P.True in
   numeric_case ~name:"gaussian" ~epsilon:1. ~delta ~lo:28. ~hi:54. ~bins:13
@@ -205,7 +205,7 @@ let gaussian_case () =
 
 let geometric_case ?(name = "geometric") ?(actual_epsilon = 1.)
     ?(broken = false) () =
-  let t_a, t_b, _ = Lazy.force tables in
+  let t_a, t_b, _ = tables in
   let span = 7 in
   let events = (2 * span) + 2 in
   let to_event v =
@@ -342,8 +342,7 @@ let sparse_vector_case () =
   }
 
 let histogram_case () =
-  let model = Lazy.force model in
-  let t_a, t_b, extra = Lazy.force tables in
+  let t_a, t_b, extra = tables in
   let cells = Dp.Histogram.partition_by_attribute model "a0" in
   let schema = Dataset.Model.schema model in
   (* The extra record changes exactly one histogram cell; audit the

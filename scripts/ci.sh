@@ -10,7 +10,7 @@
 #   4. negative-auditor smoke: the ε-DP auditor must flag the deliberately
 #      broken Laplace variant (exit 1), proving the audit has power
 #   5. observability smoke: one quick experiment with --trace + --timeline
-#      + --metrics, the trace must parse and the obs-timeline/v2 document
+#      + --metrics, the trace must parse and the obs-timeline/v3 document
 #      (whose final snapshot is the run's metrics record) must validate,
 #      and the table on stdout must still match the committed golden
 #      byte-for-byte (telemetry must not perturb results); then E5 at
@@ -43,7 +43,7 @@
 #      --watch (plus --ledger) must leave the golden table untouched, its
 #      stderr must end the --watch heartbeat with the "(final)" line, both
 #      artifacts must pass validate-json (prometheus-text and
-#      obs-timeline/v2), report-html must fuse the timeline (sparklines and
+#      obs-timeline/v3), report-html must fuse the timeline (sparklines and
 #      the final metric tables), ledger and bench sources into a
 #      self-contained page with every section present,
 #      and the 10 Hz snapshot ticker must cost <=10% on the batched-count
@@ -97,7 +97,7 @@ if ! grep -q VIOLATION "$tmp1"; then
 fi
 
 # Observability smoke: telemetry fully on must (a) produce parseable JSON
-# for the Chrome trace and a valid obs-timeline/v2 document (the run's
+# for the Chrome trace and a valid obs-timeline/v3 document (the run's
 # metrics record), and (b) leave the experiment table byte-identical to
 # the committed golden snapshot.
 dune exec bin/pso_audit.exe -- run E2 --quick --seed 20210621 --jobs 2 \

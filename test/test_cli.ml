@@ -213,7 +213,7 @@ let test_pso_audit_run_trace_and_metrics () =
   let metrics_doc = parse_json "metrics" (read_file metrics) in
   (match Core.Json.member "schema" metrics_doc with
   | Some (Core.Json.String s) ->
-    Alcotest.(check string) "metrics schema" "obs-timeline/v2" s
+    Alcotest.(check string) "metrics schema" "obs-timeline/v3" s
   | _ -> Alcotest.fail "metrics schema missing");
   let v = run (pso_audit [ "validate-json"; trace; metrics ]) in
   Alcotest.(check int) "validate-json accepts both files" 0 v.code;
@@ -223,15 +223,16 @@ let test_pso_audit_run_trace_and_metrics () =
 (* The non-timing entries of the final timeline point, the run's metrics
    record, are the machine-checkable determinism contract: identical at
    every --jobs. Values only: deltas and rates depend on where the
-   periodic ticks landed. *)
+   periodic ticks landed. E2 exercises the counters and gauges; E6 draws
+   Laplace noise, so its dp.noise_magnitude sketch is not empty. *)
 let test_pso_audit_metrics_jobs_invariance () =
-  let final_point jobs =
+  let final_point ?(id = "E2") ?(seed = "5") jobs =
     let path = Filename.temp_file "cli" ".timeline.json" in
     let r =
       run
         (pso_audit
            [
-             "run"; "E2"; "--quick"; "--seed"; "5"; "--jobs";
+             "run"; id; "--quick"; "--seed"; seed; "--jobs";
              string_of_int jobs; "--timeline"; path;
            ])
     in
@@ -269,20 +270,35 @@ let test_pso_audit_metrics_jobs_invariance () =
         rows
     | _ -> Alcotest.failf "%s missing" section
   in
-  let p1 = final_point 1 and p4 = final_point 4 in
-  List.iter
-    (fun (section, fields) ->
-      let e1 = entries section fields p1 in
-      Alcotest.(check bool) (section ^ " exported") true (e1 <> []);
-      Alcotest.(check (list (pair string (list string))))
-        (Printf.sprintf "non-timing %s identical at jobs 1 and 4" section)
-        e1 (entries section fields p4))
-    [
-      ("counters", [ "value" ]);
-      ("gauges", [ "value" ]);
-      ("histograms", [ "count"; "buckets" ]);
-      ("sketches", [ "count"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]);
-    ]
+  let sketch_fields = [ "count"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ] in
+  let same_at_jobs_1_and_4 ~id p1 p4 =
+    List.iter
+      (fun (section, fields) ->
+        let e1 = entries section fields p1 in
+        Alcotest.(check bool) (section ^ " exported") true (e1 <> []);
+        Alcotest.(check (list (pair string (list string))))
+          (Printf.sprintf "%s: non-timing %s identical at jobs 1 and 4" id
+             section)
+          e1 (entries section fields p4))
+      [
+        ("counters", [ "value" ]);
+        ("gauges", [ "value" ]);
+        ("sketches", sketch_fields);
+      ]
+  in
+  same_at_jobs_1_and_4 ~id:"E2" (final_point 1) (final_point 4);
+  let e6 = final_point ~id:"E6" ~seed:"20210621" in
+  let p1 = e6 1 in
+  same_at_jobs_1_and_4 ~id:"E6" p1 (e6 4);
+  match List.assoc_opt "dp.noise_magnitude" (entries "sketches" sketch_fields p1) with
+  | Some (count :: _ :: _ :: p50 :: _ :: p95 :: _) ->
+    let num s = float_of_string s in
+    Alcotest.(check string) "E6 sketches every noise draw" "12300" count;
+    Alcotest.(check bool) "E6 noise p50 in (0.25, 0.5]" true
+      (num p50 > 0.25 && num p50 <= 0.5);
+    Alcotest.(check bool) "E6 noise p95 in (64, 128]" true
+      (num p95 > 64. && num p95 <= 128.)
+  | _ -> Alcotest.fail "E6 final point has no dp.noise_magnitude sketch"
 
 let test_pso_audit_validate_json_rejects_garbage () =
   let bad = Filename.temp_file "cli" ".json" in
@@ -317,7 +333,7 @@ let test_pso_audit_live_telemetry () =
   let tl_doc = parse_json "timeline" (read_file timeline) in
   (match Core.Json.member "schema" tl_doc with
   | Some (Core.Json.String s) ->
-    Alcotest.(check string) "timeline schema" "obs-timeline/v2" s
+    Alcotest.(check string) "timeline schema" "obs-timeline/v3" s
   | _ -> Alcotest.fail "timeline schema missing");
   (match Core.Json.member "snapshots" tl_doc with
   | Some (Core.Json.List (_ :: _)) -> ()
@@ -326,8 +342,8 @@ let test_pso_audit_live_telemetry () =
   Alcotest.(check int) "validate-json accepts both artifacts" 0 v.code;
   Alcotest.(check bool) "prom recognized as prometheus-text" true
     (contains v.stdout "(prometheus-text)");
-  Alcotest.(check bool) "timeline recognized as obs-timeline/v2" true
-    (contains v.stdout "(obs-timeline/v2)");
+  Alcotest.(check bool) "timeline recognized as obs-timeline/v3" true
+    (contains v.stdout "(obs-timeline/v3)");
   Sys.remove prom;
   Sys.remove timeline
 
@@ -512,14 +528,28 @@ let test_pso_audit_mutated_timeline () =
         [
           ("v1 schema",
             set_field "schema" (Core.Json.String "obs-timeline/v1") doc);
-          ("version retyped", set_field "version" (Core.Json.String "2") doc);
+          ("version retyped", set_field "version" (Core.Json.String "3") doc);
           ("snapshots dropped", drop_field "snapshots" doc);
           ("snapshots retyped", set_field "snapshots" (Core.Json.Number 3.) doc);
           ("final counters dropped", last_snapshot (drop_field "counters"));
           ("final seq retyped", last_snapshot (set_field "seq" Core.Json.Null));
-          ("final histograms retyped",
-            last_snapshot (set_field "histograms" (Core.Json.Bool true)));
+          ("final sketches retyped",
+            last_snapshot (set_field "sketches" (Core.Json.Bool true)));
         ])
+    (fun path ->
+      [
+        ("validate-json", [ "validate-json"; path ]);
+        ("report-html", [ "report-html"; out; "--timeline"; path ]);
+      ]);
+  (* The previous schema version is rejected outright, not accepted as an
+     unknown schema. *)
+  check_mutants ~codes:[ 2 ]
+    (rendered
+       [
+         ("v2 schema",
+           set_field "version" (Core.Json.Number 2.)
+             (set_field "schema" (Core.Json.String "obs-timeline/v2") doc));
+       ])
     (fun path ->
       [
         ("validate-json", [ "validate-json"; path ]);
@@ -562,7 +592,7 @@ let test_pso_audit_mutated_timeline () =
         [
           ("unmutated", snapshot);
           ("wrong schema",
-            set_field "schema" (Core.Json.String "obs-timeline/v2") snapshot);
+            set_field "schema" (Core.Json.String "obs-timeline/v3") snapshot);
           ("schema dropped", drop_field "schema" snapshot);
           ("kernels dropped", drop_field "kernels" snapshot);
           ("kernels retyped", set_field "kernels" (Core.Json.String "k") snapshot);
@@ -586,6 +616,133 @@ let test_pso_audit_mutated_timeline () =
         ("bench-pair", [ "bench-pair"; path; "k/base"; "k/current" ]);
       ]);
   List.iter Sys.remove [ timeline; out; base ]
+
+(* Lines of [text] with [f] applied to the first line [pick] accepts. *)
+let map_first_line pick f text =
+  let rec go = function
+    | [] -> []
+    | l :: rest -> if pick l then f l :: rest else l :: go rest
+  in
+  String.concat "\n" (go (String.split_on_char '\n' text))
+
+let starts_with prefix l = String.starts_with ~prefix l
+
+(* Mutated Prometheus expositions through [validate-json]'s line-grammar
+   reader. Broken lines must be rejected; a [histogram] family with no
+   [_bucket] lines is still valid text (this exporter writes none, but a
+   scrape from elsewhere may), so it is accepted. *)
+let test_pso_audit_mutated_prom () =
+  let prom = Filename.temp_file "cli" ".prom" in
+  let gen =
+    run (pso_audit [ "run"; "E2"; "--quick"; "--seed"; "5"; "--prom"; prom ])
+  in
+  Alcotest.(check int) "artifact-producing run exits 0" 0 gen.code;
+  let text = read_file prom in
+  let sample = starts_with "pso_" in
+  let validate path = [ ("validate-json", [ "validate-json"; path ]) ] in
+  check_mutants ~codes:[ 0; 2 ]
+    (truncations text
+    @ [
+        ("unmutated", text);
+        ("TYPE line dropped",
+          map_first_line (starts_with "# TYPE") (fun _ -> "") text);
+        ("histogram without buckets",
+          text
+          ^ "# TYPE pso_fake histogram\n\
+             pso_fake_count{class=\"deterministic\"} 3\n\
+             pso_fake_sum{class=\"deterministic\"} 7.5\n");
+      ])
+    validate;
+  check_mutants ~codes:[ 2 ]
+    [
+      ("non-numeric value",
+        map_first_line sample
+          (fun l -> String.sub l 0 (String.rindex l ' ') ^ " many")
+          text);
+      ("broken label escape",
+        map_first_line sample
+          (fun l -> String.sub l 0 (String.index l '"' + 1) ^ "x\\\"} 1")
+          text);
+      ("unterminated label set",
+        map_first_line sample
+          (fun l -> String.sub l 0 (String.index l '}'))
+          text);
+      ("bad TYPE",
+        map_first_line (starts_with "# TYPE") (fun l -> l ^ "ish") text);
+      ("binary garbage", "pso_x\000\255{");
+    ]
+    validate;
+  Sys.remove prom
+
+(* Mutated ledger/v1 files through every reader: [ledger-verify] and
+   [ledger-report] replay them (exit 1 on a violation), [validate-json]
+   checks each JSONL line parses. [ledger-verify] must also tell the two
+   failure kinds apart: an unreadable ledger is exit 2, a readable one
+   whose replay finds a violation is exit 1. *)
+let test_pso_audit_mutated_ledger () =
+  let ledger = Filename.temp_file "cli" ".ledger" in
+  let gen =
+    run
+      (pso_audit [ "run"; "E2"; "--quick"; "--seed"; "5"; "--ledger"; ledger ])
+  in
+  Alcotest.(check int) "artifact-producing run exits 0" 0 gen.code;
+  let text = read_file ledger in
+  let header = starts_with {|{"schema"|} in
+  let query = starts_with {|{"analyst":"-","cost_rows"|} in
+  let on_query f =
+    map_first_line query
+      (fun l ->
+        match Core.Json.of_string l with
+        | Ok j -> Core.Json.to_string (f j)
+        | Error e -> Alcotest.failf "ledger line is not JSON: %s" e)
+      text
+  in
+  let unreadable =
+    [
+      ("empty", "");
+      ("blank lines only", "\n\n\n");
+      ("header dropped",
+        String.concat "\n" (List.tl (String.split_on_char '\n' text)));
+      ("future schema",
+        map_first_line header
+          (fun _ -> {|{"schema":"ledger/v2","version":2}|})
+          text);
+      ("header retyped", map_first_line header (fun _ -> "[1]") text);
+      ("event dropped", on_query (drop_field "event"));
+      ("event retyped", on_query (set_field "event" (Core.Json.Number 1.)));
+      ("line not JSON", map_first_line query (fun _ -> "{not json") text);
+      ("nested garbage line",
+        map_first_line query (fun _ -> String.make 100_000 '[') text);
+    ]
+  in
+  let violating =
+    [
+      ("unknown event", on_query (set_field "event" (Core.Json.String "oops")));
+      ("ts retyped", on_query (set_field "ts" (Core.Json.String "1")));
+      ("analyst retyped", on_query (set_field "analyst" Core.Json.Null));
+    ]
+  in
+  let verify path = [ ("ledger-verify", [ "ledger-verify"; path ]) ] in
+  check_mutants ~codes:[ 2 ] unreadable verify;
+  check_mutants ~codes:[ 1 ] violating verify;
+  check_mutants ~codes:[ 0; 1; 2 ]
+    (unreadable @ violating
+    @ [
+        ("unmutated", text);
+        ("truncated", String.sub text 0 (String.length text / 2));
+        ("cost huge", on_query (set_field "cost_rows" (Core.Json.Number 1e300)));
+        ("cost negative",
+          on_query (set_field "cost_rows" (Core.Json.Number (-5.))));
+        ("crlf line endings",
+          String.concat "\r\n" (String.split_on_char '\n' text));
+      ])
+    (fun path ->
+      [
+        ("ledger-report", [ "ledger-report"; path ]);
+        ("ledger-report --json", [ "ledger-report"; path; "--json" ]);
+        ("validate-json", [ "validate-json"; path ]);
+      ]);
+  Sys.remove ledger
 
 let test_pso_audit_dpcheck_flags_broken_case () =
   let r =
@@ -665,6 +822,10 @@ let () =
             test_pso_audit_report_html;
           Alcotest.test_case "mutated timeline documents" `Slow
             test_pso_audit_mutated_timeline;
+          Alcotest.test_case "mutated prometheus text" `Slow
+            test_pso_audit_mutated_prom;
+          Alcotest.test_case "mutated ledger files" `Slow
+            test_pso_audit_mutated_ledger;
         ] );
       ( "bench",
         [

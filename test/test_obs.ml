@@ -1,19 +1,19 @@
 (* Tests for the Obs telemetry subsystem (lib/obs):
 
-   - deterministic merge: non-timing counters and histogram buckets are
+   - deterministic merge: non-timing counters, gauges and sketches are
      identical at jobs = 1 / 2 / 4 for the same seeded workload;
    - span nesting is well-formed: every recorded span closed, children lie
      inside a same-domain parent at the next shallower depth (the collector
      is domain-local, so cross-domain parents are impossible by
      construction — the check documents it);
-   - the final obs-timeline/v2 point (the run's metrics record) and the
+   - the final obs-timeline/v3 point (the run's metrics record) and the
      Chrome trace round-trip through Core.Json parse/render, with exact
      gauge totals and full sketch rows;
    - the Chrome trace has one named track per domain and at least two
      domains once workers participate;
    - disabled telemetry is a no-op and records nothing;
-   - histogram bucket edges handle zero / negative / non-finite / extreme
-     values;
+   - sketch buckets handle zero / negative / non-finite / extreme values
+     and keep exact extrema;
    - enabling telemetry does not perturb an experiment table. *)
 
 let with_pool jobs f =
@@ -30,13 +30,13 @@ let c_trials = Obs.Counter.make "test.obs.trials"
 
 let c_sum = Obs.Counter.make "test.obs.sum"
 
-let h_values = Obs.Histogram.make "test.obs.values"
+let sk_values = Obs.Sketchm.make "test.obs.values"
 
 let sk_index = Obs.Sketchm.make "test.obs.index"
 
-(* A seeded Monte Carlo workload touching counters, histograms, gauges,
-   sketches and the instrumented pool/dp paths; returns [finish ()], run
-   with telemetry still on. Per-trial accountants route dyadic ε through
+(* A seeded Monte Carlo workload touching counters, gauges, sketches and
+   the instrumented pool/dp paths; returns [finish ()], run with
+   telemetry still on. Per-trial accountants route dyadic ε through
    dp.epsilon_spent, so the gauge total (2.0 exactly) is itself a
    jobs-invariance probe. *)
 let workload jobs finish =
@@ -48,7 +48,7 @@ let workload jobs finish =
                 Obs.Counter.incr c_trials;
                 Obs.Counter.add c_sum i;
                 let v = Prob.Rng.uniform trial_rng *. 100. in
-                Obs.Histogram.observe h_values v;
+                Obs.Sketchm.observe sk_values v;
                 Obs.Sketchm.observe sk_index (float_of_int (1 + i));
                 let a = Dp.Accountant.create () in
                 Dp.Accountant.spend a ~epsilon:0.015625 "unit";
@@ -66,14 +66,6 @@ let deterministic (rows : (Obs.Metric.meta * 'a) list) =
 
 let deterministic_counters (v : Obs.Metric.values) =
   deterministic v.Obs.Metric.v_counters
-
-(* Nonzero (bucket index, count) pairs, ascending. *)
-let deterministic_hists (v : Obs.Metric.values) =
-  List.map
-    (fun (name, row) ->
-      let buckets = List.mapi (fun b c -> (b, c)) (Array.to_list row) in
-      (name, List.filter (fun (_, c) -> c > 0) buckets))
-    (deterministic v.Obs.Metric.v_histograms)
 
 let deterministic_gauges (v : Obs.Metric.values) =
   deterministic v.Obs.Metric.v_gauges
@@ -102,7 +94,6 @@ let deterministic_sketches (v : Obs.Metric.values) =
 let test_counters_jobs_independent () =
   let base = workload 1 Obs.Metric.values in
   let base_counters = deterministic_counters base in
-  let base_hists = deterministic_hists base in
   (* The workload really counted something. *)
   Alcotest.(check (option int))
     "64 trials counted" (Some 64)
@@ -132,9 +123,6 @@ let test_counters_jobs_independent () =
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "counters at jobs=%d match jobs=1" jobs)
         base_counters (deterministic_counters r);
-      Alcotest.(check (list (pair string (list (pair int int)))))
-        (Printf.sprintf "histogram buckets at jobs=%d match jobs=1" jobs)
-        base_hists (deterministic_hists r);
       Alcotest.(check (list (pair string (float 0.))))
         (Printf.sprintf "gauges at jobs=%d match jobs=1" jobs)
         base_gauges (deterministic_gauges r);
@@ -273,10 +261,10 @@ let test_metrics_roundtrip () =
         Obs.Timeline.reset ();
         (doc, Obs.Export.chrome_trace (Obs.snapshot ~jobs:2 ())))
   in
-  roundtrip "obs-timeline/v2" doc;
+  roundtrip "obs-timeline/v3" doc;
   (match Core.Json.member "schema" doc with
   | Some (Core.Json.String s) ->
-    Alcotest.(check string) "schema field" "obs-timeline/v2" s
+    Alcotest.(check string) "schema field" "obs-timeline/v3" s
   | _ -> Alcotest.fail "schema field missing");
   let final =
     match Core.Json.member "snapshots" doc with
@@ -367,48 +355,72 @@ let test_disabled_noop () =
   Alcotest.(check int) "with_span passes the value through" 9
     (Obs.with_span "ignored" (fun () -> 9));
   Obs.Counter.add c_sum 1000;
-  Obs.Histogram.observe h_values 42.;
+  Obs.Sketchm.observe sk_values 42.;
   let r = Obs.snapshot () in
+  let v = Obs.Metric.values () in
   Alcotest.(check (option int))
     "counter untouched while disabled" (Some 0)
-    (List.assoc_opt "test.obs.sum" (deterministic_counters (Obs.Metric.values ())));
+    (List.assoc_opt "test.obs.sum" (deterministic_counters v));
+  Alcotest.(check (option int))
+    "sketch untouched while disabled" (Some 0)
+    (Option.map Obs.Sketch.count
+       (List.assoc_opt "test.obs.values"
+          (deterministic v.Obs.Metric.v_sketches)));
   Alcotest.(check bool)
     "no spans recorded while disabled" true
     (List.for_all
        (fun (d : Obs.Metric.domain_report) -> d.Obs.Metric.events = [])
        r.Obs.Metric.domains)
 
-(* --- histogram bucket edges --- *)
+(* --- sketch bucket edges --- *)
 
 let test_bucket_edges () =
-  let check_bucket msg v expected =
-    Alcotest.(check int) msg expected (Obs.Metric.bucket_of v)
-  in
-  check_bucket "zero" 0. 0;
-  check_bucket "negative" (-5.) 0;
-  check_bucket "nan" Float.nan 0;
-  check_bucket "infinity" Float.infinity 0;
-  check_bucket "tiny clamps to first real bucket" 1e-30 1;
-  check_bucket "huge clamps to last bucket" 1e30 63;
-  check_bucket "one" 1. 24;
-  Alcotest.(check (float 0.)) "underflow bucket upper bound" 0.
-    (Obs.Metric.bucket_upper 0);
-  for b = 2 to 63 do
-    Alcotest.(check bool)
-      (Printf.sprintf "bucket uppers increase at %d" b)
-      true
-      (Obs.Metric.bucket_upper b > Obs.Metric.bucket_upper (b - 1))
-  done;
+  let u = Obs.Sketch.create () in
+  Obs.Sketch.add u 0.;
+  Obs.Sketch.add u (-5.);
+  Obs.Sketch.add u Float.nan;
+  Obs.Sketch.add u Float.infinity;
+  Alcotest.(check int) "zero, negative, nan, +inf go to the underflow slot" 4
+    (Obs.Sketch.count u);
+  Alcotest.(check bool) "underflow samples leave extrema unset" true
+    (Float.is_nan (Obs.Sketch.min_value u)
+    && Float.is_nan (Obs.Sketch.max_value u));
+  Alcotest.(check (float 0.)) "underflow reads as 0" 0.
+    (Obs.Sketch.quantile u 1.);
+  (* Out-of-span values clamp into the first and last octave; the exact
+     extrema still read them back. *)
+  let e = Obs.Sketch.create () in
+  Obs.Sketch.add e 1e-30;
+  Obs.Sketch.add e 1e30;
+  Alcotest.(check (float 0.)) "1e-30 read back as min" 1e-30
+    (Obs.Sketch.min_value e);
+  Alcotest.(check (float 0.)) "1e30 read back as max" 1e30
+    (Obs.Sketch.max_value e);
+  (* A window view estimates its extrema from the occupied buckets, so it
+     shows which octaves the two samples landed in. *)
+  let w = Obs.Sketch.diff ~newer:e ~older:(Obs.Sketch.create ()) in
+  let in_octave k v = v >= Float.pow 2. k && v < Float.pow 2. (k +. 1.) in
+  Alcotest.(check bool) "1e-30 clamps into the first octave (2^-24)" true
+    (in_octave (-24.) (Obs.Sketch.min_value w));
+  Alcotest.(check bool) "1e30 clamps into the last octave (2^39)" true
+    (in_octave 39. (Obs.Sketch.max_value w));
   let observed =
     with_obs (fun () ->
-        Obs.Histogram.observe h_values 1.;
-        Obs.Histogram.observe h_values 0.;
+        Obs.Sketchm.observe sk_values 1.;
+        Obs.Sketchm.observe sk_values 0.;
         Obs.Metric.values ())
   in
-  Alcotest.(check (option (list (pair int int))))
-    "observations land in their buckets"
-    (Some [ (0, 1); (24, 1) ])
-    (List.assoc_opt "test.obs.values" (deterministic_hists observed))
+  match
+    List.assoc_opt "test.obs.values"
+      (deterministic observed.Obs.Metric.v_sketches)
+  with
+  | None -> Alcotest.fail "test.obs.values sketch missing"
+  | Some sk ->
+    Alcotest.(check int) "both observations counted" 2 (Obs.Sketch.count sk);
+    Alcotest.(check (float 0.)) "the zero lands in the underflow slot" 0.
+      (Obs.Sketch.quantile sk 0.);
+    Alcotest.(check (float 0.)) "the one is the exact max" 1.
+      (Obs.Sketch.max_value sk)
 
 (* --- telemetry does not perturb tables --- *)
 

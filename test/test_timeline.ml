@@ -11,8 +11,8 @@
      corrupted expositions are rejected;
    - the clock starts at [reset]: the first point has a nonzero interval
      and finite rates;
-   - obs-timeline/v2 documents pass the structural validator, and
-     tampered or v1 documents are rejected;
+   - obs-timeline/v3 documents pass the structural validator, and
+     tampered or v2 documents are rejected;
    - mutated documents (a dropped field, a retyped scalar, truncated
      text) never make the validator or the HTML report raise;
    - the fused HTML report is self-contained (no scripts, no external
@@ -79,7 +79,7 @@ let g_eps = Obs.Gauge.make "test.timeline.eps"
 
 let sk_cost = Obs.Sketchm.make "test.timeline.cost"
 
-let h_values = Obs.Histogram.make "test.timeline.values"
+let sk_values = Obs.Sketchm.make "test.timeline.values"
 
 let workload pool =
   let rng = Prob.Rng.create ~seed:11L () in
@@ -89,15 +89,14 @@ let workload pool =
         Obs.Counter.add c_sum i;
         Obs.Gauge.add g_eps 0.015625;
         Obs.Sketchm.observe sk_cost (float_of_int (1 + (i mod 7)));
-        Obs.Histogram.observe h_values (Prob.Rng.uniform trial_rng *. 50.);
+        Obs.Sketchm.observe sk_values (Prob.Rng.uniform trial_rng *. 50.);
         i)
   in
   ignore (results : int array)
 
 (* The deterministic fingerprint of a point: cumulative fields of
-   [timing = false] entries, histogram buckets and sketch extrema
-   included. Deltas and rates measure "since the last
-   wall-clock-placed tick", so they join the deterministic contract only
+   [timing = false] entries, sketch extrema and quantiles included.
+   Deltas and rates measure "since the last wall-clock-placed tick", so they join the deterministic contract only
    when no periodic tick fired (then delta = value); these tests capture
    manually, without a ticker, so deltas are included. *)
 let fingerprint (p : Obs.Timeline.point) =
@@ -121,20 +120,6 @@ let fingerprint (p : Obs.Timeline.point) =
                g.Obs.Timeline.g_value))
       p.Obs.Timeline.p_gauges
   in
-  let hists =
-    List.filter_map
-      (fun (h : Obs.Timeline.hsample) ->
-        if h.Obs.Timeline.ph_timing then None
-        else
-          Some
-            (Printf.sprintf "h:%s=%d[%s]" h.Obs.Timeline.ph_name
-               h.Obs.Timeline.ph_count
-               (String.concat ","
-                  (List.map
-                     (fun (le, n) -> Printf.sprintf "%.17g:%d" le n)
-                     h.Obs.Timeline.ph_buckets))))
-      p.Obs.Timeline.p_histograms
-  in
   let sketches =
     List.filter_map
       (fun (s : Obs.Timeline.ssample) ->
@@ -148,7 +133,7 @@ let fingerprint (p : Obs.Timeline.point) =
                s.Obs.Timeline.ps_p95 s.Obs.Timeline.ps_p99))
       p.Obs.Timeline.p_sketches
   in
-  String.concat "\n" (counters @ gauges @ hists @ sketches)
+  String.concat "\n" (counters @ gauges @ sketches)
 
 let final_point jobs =
   with_obs (fun () ->
@@ -177,13 +162,12 @@ let test_final_jobs_invariance () =
     (trials.Obs.Timeline.c_value >= 96);
   let values =
     List.find
-      (fun (h : Obs.Timeline.hsample) ->
-        String.equal h.Obs.Timeline.ph_name "test.timeline.values")
-      p1.Obs.Timeline.p_histograms
+      (fun (s : Obs.Timeline.ssample) ->
+        String.equal s.Obs.Timeline.ps_name "test.timeline.values")
+      p1.Obs.Timeline.p_sketches
   in
   Alcotest.(check int)
-    "buckets sum to the histogram count" values.Obs.Timeline.ph_count
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 values.Obs.Timeline.ph_buckets)
+    "every trial sketched once" 96 values.Obs.Timeline.ps_count
 
 (* The clock starts at [reset], not at the first capture: the first
    point measures a real interval, so no rate is undefined. *)
@@ -359,25 +343,12 @@ let test_timeline_validate () =
           in
           (match
              Obs.Timeline.validate
-               (set_field "schema" (Json.String "obs-timeline/v1") doc)
+               (set_field "schema" (Json.String "obs-timeline/v2") doc)
            with
-          | Ok () -> Alcotest.fail "accepted an obs-timeline/v1 document"
+          | Ok () -> Alcotest.fail "accepted an obs-timeline/v2 document"
           | Error msg ->
-            Alcotest.(check string) "v1 rejected by schema"
-              {|schema "obs-timeline/v1", expected "obs-timeline/v2"|} msg);
-          (* A bucket without its bound is rejected. *)
-          let unbounded =
-            mutate_nth 0
-              (function
-                | Json.Obj kvs when List.mem_assoc "le" kvs ->
-                  Some (Json.Obj (List.remove_assoc "le" kvs))
-                | _ -> None)
-              doc
-          in
-          match Obs.Timeline.validate unbounded with
-          | Ok () -> Alcotest.fail "accepted a bucket without le"
-          | Error _ -> ()))
-
+            Alcotest.(check string) "v2 rejected by schema"
+              {|schema "obs-timeline/v2", expected "obs-timeline/v3"|} msg)))
 (* --- fuzz: mutated documents never raise --- *)
 
 let valid_doc () =
@@ -437,7 +408,7 @@ let test_fuzz_documents () =
       | Ok doc -> survives doc)
   in
   QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |])
-    (QCheck.Test.make ~name:"mutated obs-timeline/v2 documents" ~count:300
+    (QCheck.Test.make ~name:"mutated obs-timeline/v3 documents" ~count:300
        QCheck.(triple (int_bound 2) (int_bound 1_000_000) (int_bound 1_000))
        prop)
 
