@@ -332,14 +332,26 @@ let solve_block ?x0 ?(shave = false) sup =
   done;
   { counts; relaxed; iterations; converged; fixed_cells }
 
+(* Per-cell group indices for the three raked row families, built eagerly
+   for the same domain-safety reason as [matrix]. *)
+let age_group = Array.init n_cells (fun j -> j / (n_race * n_eth) mod n_age)
+
+let sex_bucket_group =
+  Array.init n_cells (fun j ->
+      (j / (n_age * n_race * n_eth) * 10) + (age_group.(j) / 10))
+
+let race_eth_group = Array.init n_cells (fun j -> j mod (n_race * n_eth))
+
 (* Rake (iterative proportional fitting) a neighboring block's relaxed
-   solution onto this block's published row targets: each sweep rescales
-   the mass of every age, sex×decade and race×ethnicity row to the row's
-   interval midpoint, then the whole vector to the exact block total.
-   Neighboring blocks differ in exactly those marginals — carrying the
-   neighbor's joint structure while conforming its marginals is what makes
-   the seed a genuine warm start instead of a misleading one. *)
+   solution onto this block's published row targets: each of 8 sweeps
+   rescales the mass of every age, sex×decade and race×ethnicity row to
+   the row's consistent target, then the whole vector to the exact block
+   total. Neighboring blocks differ in exactly those marginals — carrying
+   the neighbor's joint structure while conforming its marginals is what
+   makes the seed a genuine warm start instead of a misleading one. *)
 let warm_seed sup relaxed =
+  if Array.length relaxed <> n_cells then
+    invalid_arg "Census_scale.warm_seed: relaxed length";
   let targets = row_targets sup in
   let a = constraint_matrix () in
   let row_lo, row_hi = row_bounds sup in
@@ -354,33 +366,43 @@ let warm_seed sup relaxed =
     | `Bounded b -> b
     | `Empty _ -> box0
   in
-  let clamp j v =
-    Float.max bounds.Intervals.lo.(j) (Float.min bounds.Intervals.hi.(j) v)
+  let lo = bounds.Intervals.lo and hi = bounds.Intervals.hi in
+  let x = Array.make n_cells 0. in
+  for j = 0 to n_cells - 1 do
+    x.(j) <- Float.max lo.(j) (Float.min hi.(j) (Float.max relaxed.(j) 1e-6))
+  done;
+  (* Each family's rows are contiguous and in group order, so group [g]'s
+     target is [targets.(first + g)]. [sums] is sized for the largest
+     family, the 100 ages. *)
+  let sums = Array.make n_age 0. in
+  let rake group first =
+    Array.fill sums 0 n_age 0.;
+    for j = 0 to n_cells - 1 do
+      let g = group.(j) in
+      sums.(g) <- sums.(g) +. x.(j)
+    done;
+    for j = 0 to n_cells - 1 do
+      let g = group.(j) in
+      let s_g = sums.(g) in
+      if s_g > 1e-9 then
+        x.(j) <-
+          Float.max lo.(j)
+            (Float.min hi.(j) ((x.(j) *. targets.(first + g)) /. s_g))
+    done
   in
-  let x = Array.mapi (fun j v -> clamp j (Float.max v 1e-6)) relaxed in
-  let rake ~groups ~group ~target =
-    let sums = Array.make groups 0. in
-    Array.iteri (fun j v -> sums.(group j) <- sums.(group j) +. v) x;
-    Array.iteri
-      (fun j v ->
-        let g = group j in
-        if sums.(g) > 1e-9 then x.(j) <- clamp j (v *. target g /. sums.(g)))
-      x
-  in
-  let age_of j = j / (n_race * n_eth) mod n_age in
-  let sex_of j = j / (n_age * n_race * n_eth) in
   for _sweep = 1 to 8 do
-    rake ~groups:n_age ~group:age_of ~target:(fun a -> targets.(row_age a));
-    rake ~groups:(n_sex * 10)
-      ~group:(fun j -> (sex_of j * 10) + (age_of j / 10))
-      ~target:(fun i -> targets.(row_sex_bucket (i / 10) (i mod 10)));
-    rake ~groups:(n_race * n_eth)
-      ~group:(fun j -> j mod (n_race * n_eth))
-      ~target:(fun i -> targets.(row_race_eth (i / n_eth) (i mod n_eth)));
-    let total = Array.fold_left ( +. ) 0. x in
-    if total > 1e-9 then begin
-      let s = float_of_int sup.s_total /. total in
-      Array.iteri (fun j v -> x.(j) <- clamp j (v *. s)) x
+    rake age_group (row_age 0);
+    rake sex_bucket_group (row_sex_bucket 0 0);
+    rake race_eth_group (row_race_eth 0 0);
+    let total = ref 0. in
+    for j = 0 to n_cells - 1 do
+      total := !total +. x.(j)
+    done;
+    if !total > 1e-9 then begin
+      let s = float_of_int sup.s_total /. !total in
+      for j = 0 to n_cells - 1 do
+        x.(j) <- Float.max lo.(j) (Float.min hi.(j) (x.(j) *. s))
+      done
     end
   done;
   x

@@ -16,11 +16,12 @@
     rows; {!Linalg.Intervals} propagation pins most cells outright, the
     pinned columns are eliminated, and the surviving free cells go to the
     warm-started sparse box least-squares solver. Within a shard each
-    block warm-starts from its neighbor's relaxed solution, rescaled per
-    (race, ethnicity) group to this block's published race×eth row — the
-    age×sex shape transfers between blocks, the racial composition does
-    not — which cuts projected-gradient iterations; the [census.*] and
-    [linalg.lsq_{warm,cold}_iterations] counters expose the effect.
+    block warm-starts from its neighbor's relaxed solution, raked onto
+    this block's published age, sex×decade and race×ethnicity rows and
+    its exact total (see {!warm_seed}) — the joint structure transfers
+    between blocks, the marginals do not — which cuts projected-gradient
+    iterations; the [census.*] and [linalg.lsq_{warm,cold}_iterations]
+    counters expose the effect.
 
     Determinism: block [b]'s generator is derived by sequential
     {!Prob.Rng.split}s from its shard's generator, and shard results
@@ -68,10 +69,11 @@ type block_solution = {
 val warm_seed : suppressed -> float array -> float array
 (** [warm_seed sup relaxed] rakes a neighboring block's relaxed solution
     onto [sup]'s published row targets (iterative proportional fitting:
-    three sweeps over the age, sex×decade and race×ethnicity rows plus
-    the exact total), producing the [?x0] seed {!run} passes to
-    {!solve_block}. The neighbor's joint structure is kept; its marginals
-    are replaced by this block's. *)
+    8 sweeps, each over the age, sex×decade and race×ethnicity rows and
+    then the exact total, within the propagated per-cell bounds),
+    producing the [?x0] seed {!run} passes to {!solve_block}. The
+    neighbor's joint structure is kept; its marginals are replaced by
+    this block's. [relaxed] must have length {!n_cells}. *)
 
 val solve_block :
   ?x0:float array -> ?shave:bool -> suppressed -> block_solution

@@ -40,6 +40,9 @@ let propagate ?(integral = true) ?(max_passes = 50) a ~row_lo ~row_hi box =
   for j = 0 to n - 1 do
     if !empty < 0 && lo.(j) > hi.(j) then empty := j
   done;
+  let row_ptr = a.Sparse.row_ptr
+  and col_idx = a.Sparse.col_idx
+  and values = a.Sparse.values in
   let changed = ref true in
   let pass = ref 0 in
   while !changed && !empty < 0 && !pass < max_passes do
@@ -47,32 +50,36 @@ let propagate ?(integral = true) ?(max_passes = 50) a ~row_lo ~row_hi box =
     incr pass;
     let r = ref 0 in
     while !empty < 0 && !r < m do
+      let first = row_ptr.(!r) and last = row_ptr.(!r + 1) - 1 in
       let s_lo = ref 0. and s_hi = ref 0. in
-      Sparse.iter_row a !r ~f:(fun j v ->
-          if v < 0. then invalid_arg "Intervals.propagate: negative coefficient";
-          s_lo := !s_lo +. (v *. lo.(j));
-          s_hi := !s_hi +. (v *. hi.(j)));
-      Sparse.iter_row a !r ~f:(fun j v ->
-          if !empty < 0 && v > 0. then begin
-            (* others' max contribution leaves this much for x_j at least *)
-            let new_lo =
-              round_lo ~integral
-                ((row_lo.(!r) -. (!s_hi -. (v *. hi.(j)))) /. v)
-            in
-            let new_hi =
-              round_hi ~integral
-                ((row_hi.(!r) -. (!s_lo -. (v *. lo.(j)))) /. v)
-            in
-            if new_lo > lo.(j) then begin
-              lo.(j) <- new_lo;
-              changed := true
-            end;
-            if new_hi < hi.(j) then begin
-              hi.(j) <- new_hi;
-              changed := true
-            end;
-            if lo.(j) > hi.(j) then empty := j
-          end);
+      for k = first to last do
+        let j = col_idx.(k) and v = values.(k) in
+        if v < 0. then invalid_arg "Intervals.propagate: negative coefficient";
+        s_lo := !s_lo +. (v *. lo.(j));
+        s_hi := !s_hi +. (v *. hi.(j))
+      done;
+      let s_lo = !s_lo and s_hi = !s_hi in
+      for k = first to last do
+        let j = col_idx.(k) and v = values.(k) in
+        if !empty < 0 && v > 0. then begin
+          (* others' max contribution leaves this much for x_j at least *)
+          let new_lo =
+            round_lo ~integral ((row_lo.(!r) -. (s_hi -. (v *. hi.(j)))) /. v)
+          in
+          let new_hi =
+            round_hi ~integral ((row_hi.(!r) -. (s_lo -. (v *. lo.(j)))) /. v)
+          in
+          if new_lo > lo.(j) then begin
+            lo.(j) <- new_lo;
+            changed := true
+          end;
+          if new_hi < hi.(j) then begin
+            hi.(j) <- new_hi;
+            changed := true
+          end;
+          if lo.(j) > hi.(j) then empty := j
+        end
+      done;
       incr r
     done
   done;

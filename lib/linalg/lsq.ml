@@ -5,24 +5,24 @@ let default_options = { max_iter = 500; tolerance = 1e-9 }
 type op = {
   op_rows : int;
   op_cols : int;
-  apply : Vector.t -> Vector.t;
-  tapply : Vector.t -> Vector.t;
+  apply : Vector.t -> Vector.t -> unit;
+  tapply : Vector.t -> Vector.t -> unit;
 }
 
 let of_matrix a =
   {
     op_rows = Matrix.rows a;
     op_cols = Matrix.cols a;
-    apply = Matrix.mul_vec a;
-    tapply = Matrix.tmul_vec a;
+    apply = (fun x y -> Matrix.mul_vec_into a x y);
+    tapply = (fun y out -> Matrix.tmul_vec_into a y out);
   }
 
 let of_sparse a =
   {
     op_rows = Sparse.rows a;
     op_cols = Sparse.cols a;
-    apply = Sparse.mul_vec a;
-    tapply = Sparse.tmul_vec a;
+    apply = (fun x y -> Sparse.mul_vec_into a x y);
+    tapply = (fun y out -> Sparse.tmul_vec_into a y out);
   }
 
 type solution = { x : Vector.t; iterations : int; converged : bool }
@@ -34,6 +34,8 @@ let c_cold_iters = Obs.Counter.make "linalg.lsq_cold_iterations"
 let c_warm_iters = Obs.Counter.make "linalg.lsq_warm_iterations"
 
 let c_warm_starts = Obs.Counter.make "linalg.lsq_warm_starts"
+
+let c_power_iters = Obs.Counter.make "linalg.lsq_power_iterations"
 
 let record_iters ~warm iters =
   Obs.Counter.add c_iters iters;
@@ -85,17 +87,24 @@ let cg ?(options = default_options) ?x0 apply b =
 
 let conjugate_gradient ?options ?x0 apply b = (cg ?options ?x0 apply b).x
 
-(* Largest singular value of A, squared, via power iteration on AᵀA. *)
+(* Largest singular value of A, squared, via power iteration on AᵀA. The
+   iterate, A v and AᵀA v live in three buffers allocated once per call. *)
 let lipschitz_op o =
   let n = o.op_cols in
-  let v = ref (Array.init n (fun i -> 1. /. Float.sqrt (float_of_int (max n 1)) +. (0.001 *. float_of_int i))) in
+  let v = Array.init n (fun i -> 1. /. Float.sqrt (float_of_int (max n 1)) +. (0.001 *. float_of_int i)) in
+  let av = Array.make o.op_rows 0. and w = Array.make n 0. in
   let lambda = ref 1. in
   for _ = 1 to 50 do
-    let w = o.tapply (o.apply !v) in
+    Obs.Counter.incr c_power_iters;
+    o.apply v av;
+    o.tapply av w;
     let norm = Vector.norm2 w in
     if norm > 0. then begin
       lambda := norm;
-      v := Vector.scale (1. /. norm) w
+      let s = 1. /. norm in
+      for i = 0 to n - 1 do
+        v.(i) <- s *. w.(i)
+      done
     end
   done;
   Float.max !lambda 1e-12
@@ -105,15 +114,19 @@ let residual a z b =
   Vector.dot r r
 
 let residual_op o z b =
-  let r = Vector.sub (o.apply z) b in
+  let r = Array.make o.op_rows 0. in
+  o.apply z r;
+  let r = Vector.sub r b in
   Vector.dot r r
 
-let clamp_into ~lo ~hi v =
+let clamp_into ~lo ~hi (v : Vector.t) =
   let n = Array.length v in
   Array.init n (fun i ->
       let x = v.(i) in
       if x < lo.(i) then lo.(i) else if x > hi.(i) then hi.(i) else x)
 
+(* Projected gradient with [r = A z − b], the gradient and the iterate
+   [z] allocated once per call; each step updates [z] in place. *)
 let box ?(options = default_options) ?x0 o b ~lo ~hi =
   let n = o.op_cols in
   if Vector.dim lo <> n || Vector.dim hi <> n then
@@ -123,29 +136,43 @@ let box ?(options = default_options) ?x0 o b ~lo ~hi =
   done;
   let step = 1. /. lipschitz_op o in
   let z =
-    ref
-      (match x0 with
-      | Some z0 ->
-        if Vector.dim z0 <> n then invalid_arg "Lsq.box: x0 dimension mismatch";
-        clamp_into ~lo ~hi z0
-      | None -> Array.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.))
+    match x0 with
+    | Some z0 ->
+      if Vector.dim z0 <> n then invalid_arg "Lsq.box: x0 dimension mismatch";
+      clamp_into ~lo ~hi z0
+    | None -> Array.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.)
   in
+  let m = o.op_rows in
+  if Vector.dim b <> m then invalid_arg "Lsq.box: rhs dimension mismatch";
+  let r = Array.make m 0. and grad = Array.make n 0. in
   let iter = ref 0 in
   let converged = ref false in
   let continue_ = ref true in
   while !continue_ && !iter < options.max_iter do
-    let grad = o.tapply (Vector.sub (o.apply !z) b) in
-    let next = clamp_into ~lo ~hi (Vector.sub !z (Vector.scale step grad)) in
-    let moved = Vector.norm2 (Vector.sub next !z) in
-    z := next;
-    if moved < options.tolerance then begin
+    o.apply z r;
+    for i = 0 to m - 1 do
+      r.(i) <- r.(i) -. b.(i)
+    done;
+    o.tapply r grad;
+    (* next = clamp (z − step·grad), and ‖next − z‖² summed in index
+       order, as one pass. *)
+    let moved_sq = ref 0. in
+    for i = 0 to n - 1 do
+      let zi = z.(i) in
+      let x = zi -. (step *. grad.(i)) in
+      let next = if x < lo.(i) then lo.(i) else if x > hi.(i) then hi.(i) else x in
+      let d = next -. zi in
+      moved_sq := !moved_sq +. (d *. d);
+      z.(i) <- next
+    done;
+    if Float.sqrt !moved_sq < options.tolerance then begin
       converged := true;
       continue_ := false
     end;
     incr iter
   done;
   record_iters ~warm:(x0 <> None) !iter;
-  { x = !z; iterations = !iter; converged = !converged }
+  { x = z; iterations = !iter; converged = !converged }
 
 let solve_box ?options ?x0 a b ~lo ~hi =
   if hi < lo then invalid_arg "Lsq.solve_box: empty box";

@@ -16,7 +16,9 @@
 
 type options = {
   max_iter : int;  (** iteration cap *)
-  tolerance : float;  (** stop when the (projected) gradient norm drops below this *)
+  tolerance : float;
+      (** {!cg} stops when the residual norm drops below this; {!box} stops
+          when the step length [‖z_{k+1} − z_k‖₂] does *)
 }
 
 val default_options : options
@@ -24,10 +26,13 @@ val default_options : options
 type op = {
   op_rows : int;
   op_cols : int;
-  apply : Vector.t -> Vector.t;  (** [A x] *)
-  tapply : Vector.t -> Vector.t;  (** [Aᵀ y] *)
+  apply : Vector.t -> Vector.t -> unit;  (** [apply x y] writes [A x] into [y] *)
+  tapply : Vector.t -> Vector.t -> unit;
+      (** [tapply y out] writes [Aᵀ y] into [out] *)
 }
-(** A linear operator given by its forward and transpose applications. *)
+(** A linear operator given by its forward and transpose applications,
+    destination-passing so that an iterative solver allocates its vectors
+    once per solve rather than once per step. *)
 
 val of_matrix : Matrix.t -> op
 
@@ -61,7 +66,10 @@ val box :
     per-coordinate box [∏ \[lo.(i), hi.(i)\]] by projected gradient descent
     with a Lipschitz step size estimated by power iteration on [AᵀA].
     Starts from [x0] clamped into the box when given, else from the box
-    midpoint. Raises [Invalid_argument] if some [hi.(i) < lo.(i)]. *)
+    midpoint, and stops when a step moves the iterate less than
+    [tolerance] in the Euclidean norm. The work vectors are allocated once
+    per call, so an iteration allocates nothing. Raises [Invalid_argument]
+    if some [hi.(i) < lo.(i)]. *)
 
 val solve_box :
   ?options:options ->
@@ -85,8 +93,9 @@ val solve_box_sparse :
 (** [box] over a CSR matrix with scalar bounds. *)
 
 val lipschitz_op : op -> float
-(** Largest singular value squared of the operator, by power iteration —
-    the reciprocal of the projected-gradient step size. *)
+(** Largest singular value squared of the operator, by 50 power
+    iterations — the reciprocal of the projected-gradient step size. Each
+    iteration bumps the [linalg.lsq_power_iterations] counter. *)
 
 val residual : Matrix.t -> Vector.t -> Vector.t -> float
 (** [residual a z b] is [‖A z − b‖²]. *)

@@ -43,19 +43,29 @@ let iter_row m i ~f =
     f j m.data.(base + j)
   done
 
-let mul_vec m x =
+let mul_vec_into m x y =
   if Array.length x <> m.cols then invalid_arg "Matrix.mul_vec: dimension mismatch";
-  Array.init m.rows (fun i ->
-      let acc = ref 0. in
-      let base = i * m.cols in
-      for j = 0 to m.cols - 1 do
-        acc := !acc +. (m.data.(base + j) *. x.(j))
-      done;
-      !acc)
+  if Array.length y <> m.rows then
+    invalid_arg "Matrix.mul_vec: output dimension mismatch";
+  for i = 0 to m.rows - 1 do
+    let acc = ref 0. in
+    let base = i * m.cols in
+    for j = 0 to m.cols - 1 do
+      acc := !acc +. (m.data.(base + j) *. x.(j))
+    done;
+    y.(i) <- !acc
+  done
 
-let tmul_vec m y =
+let mul_vec m x =
+  let y = Array.make m.rows 0. in
+  mul_vec_into m x y;
+  y
+
+let tmul_vec_into m y out =
   if Array.length y <> m.rows then invalid_arg "Matrix.tmul_vec: dimension mismatch";
-  let out = Array.make m.cols 0. in
+  if Array.length out <> m.cols then
+    invalid_arg "Matrix.tmul_vec: output dimension mismatch";
+  Array.fill out 0 m.cols 0.;
   for i = 0 to m.rows - 1 do
     let base = i * m.cols in
     let yi = y.(i) in
@@ -63,7 +73,11 @@ let tmul_vec m y =
       for j = 0 to m.cols - 1 do
         out.(j) <- out.(j) +. (m.data.(base + j) *. yi)
       done
-  done;
+  done
+
+let tmul_vec m y =
+  let out = Array.make m.cols 0. in
+  tmul_vec_into m y out;
   out
 
 let mul a b =

@@ -32,7 +32,16 @@ val mul_vec : t -> Vector.t -> Vector.t
     mismatch. *)
 
 val tmul_vec : t -> Vector.t -> Vector.t
-(** [tmul_vec a y] is [Aᵀ y]. *)
+(** [tmul_vec a y] is [Aᵀ y]. Rows with [y.(i) = 0.] are skipped. *)
+
+val mul_vec_into : t -> Vector.t -> Vector.t -> unit
+(** [mul_vec_into a x y] stores [A x] into [y] with no allocation.
+    {!mul_vec} is this kernel writing into a fresh vector. Raises
+    [Invalid_argument] on dimension mismatch. *)
+
+val tmul_vec_into : t -> Vector.t -> Vector.t -> unit
+(** [tmul_vec_into a y out] stores [Aᵀ y] into [out] (zeroing it first)
+    with no allocation. *)
 
 val mul : t -> t -> t
 (** Matrix product. *)

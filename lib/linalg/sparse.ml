@@ -70,11 +70,18 @@ let of_subset_queries ~query ~n =
   let sorted =
     Array.map
       (fun indices ->
-        Array.iter
-          (fun i ->
+        let ascending = ref true in
+        Array.iteri
+          (fun r i ->
             if i < 0 || i >= n then
-              invalid_arg "Sparse.of_subset_queries: index out of range")
+              invalid_arg "Sparse.of_subset_queries: index out of range";
+            if r > 0 && i <= indices.(r - 1) then ascending := false)
           indices;
+        (* A strictly ascending row, as every generated subset query is, is
+           already its own sorted, duplicate-free form: it is only read
+           below, so it is used as is rather than copied. *)
+        if !ascending then (indices, Array.length indices)
+        else
         let s = Array.copy indices in
         Array.sort compare s;
         (* collapse duplicates in place; the dense builder's [set _ _ 1.] is
@@ -140,11 +147,6 @@ let fold_row t i ~init ~f =
     acc := f !acc t.col_idx.(k) t.values.(k)
   done;
   !acc
-
-let iter_row t i ~f =
-  for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-    f t.col_idx.(k) t.values.(k)
-  done
 
 let mul_vec_into t x y =
   if Array.length x <> t.n then invalid_arg "Sparse.mul_vec: dimension mismatch";

@@ -8,7 +8,16 @@
     per-row allocation and are bit-identical to the dense loops for finite
     inputs (same ascending-column accumulation order, no FMA contraction). *)
 
-type t
+type t = private {
+  m : int;
+  n : int;
+  row_ptr : int array;
+      (** length [m + 1]; row [i] occupies [\[row_ptr.(i), row_ptr.(i+1))] *)
+  col_idx : int array;  (** length [nnz], ascending within each row *)
+  values : float array;  (** length [nnz] *)
+}
+(** Readable so that hot loops can walk the rows without a closure per
+    entry; only the builders below can make one, so the invariants hold. *)
 
 val of_rows : cols:int -> (int * float) list array -> t
 (** [of_rows ~cols rows] builds a CSR matrix from per-row association lists
@@ -38,8 +47,6 @@ val row_nnz : t -> int -> int
 val fold_row : t -> int -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
 (** [fold_row a i ~init ~f] folds [f acc j a_ij] over the stored entries of
     row [i] in ascending column order, without copying. *)
-
-val iter_row : t -> int -> f:(int -> float -> unit) -> unit
 
 val mul_vec : t -> Vector.t -> Vector.t
 (** [mul_vec a x] is [A x] via the C SpMV kernel. Raises [Invalid_argument]

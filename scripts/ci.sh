@@ -51,7 +51,8 @@
 #  13. census-scale smoke: the E14 table must be byte-identical at --jobs 1
 #      and --jobs 2 and must match the committed golden, and the census
 #      subcommand's stats for one seed must be byte-identical at --jobs 1
-#      and --jobs 4
+#      and --jobs 4, both under threshold-3 suppression and under exact
+#      publication (--suppress 0, where propagation pins most cells)
 #  14. SpMV speedup gate: in a fresh linalg bench snapshot (which also
 #      validates under bench-kernels/v1 and cross-checks sparse == dense
 #      bitwise on every sample), the CSR SpMV kernel must be at least 10x
@@ -277,7 +278,8 @@ fi
 # Census-scale smoke: the E14 table (streamed, sharded, warm-started) must
 # be byte-identical across --jobs and match the committed golden, and the
 # census subcommand, run end to end, must print the same stats at every
-# --jobs (its wall-clock rows/sec goes to stderr).
+# --jobs (its wall-clock rows/sec goes to stderr), with and without
+# suppression.
 dune exec bin/pso_audit.exe -- run E14 --quick --seed 20210621 --jobs 1 \
   > "$tmp1" 2> /dev/null
 dune exec bin/pso_audit.exe -- run E14 --quick --seed 20210621 --jobs 2 \
@@ -290,14 +292,16 @@ if ! diff -u test/golden/E14.txt "$tmp1"; then
   echo "ci: E14 table differs from test/golden/E14.txt" >&2
   exit 1
 fi
-dune exec bin/pso_audit.exe -- census --blocks 24 --mean-block-size 15 \
-  --shards 4 --suppress 3 --seed 7 --jobs 1 > "$tmp1" 2> /dev/null
-dune exec bin/pso_audit.exe -- census --blocks 24 --mean-block-size 15 \
-  --shards 4 --suppress 3 --seed 7 --jobs 4 > "$tmp2" 2> /dev/null
-if ! cmp -s "$tmp1" "$tmp2"; then
-  echo "ci: determinism violation: census stats differ between --jobs 1 and --jobs 4" >&2
-  exit 1
-fi
+for suppress in 3 0; do
+  dune exec bin/pso_audit.exe -- census --blocks 24 --mean-block-size 15 \
+    --shards 4 --suppress "$suppress" --seed 7 --jobs 1 > "$tmp1" 2> /dev/null
+  dune exec bin/pso_audit.exe -- census --blocks 24 --mean-block-size 15 \
+    --shards 4 --suppress "$suppress" --seed 7 --jobs 4 > "$tmp2" 2> /dev/null
+  if ! cmp -s "$tmp1" "$tmp2"; then
+    echo "ci: determinism violation: census stats (--suppress $suppress) differ between --jobs 1 and --jobs 4" >&2
+    exit 1
+  fi
+done
 
 # SpMV speedup gate: the point of the CSR representation is a large
 # constant factor on the marginal-query systems; hold the bench matrix at

@@ -463,6 +463,65 @@ let test_scale_exact_publication () =
     (Printf.sprintf "joint match rate usable (%.3f)" mr)
     true (mr > 0.6)
 
+(* Pins the exact-publication path (threshold 0, warm start) the E14
+   golden does not cover: mostly pinned blocks, raked warm seeds and a few
+   free cells per solve. Any change to the solver's arithmetic moves
+   these values. *)
+let test_scale_exact_publication_pinned () =
+  let cfg =
+    {
+      scale_cfg with
+      Attacks.Census_scale.threshold = 0;
+      mean_block_size = 25;
+      warm_start = true;
+    }
+  in
+  let s = Attacks.Census_scale.run cfg (Prob.Rng.create ~seed:17L ()) in
+  let check name expected actual = Alcotest.(check int) name expected actual in
+  check "records" 350 s.Attacks.Census_scale.records;
+  check "cells_matched" 207 s.Attacks.Census_scale.cells_matched;
+  check "iterations" 416 s.Attacks.Census_scale.iterations;
+  check "fixed_cells" 26868 s.Attacks.Census_scale.fixed_cells;
+  check "converged_blocks" 12 s.Attacks.Census_scale.converged_blocks
+
+(* Pins the bits of the warm seed and of the warm-started relaxed solution
+   for two neighboring blocks, at both thresholds. Counts and iterations
+   can absorb a one-ulp change in the raking or the solver; these digests
+   cannot. *)
+let test_scale_warm_solve_bits_pinned () =
+  let bits_digest a =
+    let b = Buffer.create (8 * Array.length a) in
+    Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) a;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (threshold, seed_digest, relaxed_digest, iterations) ->
+      let r = Prob.Rng.create ~seed:23L () in
+      let sup block =
+        let people =
+          Dataset.Synth.census_block (Prob.Rng.split r) ~block ~mean_block_size:25
+        in
+        Attacks.Census_scale.suppress ~threshold
+          (Attacks.Census.tabulate_block ~block people)
+      in
+      let s0 = sup 0 in
+      let s1 = sup 1 in
+      let first = Attacks.Census_scale.solve_block s0 in
+      let x0 =
+        Attacks.Census_scale.warm_seed s1 first.Attacks.Census_scale.relaxed
+      in
+      let second = Attacks.Census_scale.solve_block ~x0 s1 in
+      let name what = Printf.sprintf "threshold %d: %s" threshold what in
+      Alcotest.(check string) (name "warm seed") seed_digest (bits_digest x0);
+      Alcotest.(check string) (name "relaxed") relaxed_digest
+        (bits_digest second.Attacks.Census_scale.relaxed);
+      Alcotest.(check int) (name "iterations") iterations
+        second.Attacks.Census_scale.iterations)
+    [
+      (0, "4565a0d3ab933c76b782a1682ef449f9", "d26eb7408240297c0cde44c1f845105d", 1);
+      (3, "f4147bb4802e79eee5a0d36e248b1f06", "b5f4cf21fff213ffb2ff77ce379cb3bd", 12);
+    ]
+
 let test_scale_suppressed_run_quality () =
   let s = Attacks.Census_scale.run scale_cfg (Prob.Rng.create ~seed:7L ()) in
   Alcotest.(check int) "all blocks solved" scale_cfg.Attacks.Census_scale.blocks
@@ -653,6 +712,10 @@ let () =
           Alcotest.test_case "jobs invariant" `Quick test_scale_jobs_invariant;
           Alcotest.test_case "exact publication" `Quick
             test_scale_exact_publication;
+          Alcotest.test_case "exact publication pinned" `Quick
+            test_scale_exact_publication_pinned;
+          Alcotest.test_case "warm solve bits pinned" `Quick
+            test_scale_warm_solve_bits_pinned;
           Alcotest.test_case "suppressed run quality" `Quick
             test_scale_suppressed_run_quality;
           Alcotest.test_case "warm start saves iterations" `Quick

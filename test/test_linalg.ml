@@ -5,6 +5,18 @@ let check_float = Alcotest.(check (float 1e-6))
 
 let rng () = Prob.Rng.create ~seed:99L ()
 
+let bits_eq a b =
+  Array.length a = Array.length b
+  && begin
+       let ok = ref true in
+       Array.iteri
+         (fun i v ->
+           if Int64.bits_of_float v <> Int64.bits_of_float b.(i) then
+             ok := false)
+         a;
+       !ok
+     end
+
 (* --- Vector --- *)
 
 let test_vector_dot () =
@@ -85,10 +97,17 @@ let test_sparse_of_subset_queries () =
     (Linalg.Sparse.mul_vec s [| 1.; 2.; 3. |])
 
 let test_sparse_duplicate_indices_collapse () =
-  let s = Linalg.Sparse.of_subset_queries ~query:[| [| 1; 1; 0 |] |] ~n:2 in
-  Alcotest.(check int) "deduped" 2 (Linalg.Sparse.nnz s);
-  Alcotest.(check (array (float 1e-9))) "Ax" [| 3. |]
-    (Linalg.Sparse.mul_vec s [| 1.; 2. |])
+  let q = [| [| 1; 1; 0 |]; [| 2; 0 |]; [| 0; 1; 2 |] |] in
+  let s = Linalg.Sparse.of_subset_queries ~query:q ~n:3 in
+  Alcotest.(check int) "deduped" 7 (Linalg.Sparse.nnz s);
+  Alcotest.(check (array (float 1e-9))) "Ax" [| 3.; 4.; 6. |]
+    (Linalg.Sparse.mul_vec s [| 1.; 2.; 3. |]);
+  Alcotest.(check (array int)) "columns ascending" [| 0; 1; 0; 2; 0; 1; 2 |]
+    s.Linalg.Sparse.col_idx;
+  (* sorted rows are read in place, unsorted ones copied: the caller's
+     query arrays stay as they were *)
+  Alcotest.(check (array (array int))) "query untouched"
+    [| [| 1; 1; 0 |]; [| 2; 0 |]; [| 0; 1; 2 |] |] q
 
 let test_sparse_roundtrip () =
   let m = Linalg.Matrix.of_rows [| [| 0.; 2.; 0. |]; [| 1.; 0.; -3. |] |] in
@@ -225,6 +244,170 @@ let test_box_scalar_wrappers_agree () =
   let zd = Linalg.Lsq.solve_box m b ~lo:0. ~hi:1. in
   let zs = Linalg.Lsq.solve_box_sparse s b ~lo:0. ~hi:1. in
   Alcotest.(check (array (float 0.))) "dense and sparse paths identical" zd zs
+
+(* --- Allocating references ---
+
+   The solvers work in place on buffers allocated once per call. These are
+   the straightforward allocating forms of the same arithmetic — a fresh
+   vector per operation, a closure per row entry — so the properties below
+   can require the in-place code to give the same bits. *)
+
+type ref_op = { r_apply : float array -> float array; r_tapply : float array -> float array }
+
+let ref_dense_mul m x =
+  Array.init (Linalg.Matrix.rows m) (fun i ->
+      let acc = ref 0. in
+      for j = 0 to Linalg.Matrix.cols m - 1 do
+        acc := !acc +. (Linalg.Matrix.get m i j *. x.(j))
+      done;
+      !acc)
+
+let ref_dense_tmul m y =
+  let out = Array.make (Linalg.Matrix.cols m) 0. in
+  for i = 0 to Linalg.Matrix.rows m - 1 do
+    let yi = y.(i) in
+    if yi <> 0. then
+      for j = 0 to Linalg.Matrix.cols m - 1 do
+        out.(j) <- out.(j) +. (Linalg.Matrix.get m i j *. yi)
+      done
+  done;
+  out
+
+let ref_lipschitz o n =
+  let module V = Linalg.Vector in
+  let v =
+    ref
+      (Array.init n (fun i ->
+           1. /. Float.sqrt (float_of_int (max n 1)) +. (0.001 *. float_of_int i)))
+  in
+  let lambda = ref 1. in
+  for _ = 1 to 50 do
+    let w = o.r_tapply (o.r_apply !v) in
+    let norm = V.norm2 w in
+    if norm > 0. then begin
+      lambda := norm;
+      v := V.scale (1. /. norm) w
+    end
+  done;
+  Float.max !lambda 1e-12
+
+let ref_clamp ~lo ~hi v =
+  Array.init (Array.length v) (fun i ->
+      let x = v.(i) in
+      if x < lo.(i) then lo.(i) else if x > hi.(i) then hi.(i) else x)
+
+let ref_box ~max_iter ~tolerance ?x0 o n b ~lo ~hi =
+  let module V = Linalg.Vector in
+  let step = 1. /. ref_lipschitz o n in
+  let z =
+    ref
+      (match x0 with
+      | Some z0 -> ref_clamp ~lo ~hi z0
+      | None -> Array.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.))
+  in
+  let iter = ref 0 and converged = ref false and continue_ = ref true in
+  while !continue_ && !iter < max_iter do
+    let grad = o.r_tapply (V.sub (o.r_apply !z) b) in
+    let next = ref_clamp ~lo ~hi (V.sub !z (V.scale step grad)) in
+    let moved = V.norm2 (V.sub next !z) in
+    z := next;
+    if moved < tolerance then begin
+      converged := true;
+      continue_ := false
+    end;
+    incr iter
+  done;
+  (!z, !iter, !converged)
+
+let ref_propagate ~integral ~max_passes a ~row_lo ~row_hi (box : Linalg.Intervals.t) =
+  let eps = 1e-9 in
+  let round_lo v = if integral then Float.ceil (v -. eps) else v in
+  let round_hi v = if integral then Float.floor (v +. eps) else v in
+  let m = Linalg.Sparse.rows a and n = Linalg.Sparse.cols a in
+  let lo = Array.map round_lo box.Linalg.Intervals.lo
+  and hi = Array.map round_hi box.Linalg.Intervals.hi in
+  let empty = ref (-1) in
+  for j = 0 to n - 1 do
+    if !empty < 0 && lo.(j) > hi.(j) then empty := j
+  done;
+  let changed = ref true and pass = ref 0 in
+  while !changed && !empty < 0 && !pass < max_passes do
+    changed := false;
+    incr pass;
+    let r = ref 0 in
+    while !empty < 0 && !r < m do
+      let s_lo, s_hi =
+        Linalg.Sparse.fold_row a !r ~init:(0., 0.) ~f:(fun (s_lo, s_hi) j v ->
+            (s_lo +. (v *. lo.(j)), s_hi +. (v *. hi.(j))))
+      in
+      Linalg.Sparse.fold_row a !r ~init:() ~f:(fun () j v ->
+          if !empty < 0 && v > 0. then begin
+            let new_lo = round_lo ((row_lo.(!r) -. (s_hi -. (v *. hi.(j)))) /. v) in
+            let new_hi = round_hi ((row_hi.(!r) -. (s_lo -. (v *. lo.(j)))) /. v) in
+            if new_lo > lo.(j) then begin
+              lo.(j) <- new_lo;
+              changed := true
+            end;
+            if new_hi < hi.(j) then begin
+              hi.(j) <- new_hi;
+              changed := true
+            end;
+            if lo.(j) > hi.(j) then empty := j
+          end);
+      incr r
+    done
+  done;
+  if !empty >= 0 then `Empty !empty else `Bounded (lo, hi)
+
+(* --- Allocation and telemetry of the box solver --- *)
+
+let census_system () =
+  let a = Attacks.Census_scale.constraint_matrix () in
+  let r = rng () in
+  let b =
+    Array.init (Linalg.Sparse.rows a) (fun _ -> float_of_int (Prob.Rng.int r 30))
+  in
+  let n = Linalg.Sparse.cols a in
+  (Linalg.Lsq.of_sparse a, b, Array.make n 0., Array.make n 30.)
+
+(* A step allocates nothing: 594 extra iterations on the 133×2400 census
+   system must cost less than 1 KiB over the 6-iteration run. With
+   [tolerance = 0.] neither run can stop early. *)
+let test_box_allocation_free () =
+  let op, b, lo, hi = census_system () in
+  let allocated max_iter =
+    let options = { Linalg.Lsq.max_iter; tolerance = 0. } in
+    let before = Gc.allocated_bytes () in
+    let sol = Linalg.Lsq.box ~options op b ~lo ~hi in
+    let bytes = Gc.allocated_bytes () -. before in
+    Alcotest.(check int) "ran to the cap" max_iter sol.Linalg.Lsq.iterations;
+    bytes
+  in
+  let long = allocated 600 in
+  let short = allocated 6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "594 extra steps allocate %.0f bytes" (long -. short))
+    true
+    (long -. short < 1024.)
+
+let test_power_iteration_counter () =
+  let op, b, lo, hi = census_system () in
+  let count () =
+    List.fold_left
+      (fun acc ((m : Obs.Metric.meta), v) ->
+        if m.Obs.Metric.name = "linalg.lsq_power_iterations" then v else acc)
+      0
+      (Obs.Metric.values ()).Obs.Metric.v_counters
+  in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let options = { Linalg.Lsq.max_iter = 3; tolerance = 0. } in
+      let before = count () in
+      ignore (Linalg.Lsq.box ~options op b ~lo ~hi);
+      Alcotest.(check int) "one box call" 50 (count () - before);
+      ignore (Linalg.Lsq.box ~options op b ~lo ~hi);
+      Alcotest.(check int) "two box calls" 100 (count () - before))
 
 (* --- Simplex --- *)
 
@@ -374,18 +557,6 @@ let qcheck =
            (array_repeat c (oneofl [ 0.; 1.; -2.; 0.25; 7. ]))
            (array_repeat r (oneofl [ 0.; 0.; 1.; -1.; 3.5 ])))
      in
-     let bits_eq a b =
-       Array.length a = Array.length b
-       && begin
-            let ok = ref true in
-            Array.iteri
-              (fun i v ->
-                if Int64.bits_of_float v <> Int64.bits_of_float b.(i) then
-                  ok := false)
-              a;
-            !ok
-          end
-     in
      Test.make ~name:"Sparse mul_vec/tmul_vec = dense (bitwise)" ~count:500
        (make gen) (fun (rows, x, y) ->
          let m = Linalg.Matrix.of_rows rows in
@@ -395,6 +566,110 @@ let qcheck =
          && bits_eq (Linalg.Sparse.mul_vec s x) (Linalg.Sparse.mul_vec_ml s x)
          && bits_eq (Linalg.Sparse.tmul_vec s y)
               (Linalg.Sparse.tmul_vec_ml s y)));
+    (let gen =
+       Gen.(
+         pair (int_range 1 6) (int_range 1 6) >>= fun (r, c) ->
+         triple
+           (array_repeat r
+              (array_repeat c (oneofl [ 0.; 0.; 0.; 1.; 2.; -3.; 0.5 ])))
+           (array_repeat c (float_range (-10.) 10.))
+           (array_repeat r (oneofl [ 0.; 0.; 1.; -1.; 3.5; 0.1 ])))
+     in
+     Test.make ~name:"Matrix *_into = mul_vec/tmul_vec (bitwise)" ~count:300
+       (make gen) (fun (rows, x, y) ->
+         let m = Linalg.Matrix.of_rows rows in
+         let ax = Array.make (Array.length rows) Float.nan in
+         let aty = Array.make (Array.length x) Float.nan in
+         Linalg.Matrix.mul_vec_into m x ax;
+         Linalg.Matrix.tmul_vec_into m y aty;
+         bits_eq ax (Linalg.Matrix.mul_vec m x)
+         && bits_eq aty (Linalg.Matrix.tmul_vec m y)
+         && bits_eq ax (ref_dense_mul m x)
+         && bits_eq aty (ref_dense_tmul m y)));
+    (* The in-place box solver against the allocating reference: the
+       same iterate, iteration count and convergence flag, bit for bit,
+       over dense and sparse systems, random boxes (some coordinates
+       pinned), cold and warm starts, and tolerances that stop some runs
+       early and let others hit the cap. *)
+    (let gen =
+       Gen.(
+         pair (int_range 1 7) (int_range 1 7) >>= fun (m, n) ->
+         let bound =
+           pair (float_range (-2.) 2.) (oneofl [ 0.; 0.5; 1.; 3. ])
+         in
+         pair
+           (triple
+              (array_repeat m
+                 (array_repeat n (oneofl [ 0.; 0.; 1.; 2.; -1.; 0.5; 0.3 ])))
+              (array_repeat m (float_range (-5.) 5.))
+              (array_repeat n bound))
+           (triple
+              (opt (array_repeat n (float_range (-4.) 4.)))
+              (int_range 0 80)
+              (oneofl [ 0.; 1e-6; 1e-3; 0.1 ])))
+     in
+     let same (x, iterations, converged) (s : Linalg.Lsq.solution) =
+       bits_eq x s.Linalg.Lsq.x
+       && iterations = s.Linalg.Lsq.iterations
+       && converged = s.Linalg.Lsq.converged
+     in
+     Test.make ~name:"Lsq.box = allocating reference (bitwise)" ~count:300
+       (make gen) (fun ((rows, b, bounds), (x0, max_iter, tolerance)) ->
+         let n = Array.length bounds in
+         let lo = Array.map fst bounds in
+         let hi = Array.map (fun (l, w) -> l +. w) bounds in
+         let options = { Linalg.Lsq.max_iter; tolerance } in
+         let m = Linalg.Matrix.of_rows rows in
+         let s = Linalg.Sparse.of_matrix m in
+         let dense = { r_apply = ref_dense_mul m; r_tapply = ref_dense_tmul m } in
+         let sparse =
+           { r_apply = Linalg.Sparse.mul_vec s; r_tapply = Linalg.Sparse.tmul_vec s }
+         in
+         same
+           (ref_box ~max_iter ~tolerance ?x0 dense n b ~lo ~hi)
+           (Linalg.Lsq.box ~options ?x0 (Linalg.Lsq.of_matrix m) b ~lo ~hi)
+         && same
+              (ref_box ~max_iter ~tolerance ?x0 sparse n b ~lo ~hi)
+              (Linalg.Lsq.box ~options ?x0 (Linalg.Lsq.of_sparse s) b ~lo ~hi)));
+    (* Propagation walking the CSR arrays against the closure-per-entry
+       reference: the same bounds bit for bit, or the same empty variable.
+       Row bounds are drawn independently of any planted solution, so
+       infeasible systems (`Empty) are common. *)
+    (let gen =
+       Gen.(
+         pair (int_range 1 6) (int_range 1 6) >>= fun (n, m) ->
+         pair
+           (pair
+              (array_repeat m
+                 (array_repeat n (oneofl [ None; None; Some 0.; Some 1.; Some 2.; Some 0.5 ])))
+              (array_repeat m (pair (int_range (-1) 8) (int_range 0 3))))
+           (triple (oneofl [ 1.; 2.; 3.5; 4. ]) bool (int_range 1 50)))
+     in
+     Test.make ~name:"Intervals.propagate = closure reference (bitwise)"
+       ~count:500 (make gen)
+       (fun ((entries, row_specs), (box_hi, integral, max_passes)) ->
+         let n = Array.length entries.(0) in
+         let rows =
+           Array.map
+             (fun row ->
+               List.filter_map Fun.id
+                 (List.mapi
+                    (fun j e -> Option.map (fun v -> (j, v)) e)
+                    (Array.to_list row)))
+             entries
+         in
+         let a = Linalg.Sparse.of_rows ~cols:n rows in
+         let row_lo = Array.map (fun (l, _) -> float_of_int l) row_specs in
+         let row_hi = Array.map (fun (l, w) -> float_of_int (l + w)) row_specs in
+         let box = Linalg.Intervals.make ~n ~lo:0. ~hi:box_hi in
+         match
+           ( Linalg.Intervals.propagate ~integral ~max_passes a ~row_lo ~row_hi box,
+             ref_propagate ~integral ~max_passes a ~row_lo ~row_hi box )
+         with
+         | `Empty j, `Empty j' -> j = j'
+         | `Bounded b, `Bounded (lo, hi) ->
+           bits_eq b.Linalg.Intervals.lo lo && bits_eq b.Linalg.Intervals.hi hi
+         | _ -> false));
     (* Interval refinement is sound: on random 0/1 systems with a planted
        integer solution and widened row bounds, neither propagation nor
        branch-and-bound shaving may ever exclude the truth. *)
@@ -509,6 +784,10 @@ let () =
             test_box_warm_start_matches_cold;
           Alcotest.test_case "scalar box wrappers agree" `Quick
             test_box_scalar_wrappers_agree;
+          Alcotest.test_case "box steps allocate nothing" `Quick
+            test_box_allocation_free;
+          Alcotest.test_case "power iterations counted" `Quick
+            test_power_iteration_counter;
         ] );
       ( "simplex",
         [
