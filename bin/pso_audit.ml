@@ -84,15 +84,14 @@ let die fmt =
       exit 2)
     fmt
 
-let read_file ?(on_error = fun path msg -> die "cannot read %s: %s" path msg)
-    path =
+let read_file path =
   try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg -> on_error path msg
+  with Sys_error msg -> die "cannot read %s: %s" path msg
 
 (* [path]'s JSON document, whose "schema" field must equal [expect]. *)
-let read_json ?on_error ~expect path =
+let read_json ~expect path =
   let doc =
-    match Core.Json.of_string (read_file ?on_error path) with
+    match Core.Json.of_string (read_file path) with
     | Ok doc -> doc
     | Error msg -> die "%s: invalid JSON: %s" path msg
   in
@@ -1109,11 +1108,11 @@ let ledger_report_cmd =
 (* --- report-html --- *)
 
 let report_html_cmd =
-  let run out timeline ledger bench title =
-    if timeline = None && ledger = None && bench = [] then begin
+  let run out timeline ledger title =
+    if timeline = None && ledger = None then begin
       Format.eprintf
-        "pso_audit: report-html needs at least one source (--timeline, \
-         --ledger or --bench)@.";
+        "pso_audit: report-html needs at least one source (--timeline or \
+         --ledger)@.";
       exit 2
     end;
     let timeline =
@@ -1134,19 +1133,7 @@ let report_html_cmd =
         (fun path -> Obs.Ledger.report (read_ledger path))
         ledger
     in
-    let bench =
-      match
-        List.map
-          (fun path ->
-            (Filename.basename path, read_json ~expect:"bench-kernels/v1" path))
-          bench
-      with
-      | [] -> None
-      | snaps -> Some snaps
-    in
-    let html =
-      Obs.Report_html.render ?timeline ?ledger ?bench ~title ()
-    in
+    let html = Obs.Report_html.render ?timeline ?ledger ~title () in
     write out (fun out ->
         Out_channel.with_open_bin out (fun oc -> output_string oc html));
     Format.printf "wrote run report to %s@." out
@@ -1174,14 +1161,6 @@ let report_html_cmd =
       & info [ "ledger" ] ~docv:"FILE"
           ~doc:"A ledger/v1 JSONL file (from --ledger).")
   in
-  let bench_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "bench" ] ~docv:"FILE"
-          ~doc:
-            "A bench-kernels/v1 snapshot (from bench --json); repeatable, \
-             rendered as a trajectory in argument order.")
-  in
   let title_arg =
     Arg.(
       value
@@ -1193,208 +1172,9 @@ let report_html_cmd =
        ~doc:
          "Fuse a run's telemetry artifacts into one self-contained static \
           HTML report (inline CSS/SVG, no scripts, no external \
-          references): timeline sparklines, final metric tables, \
-          per-analyst ledger accounting and a bench trajectory. Exits 2 on \
-          any malformed source.")
-    Term.(
-      const run $ out_arg $ timeline_arg $ ledger_arg $ bench_arg $ title_arg)
-
-(* --- bench-compare --- *)
-
-(* Reads a bench-kernels/v1 snapshot (bench/main.exe --json) into
-   [(kernel name, ns per run)] rows. Any shape violation is a hard error:
-   the CI gate must not silently pass on a malformed snapshot. *)
-let read_bench_snapshot path =
-  let doc =
-    read_json
-      ~on_error:(fun path msg -> die "%s: cannot read: %s" path msg)
-      ~expect:"bench-kernels/v1" path
-  in
-  let kernels =
-    match Option.bind (Core.Json.member "kernels" doc) Core.Json.to_list with
-    | Some ks -> ks
-    | None -> die "%s: missing kernels list" path
-  in
-  List.map
-    (fun k ->
-      match
-        ( Option.bind (Core.Json.member "name" k) Core.Json.to_string_opt,
-          Option.bind (Core.Json.member "ns_per_run" k) Core.Json.to_float )
-      with
-      (* A zero or negative timing would turn every ratio into nan or a
-         sign flip that passes any tolerance. *)
-      | Some name, Some ns when Float.is_finite ns && ns > 0. -> (name, ns)
-      | _ -> die "%s: malformed kernel entry" path)
-    kernels
-
-let bench_compare_cmd =
-  let run base current tolerance =
-    if tolerance < 0. then begin
-      Format.eprintf "pso_audit: --tolerance must be >= 0 (got %g)@." tolerance;
-      exit 2
-    end;
-    let base_rows = read_bench_snapshot base in
-    let current_rows = read_bench_snapshot current in
-    let shared =
-      List.filter_map
-        (fun (name, b_ns) ->
-          Option.map
-            (fun c_ns -> (name, b_ns, c_ns))
-            (List.assoc_opt name current_rows))
-        base_rows
-    in
-    if shared = [] then begin
-      Format.eprintf "pso_audit: no kernels shared between %s and %s@." base
-        current;
-      exit 2
-    end;
-    Format.printf "bench-compare: %s -> %s (tolerance %+g%%)@." base current
-      tolerance;
-    let regressions =
-      List.filter
-        (fun (name, b_ns, c_ns) ->
-          let delta = 100. *. ((c_ns /. b_ns) -. 1.) in
-          let slower = delta > tolerance in
-          Format.printf "  %-42s %10.2f us -> %10.2f us  %+7.1f%%%s@." name
-            (b_ns /. 1e3) (c_ns /. 1e3) delta
-            (if slower then "  REGRESSION" else "");
-          slower)
-        shared
-    in
-    let only side rows others =
-      List.iter
-        (fun (name, _) ->
-          if not (List.mem_assoc name others) then
-            Format.printf "  %-42s (only in %s)@." name side)
-        rows
-    in
-    only "base" base_rows current_rows;
-    only "current" current_rows base_rows;
-    if regressions <> [] then begin
-      Format.printf "%d kernel(s) regressed beyond %g%%@."
-        (List.length regressions) tolerance;
-      exit 1
-    end
-    else Format.printf "no kernel regressed beyond %g%%@." tolerance
-  in
-  let base_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BASE" ~doc:"Baseline bench-kernels/v1 snapshot.")
-  in
-  let current_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"CURRENT" ~doc:"Current bench-kernels/v1 snapshot.")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 20.
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed slowdown per kernel in percent before failing.")
-  in
-  Cmd.v
-    (Cmd.info "bench-compare"
-       ~doc:
-         "Compare two bench-kernels/v1 snapshots; exits 1 when any kernel \
-          present in both slowed down by more than the tolerance, 2 on \
-          malformed input.")
-    Term.(const run $ base_arg $ current_arg $ tolerance_arg)
-
-(* --- bench-pair --- *)
-
-(* Within-snapshot comparison of two kernels (e.g. the ledger-off /
-   ledger-on pair): the overhead gate needs a relative bound between two
-   kernels of the *same* run, which bench-compare (two files, same
-   kernel) cannot express. *)
-let bench_pair_cmd =
-  let run snapshot base current tolerance min_ratio =
-    if tolerance < 0. then begin
-      Format.eprintf "pso_audit: --tolerance must be >= 0 (got %g)@." tolerance;
-      exit 2
-    end;
-    (match min_ratio with
-    | Some r when r <= 0. ->
-      Format.eprintf "pso_audit: --min-ratio must be > 0 (got %g)@." r;
-      exit 2
-    | _ -> ());
-    let rows = read_bench_snapshot snapshot in
-    let find name =
-      match List.assoc_opt name rows with
-      | Some ns -> ns
-      | None ->
-        Format.eprintf "pso_audit: %s: no kernel %S (have: %s)@." snapshot name
-          (String.concat ", " (List.map fst rows));
-        exit 2
-    in
-    let b_ns = find base in
-    let c_ns = find current in
-    let delta = 100. *. ((c_ns /. b_ns) -. 1.) in
-    let ratio = b_ns /. c_ns in
-    Format.printf
-      "bench-pair: %s: %s (%.2f us) -> %s (%.2f us)  %+.1f%% (tolerance \
-       %+g%%%s)@."
-      snapshot base (b_ns /. 1e3) current (c_ns /. 1e3) delta tolerance
-      (match min_ratio with
-      | None -> ""
-      | Some r -> Printf.sprintf ", min ratio %gx" r);
-    if delta > tolerance then begin
-      Format.printf "overhead beyond tolerance@.";
-      exit 1
-    end;
-    match min_ratio with
-    | Some r when ratio < r ->
-      Format.printf "speedup %.2fx below the required %gx@." ratio r;
-      exit 1
-    | Some r -> Format.printf "speedup %.2fx (>= %gx required)@." ratio r
-    | None -> Format.printf "within tolerance@."
-  in
-  let snapshot_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SNAPSHOT" ~doc:"A bench-kernels/v1 snapshot.")
-  in
-  let base_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"BASE" ~doc:"Baseline kernel name.")
-  in
-  let current_arg =
-    Arg.(
-      required
-      & pos 2 (some string) None
-      & info [] ~docv:"CURRENT" ~doc:"Kernel name to compare against BASE.")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 10.
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed slowdown of CURRENT over BASE in percent.")
-  in
-  let min_ratio_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-ratio" ] ~docv:"R"
-          ~doc:
-            "Speedup gate: additionally require CURRENT to be at least R \
-             times faster than BASE (BASE_ns / CURRENT_ns >= R), e.g. the \
-             sparse-vs-dense SpMV gate uses --min-ratio 10.")
-  in
-  Cmd.v
-    (Cmd.info "bench-pair"
-       ~doc:
-         "Compare two kernels within one bench-kernels/v1 snapshot; exits 1 \
-          when CURRENT is slower than BASE by more than the tolerance or \
-          misses the --min-ratio speedup, 2 on malformed input or unknown \
-          kernels.")
-    Term.(
-      const run $ snapshot_arg $ base_arg $ current_arg $ tolerance_arg
-      $ min_ratio_arg)
+          references): timeline sparklines, final metric tables and \
+          per-analyst ledger accounting. Exits 2 on any malformed source.")
+    Term.(const run $ out_arg $ timeline_arg $ ledger_arg $ title_arg)
 
 let () =
   let doc = "singling-out: PSO games, attacks and legal theorems (PODS 2021)" in
@@ -1406,6 +1186,4 @@ let () =
             dpcheck_cmd; certify_cmd; run_cmd; census_cmd;
             validate_json_cmd;
             ledger_verify_cmd; ledger_report_cmd; report_html_cmd;
-            bench_compare_cmd;
-            bench_pair_cmd;
           ]))

@@ -113,5 +113,3 @@ let print ~scale rng fmt =
     in
     Format.fprintf fmt "@.%a@." Legal.Theorem.pp det
   | [] -> ())
-
-let kernel rng = ignore (measure rng ~blocks:40 ~mean_block_size:20 ~coverage:0.5 ())

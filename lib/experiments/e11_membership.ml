@@ -48,5 +48,3 @@ let print ~scale rng fmt =
            Printf.sprintf "%.2f" r.mean_outsider;
          ])
        rows)
-
-let kernel rng = ignore (measure rng ~people:40 ~snps:200)

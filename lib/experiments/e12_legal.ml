@@ -14,8 +14,3 @@ let print ~scale rng fmt =
        standard; differential privacy meets the necessary condition. The \
        WP29 Opinion's answers are reversed for the k-anonymity family.";
   Legal.Report.pp fmt (report ~scale rng)
-
-let kernel rng =
-  ignore
-    (Legal.Report.build rng
-       { Pso.Theorems.n = 60; trials = 20; weight_exponent = 2. })

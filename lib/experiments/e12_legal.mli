@@ -12,5 +12,3 @@
 val report : scale:Common.scale -> Prob.Rng.t -> Legal.Report.t
 
 val print : scale:Common.scale -> Prob.Rng.t -> Format.formatter -> unit
-
-val kernel : Prob.Rng.t -> unit

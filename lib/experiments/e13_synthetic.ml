@@ -80,8 +80,3 @@ let print ~scale rng fmt =
            Printf.sprintf "%.3f" r.marginal_tv_error;
          ])
        rows)
-
-let kernel rng =
-  ignore
-    (measure ~pool:(Parallel.Pool.default ()) rng ~trials:10 ~n:100
-       ~epsilon:(Some 1.))

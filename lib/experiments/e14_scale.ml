@@ -104,6 +104,3 @@ let print ~scale rng fmt =
       Printf.eprintf "[E14] mean=%d blocks=%d: %.0f rows/sec\n%!"
         r.mean_block_size r.blocks r.rows_per_sec)
     rows
-
-let kernel rng =
-  ignore (measure rng ~blocks:6 ~mean_block_size:20 ~shards:2)

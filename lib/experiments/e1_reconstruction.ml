@@ -152,9 +152,3 @@ let print ~scale rng fmt =
            (if r.blatant then "YES" else "no");
          ])
        rows)
-
-let kernel rng =
-  let n = 64 in
-  let truth = random_bits rng n in
-  let oracle = Query.Oracle.bounded_noise rng ~magnitude:2. truth in
-  ignore (Attacks.Reconstruction.least_squares rng oracle ~queries:(4 * n) ~truth)

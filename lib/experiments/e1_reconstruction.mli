@@ -20,6 +20,3 @@ val run : ?pool:Parallel.Pool.t -> scale:Common.scale -> Prob.Rng.t -> row list
     are identical at every pool size for a given generator state. *)
 
 val print : scale:Common.scale -> Prob.Rng.t -> Format.formatter -> unit
-
-val kernel : Prob.Rng.t -> unit
-(** One least-squares reconstruction at bench scale (for Bechamel). *)

@@ -108,6 +108,3 @@ let print ~scale rng fmt =
        rows);
   Format.fprintf fmt "@.(1/e = %s; the paper's quoted 37%%)@."
     (Common.pct Pso.Isolation.one_over_e)
-
-let kernel rng =
-  ignore (measure ~pool:(Parallel.Pool.default ()) rng ~trials:20 ~n:365 ~buckets:365)

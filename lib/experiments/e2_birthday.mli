@@ -18,5 +18,3 @@ type row = {
 val run : ?pool:Parallel.Pool.t -> scale:Common.scale -> Prob.Rng.t -> row list
 
 val print : scale:Common.scale -> Prob.Rng.t -> Format.formatter -> unit
-
-val kernel : Prob.Rng.t -> unit

@@ -71,6 +71,3 @@ let print ~scale rng fmt =
       Format.fprintf fmt "decay at c=%.0f: %s@." c
         (Prob.Decay.to_string (decay rows ~c)))
     [ 1.; 2.; 4. ]
-
-let kernel rng =
-  ignore (measure ~pool:(Parallel.Pool.default ()) rng ~trials:50 ~n:64 ~c:2.)

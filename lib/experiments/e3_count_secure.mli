@@ -19,5 +19,3 @@ val decay : row list -> c:float -> Prob.Decay.shape
 (** Decay classification of success vs n at a fixed exponent. *)
 
 val print : scale:Common.scale -> Prob.Rng.t -> Format.formatter -> unit
-
-val kernel : Prob.Rng.t -> unit

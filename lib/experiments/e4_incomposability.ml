@@ -56,6 +56,3 @@ let print ~scale rng fmt =
            Printf.sprintf "[%s, %s]" (Common.pct lo) (Common.pct hi);
          ])
        rows)
-
-let kernel rng =
-  ignore (games ~pool:(Parallel.Pool.default ()) rng ~trials:20 ~n:50)

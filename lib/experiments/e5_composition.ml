@@ -83,8 +83,3 @@ let print ~scale rng fmt =
            Common.pct r.isolations_any_weight;
          ])
        rows)
-
-let kernel rng =
-  ignore
-    (measure ~pool:(Parallel.Pool.default ()) rng ~trials:10 ~n:128 ~ell:24
-       ~variant:`Scouted)

@@ -62,5 +62,3 @@ let print ~scale rng fmt =
            Printf.sprintf "[%s, %s]" (Common.pct lo) (Common.pct hi);
          ])
        rows)
-
-let kernel rng = ignore (measure rng ~trials:10 ~n:128 ~epsilon:(Some 1.))

@@ -176,8 +176,3 @@ let print ~scale rng fmt =
     stats.Attacks.Intersection.targets
     (Common.pct stats.Attacks.Intersection.rate_one)
     (Common.pct stats.Attacks.Intersection.rate_combined)
-
-let kernel rng =
-  ignore
-    (measure rng ~trials:5 ~n:100 ~k:5 ~retained:42 ~algorithm:`Mondrian
-       ~recoding:Kanon.Mondrian.Member_level ~attacker:`Cohen)

@@ -27,5 +27,3 @@ type row = {
 val run : scale:Common.scale -> Prob.Rng.t -> row list
 
 val print : scale:Common.scale -> Prob.Rng.t -> Format.formatter -> unit
-
-val kernel : Prob.Rng.t -> unit

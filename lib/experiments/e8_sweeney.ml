@@ -134,5 +134,3 @@ let print ~scale rng fmt =
     in
     Format.fprintf fmt "@.%a@." Legal.Theorem.pp det
   | [] -> ())
-
-let kernel rng = ignore (measure rng ~n:1000 ~coverage:0.5 ~safe_harbor:false)

@@ -68,5 +68,3 @@ let print ~scale rng fmt =
            Common.pct r.abstained;
          ])
        rows)
-
-let kernel rng = ignore (measure rng ~users:300 ~movies:200 ~aux_items:4 ~targets:10)

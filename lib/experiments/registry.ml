@@ -2,11 +2,10 @@ type entry = {
   id : string;
   title : string;
   print : scale:Common.scale -> Prob.Rng.t -> Format.formatter -> unit;
-  kernel : Prob.Rng.t -> unit;
 }
 
 (* Every registry entry gets a root span: "experiment:E#" around the printed
-   table, "kernel:E#" around the bare kernel (the bench path). *)
+   table. *)
 let instrument e =
   {
     e with
@@ -16,8 +15,6 @@ let instrument e =
           ("experiment:" ^ e.id)
           ~args:[ ("title", e.title) ]
           (fun () -> e.print ~scale rng fmt));
-    kernel =
-      (fun rng -> Obs.with_span ("kernel:" ^ e.id) (fun () -> e.kernel rng));
   }
 
 let all =
@@ -27,85 +24,71 @@ let all =
       id = "E1";
       title = "Database reconstruction (Theorem 1.1)";
       print = E1_reconstruction.print;
-      kernel = E1_reconstruction.kernel;
     };
     {
       id = "E2";
       title = "Trivial isolation baseline (birthday example)";
       print = E2_birthday.print;
-      kernel = E2_birthday.kernel;
     };
     {
       id = "E3";
       title = "Count mechanism prevents PSO (Theorem 2.5)";
       print = E3_count_secure.print;
-      kernel = E3_count_secure.kernel;
     };
     {
       id = "E4";
       title = "Incomposability pair (Theorem 2.7)";
       print = E4_incomposability.print;
-      kernel = E4_incomposability.kernel;
     };
     {
       id = "E5";
       title = "Count composition breaks PSO (Theorem 2.8)";
       print = E5_composition.print;
-      kernel = E5_composition.kernel;
     };
     {
       id = "E6";
       title = "Differential privacy prevents PSO (Theorem 2.9)";
       print = E6_dp_defends.print;
-      kernel = E6_dp_defends.kernel;
     };
     {
       id = "E7";
       title = "k-anonymity enables PSO (Theorem 2.10 + Cohen)";
       print = E7_kanon.print;
-      kernel = E7_kanon.kernel;
     };
     {
       id = "E8";
       title = "Quasi-identifier linkage (Sweeney / GIC)";
       print = E8_sweeney.print;
-      kernel = E8_sweeney.kernel;
     };
     {
       id = "E9";
       title = "Sparse-data de-anonymization (Netflix)";
       print = E9_netflix.print;
-      kernel = E9_netflix.kernel;
     };
     {
       id = "E10";
       title = "Census reconstruction + re-identification";
       print = E10_census.print;
-      kernel = E10_census.kernel;
     };
     {
       id = "E11";
       title = "Membership inference from aggregates (Homer)";
       print = E11_membership.print;
-      kernel = E11_membership.kernel;
     };
     {
       id = "E12";
       title = "Legal theorems and the WP29 comparison";
       print = E12_legal.print;
-      kernel = E12_legal.kernel;
     };
     {
       id = "E13";
       title = "Synthetic data and singling out (extension)";
       print = E13_synthetic.print;
-      kernel = E13_synthetic.kernel;
     };
     {
       id = "E14";
       title = "Census-scale sharded reconstruction (streaming)";
       print = E14_scale.print;
-      kernel = E14_scale.kernel;
     };
   ]
 

@@ -1,15 +1,14 @@
-(** Experiment registry: E1..E13 as uniform runnable entries, consumed by
-    the bench harness and the CLI. *)
+(** Experiment registry: E1..E14 as uniform runnable entries, consumed by
+    [pso_audit run] and the golden-table tests. *)
 
 type entry = {
   id : string;
   title : string;
   print : scale:Common.scale -> Prob.Rng.t -> Format.formatter -> unit;
-  kernel : Prob.Rng.t -> unit;  (** the operation Bechamel times *)
 }
 
 val all : entry list
-(** In id order, E1..E13. *)
+(** In id order, E1..E14. *)
 
 val find : string -> entry option
 (** Case-insensitive lookup by id ("e7" or "E7"). *)

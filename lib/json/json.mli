@@ -1,7 +1,8 @@
 (** Minimal JSON: an AST, a canonical serializer and a strict parser.
 
-    The toolchain has no JSON dependency, and the bench harness needs a
-    machine-readable output contract that downstream tooling can rely on.
+    The toolchain has no JSON dependency, and the telemetry artifacts and
+    benchmark results need a machine-readable output contract that
+    downstream tooling can rely on.
     Serialization is canonical — object keys are emitted in ascending
     lexicographic order regardless of construction order, and floats use
     the shortest decimal form that round-trips — so equal documents have

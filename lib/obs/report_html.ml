@@ -1,15 +1,14 @@
 (* The fused HTML run report: one self-contained static file stitching
    together whichever artifacts a run produced — the obs-timeline/v3
    series (drawn as inline SVG sparklines) and the final tables read
-   from its last snapshot, the per-analyst ledger report, and a
-   bench-kernels/v1 trajectory across snapshots.
+   from its last snapshot, and the per-analyst ledger report.
 
    Self-contained is a hard property, checked by tests: inline <style>,
    inline SVG, no <script>, no external URL anywhere — the file can be
    archived next to the run's JSON artifacts and opened offline years
    later. Sources are optional and independent; each present source
    renders its <section>s with stable ids (timeline and metrics from the
-   timeline, ledger, bench) so CI can grep for the fused pieces. *)
+   timeline, ledger) so CI can grep for the fused pieces. *)
 
 let esc s =
   let b = Buffer.create (String.length s) in
@@ -209,47 +208,6 @@ let ledger_section b (rows : Ledger.analyst_report list) =
     (List.map cells rows);
   Buffer.add_string b "</section>\n"
 
-(* --- bench trajectory section --- *)
-
-let bench_section b (snapshots : (string * Json.t) list) =
-  Buffer.add_string b {|<section id="bench"><h2>Bench trajectory</h2>|};
-  let kernels = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun (_, doc) ->
-      List.iter
-        (fun k ->
-          match (jstr "name" k, jnum "ns_per_run" k) with
-          | Some name, Some ns ->
-            (match Hashtbl.find_opt kernels name with
-            | Some values -> Hashtbl.replace kernels name (ns :: values)
-            | None ->
-              order := name :: !order;
-              Hashtbl.replace kernels name [ ns ])
-          | _ -> ())
-        (jlist "kernels" doc))
-    snapshots;
-  Buffer.add_string b
-    (Printf.sprintf "<p>%d snapshot(s): %s.</p>"
-       (List.length snapshots)
-       (esc (String.concat ", " (List.map fst snapshots))));
-  let rows =
-    List.rev_map
-      (fun name ->
-        let values = List.rev (Hashtbl.find kernels name) in
-        let last = match List.rev values with v :: _ -> v | [] -> nan in
-        [
-          esc name;
-          sparkline values;
-          Printf.sprintf "%s us" (fnum (last /. 1e3));
-        ])
-      !order
-  in
-  table b ~caption:"ns/run per kernel across snapshots"
-    ~head:[ "kernel"; "trajectory"; "latest" ]
-    rows;
-  Buffer.add_string b "</section>\n"
-
 (* --- document --- *)
 
 let style =
@@ -262,7 +220,7 @@ th,td{border:1px solid #ddd;padding:.25rem .6rem;text-align:right}th:first-child
 .spark{display:block;width:120px;height:28px;color:#3656a8}
 .timing{background:#fde8d8;color:#8a4b08;font-size:.7rem;padding:0 .3rem;border-radius:3px;vertical-align:middle}|}
 
-let render ?timeline ?ledger ?bench ~title () =
+let render ?timeline ?ledger ~title () =
   let b = Buffer.create 16384 in
   Buffer.add_string b "<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">";
   Buffer.add_string b (Printf.sprintf "<title>%s</title>" (esc title));
@@ -276,8 +234,5 @@ let render ?timeline ?ledger ?bench ~title () =
       | [] -> ())
     timeline;
   Option.iter (fun rows -> ledger_section b rows) ledger;
-  (match bench with
-  | Some ((_ :: _) as snaps) -> bench_section b snaps
-  | Some [] | None -> ());
   Buffer.add_string b "</body></html>\n";
   Buffer.contents b

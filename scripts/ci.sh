@@ -2,9 +2,9 @@
 # Tier-1 gate plus end-to-end smoke tests:
 #   1. dune build && dune runtest (includes the golden-table diff and the
 #      stattest/property/CLI suites)
-#   2. quick-scale E2 tables must be byte-identical at --jobs 1 and --jobs 2
-#      (the per-trial RNG fan-out guarantee, checked end to end through the
-#      bench harness)
+#   2. quick-scale E2 tables from pso_audit run must be byte-identical at
+#      --jobs 1 and --jobs 2 (the per-trial RNG fan-out guarantee, checked
+#      end to end)
 #   3. golden-table regression: the committed test/golden/*.txt snapshots
 #      must match a fresh render (test/test_golden.exe check mode)
 #   4. negative-auditor smoke: the ε-DP auditor must flag the deliberately
@@ -20,45 +20,31 @@
 #      queries) with --engine check (interpreter and compiled evaluator
 #      compared on every query, failing on any divergence) must still match
 #      the committed goldens byte-for-byte
-#   7. bench kernel JSON: the predicate kernel triple's --json output must
-#      validate under pso_audit validate-json (the bench-kernels/v1
-#      contract)
-#   8. bench regression: the same --json output is compared against the
-#      newest committed BENCH_*.json snapshot with pso_audit bench-compare;
-#      any shared kernel more than 20% slower across three fresh
-#      measurements fails the gate (skipped with a notice when no snapshot
-#      is committed yet)
-#   9. audit-ledger smoke: a quick E2 run with --ledger must produce a
+#   7. audit-ledger smoke: a quick E2 run with --ledger must produce a
 #      ledger/v1 file that passes pso_audit ledger-verify and validate-json,
 #      renders a ledger-report, and is byte-identical at --jobs 1 and 2
-#  10. ledger overhead gate: within the same bench snapshot, the
-#      ledger-on-count-batched kernel must stay within 10% of
-#      ledger-off-count-batched (pso_audit bench-pair, with the same
-#      re-measure-on-noise retry as the bench regression gate)
-#  11. certificate gate: pso_audit certify must verify every production
+#   8. certificate gate: pso_audit certify must verify every production
 #      eps-DP coupling certificate exactly and reject every negative
 #      control (nonzero exit otherwise), and the tampered-certificate
 #      smoke (certify --tamper) must reject every corrupted witness
-#  12. live-telemetry smoke: a quick E2 run with --prom + --timeline +
+#   9. live-telemetry smoke: a quick E2 run with --prom + --timeline +
 #      --watch (plus --ledger) must leave the golden table untouched, its
 #      stderr must end the --watch heartbeat with the "(final)" line, both
 #      artifacts must pass validate-json (prometheus-text and
-#      obs-timeline/v3), report-html must fuse the timeline (sparklines and
-#      the final metric tables), ledger and bench sources into a
-#      self-contained page with every section present,
-#      and the 10 Hz snapshot ticker must cost <=10% on the batched-count
-#      kernel (bench-pair, same re-measure retry as the other perf gates)
-#  13. census-scale smoke: the E14 table must be byte-identical at --jobs 1
+#      obs-timeline/v3), and report-html must fuse the timeline
+#      (sparklines and the final metric tables) and the ledger into a
+#      self-contained page with every section present
+#  10. census-scale smoke: the E14 table must be byte-identical at --jobs 1
 #      and --jobs 2 and must match the committed golden, and the census
 #      subcommand's stats for one seed must be byte-identical at --jobs 1
 #      and --jobs 4, both under threshold-3 suppression and under exact
 #      publication (--suppress 0, where propagation pins most cells)
-#  14. SpMV speedup gate: in a fresh linalg bench snapshot (which also
-#      validates under bench-kernels/v1 and cross-checks sparse == dense
-#      bitwise on every sample), the CSR SpMV kernel must be at least 10x
-#      faster than the dense row-major loop on the 512x4096 subset-query
-#      matrix (pso_audit bench-pair --min-ratio 10, with the usual
-#      re-measure-on-noise retry)
+#  11. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
+#      interleaved and fails when a gate's whole 95% interval is on the
+#      wrong side of its bound: SpMV sparse >= 10x dense (cross-checked
+#      bitwise), the ledger and 10 Hz timeline overheads <= 10% on the
+#      batched count, the three predicate engine steps and the bulk noise
+#      draw (each cross-checked against the interpreter)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,10 +54,8 @@ dune runtest
 tmp1=$(mktemp) tmp2=$(mktemp) trace=$(mktemp) metrics=$(mktemp)
 trap 'rm -f "$tmp1" "$tmp2" "$trace" "$metrics"' EXIT
 
-# The trailing "[E2 finished in X.Xs]" line is wall-clock and legitimately
-# differs between runs; everything else must match exactly.
-dune exec bench/main.exe -- --no-perf --only E2 --jobs 1 | grep -v '^\[E' > "$tmp1"
-dune exec bench/main.exe -- --no-perf --only E2 --jobs 2 | grep -v '^\[E' > "$tmp2"
+dune exec bin/pso_audit.exe -- run E2 --quick --jobs 1 > "$tmp1"
+dune exec bin/pso_audit.exe -- run E2 --quick --jobs 2 > "$tmp2"
 
 if ! diff -u "$tmp1" "$tmp2"; then
   echo "ci: determinism violation: E2 tables differ between --jobs 1 and --jobs 2" >&2
@@ -129,40 +113,6 @@ for exp in E2 E5; do
   fi
 done
 
-# Bench kernel JSON: the interpreter/compiled/bitset predicate triple must
-# run (each sample cross-checks counts against the interpreter) and emit
-# bench-kernels/v1 JSON that validates.
-dune exec bench/main.exe -- --no-tables --only predicates --json "$tmp2" > /dev/null
-dune exec bin/pso_audit.exe -- validate-json "$tmp2"
-
-# Bench regression gate: compare the fresh kernel timings against the
-# newest committed BENCH_*.json (the persisted perf trajectory). Kernels
-# only present on one side are reported but don't fail; a shared kernel
-# >20% slower does. Skipped when no snapshot has been committed yet.
-# Sub-10µs kernels jitter past 20% on a noisy machine, so a failed
-# comparison re-measures (fresh bench run) up to two more times — noise
-# passes on a retry, a real regression fails all three.
-baseline=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)
-if [ -n "$baseline" ]; then
-  bench_ok=0
-  for attempt in 1 2 3; do
-    if dune exec bin/pso_audit.exe -- bench-compare "$baseline" "$tmp2" --tolerance 20; then
-      bench_ok=1
-      break
-    fi
-    if [ "$attempt" -lt 3 ]; then
-      echo "ci: bench attempt $attempt regressed; re-measuring" >&2
-      dune exec bench/main.exe -- --no-tables --only predicates --json "$tmp2" > /dev/null
-    fi
-  done
-  if [ "$bench_ok" -ne 1 ]; then
-    echo "ci: bench regression persisted across 3 measurements vs $baseline" >&2
-    exit 1
-  fi
-else
-  echo "ci: no BENCH_*.json snapshot committed; skipping bench regression gate"
-fi
-
 # Audit-ledger smoke: journal a quick experiment, re-check the accountant
 # arithmetic by replay, validate the JSONL shape, render the per-analyst
 # report, and require the file to be byte-identical across --jobs (the
@@ -180,27 +130,6 @@ fi
 dune exec bin/pso_audit.exe -- ledger-verify "$ledger1"
 dune exec bin/pso_audit.exe -- validate-json "$ledger1"
 dune exec bin/pso_audit.exe -- ledger-report "$ledger1" > /dev/null
-
-# Ledger overhead gate: the journaled batched-counts kernel must stay
-# within 10% of the unjournaled one, measured inside one snapshot so the
-# comparison is machine-relative. Same retry discipline as bench-compare.
-pair_ok=0
-for attempt in 1 2 3; do
-  if dune exec bin/pso_audit.exe -- bench-pair "$tmp2" \
-       experiments/ledger-off-count-batched experiments/ledger-on-count-batched \
-       --tolerance 10; then
-    pair_ok=1
-    break
-  fi
-  if [ "$attempt" -lt 3 ]; then
-    echo "ci: ledger overhead attempt $attempt beyond tolerance; re-measuring" >&2
-    dune exec bench/main.exe -- --no-tables --only predicates --json "$tmp2" > /dev/null
-  fi
-done
-if [ "$pair_ok" -ne 1 ]; then
-  echo "ci: ledger overhead above 10% across 3 measurements" >&2
-  exit 1
-fi
 
 # Certificate gate: the exact checker must certify all production
 # mechanisms and reject all negative controls in one run (the command's
@@ -242,8 +171,8 @@ if ! grep -q '^\[obs\] watch tick=.*(final)$' "$watch"; then
 fi
 dune exec bin/pso_audit.exe -- validate-json "$prom" "$timeline"
 dune exec bin/pso_audit.exe -- report-html "$report" \
-  --timeline "$timeline" --ledger "$ledger1" --bench "$tmp2" > /dev/null
-for section in timeline metrics ledger bench; do
+  --timeline "$timeline" --ledger "$ledger1" > /dev/null
+for section in timeline metrics ledger; do
   if ! grep -q "id=\"$section\"" "$report"; then
     echo "ci: report-html is missing its $section section" >&2
     exit 1
@@ -251,27 +180,6 @@ for section in timeline metrics ledger bench; do
 done
 if grep -q '<script' "$report" || grep -Eq 'https?://' "$report"; then
   echo "ci: report-html is not self-contained (script or external reference)" >&2
-  exit 1
-fi
-
-# Timeline overhead gate: a 10 Hz snapshot ticker running concurrently must
-# keep the batched-count kernel within 10% of the ticker-off baseline,
-# measured inside one snapshot. Same retry discipline as the other gates.
-pair_ok=0
-for attempt in 1 2 3; do
-  if dune exec bin/pso_audit.exe -- bench-pair "$tmp2" \
-       experiments/timeline-off-count-batched experiments/timeline-10hz-count-batched \
-       --tolerance 10; then
-    pair_ok=1
-    break
-  fi
-  if [ "$attempt" -lt 3 ]; then
-    echo "ci: timeline overhead attempt $attempt beyond tolerance; re-measuring" >&2
-    dune exec bench/main.exe -- --no-tables --only predicates --json "$tmp2" > /dev/null
-  fi
-done
-if [ "$pair_ok" -ne 1 ]; then
-  echo "ci: timeline snapshot overhead above 10% across 3 measurements" >&2
   exit 1
 fi
 
@@ -303,29 +211,9 @@ for suppress in 3 0; do
   fi
 done
 
-# SpMV speedup gate: the point of the CSR representation is a large
-# constant factor on the marginal-query systems; hold the bench matrix at
-# >= 10x over the dense loop so a silent fallback to dense-shaped work
-# fails loudly. The kernel itself asserts sparse == dense bitwise on every
-# sample, so this snapshot is an equivalence check too.
-dune exec bench/main.exe -- --no-tables --only linalg --json "$tmp2" > /dev/null
-dune exec bin/pso_audit.exe -- validate-json "$tmp2"
-pair_ok=0
-for attempt in 1 2 3; do
-  if dune exec bin/pso_audit.exe -- bench-pair "$tmp2" \
-       experiments/spmv-dense experiments/spmv-sparse \
-       --tolerance 0 --min-ratio 10; then
-    pair_ok=1
-    break
-  fi
-  if [ "$attempt" -lt 3 ]; then
-    echo "ci: SpMV speedup attempt $attempt below 10x; re-measuring" >&2
-    dune exec bench/main.exe -- --no-tables --only linalg --json "$tmp2" > /dev/null
-  fi
-done
-if [ "$pair_ok" -ne 1 ]; then
-  echo "ci: sparse SpMV failed the 10x speedup gate across 3 measurements" >&2
-  exit 1
-fi
+# Perf gates: every A/B pair of Stattest.Gate, timed interleaved in one
+# run; a gate fails only when its whole interval clears the bound the
+# wrong way, so host load reads as unresolved, not as a regression.
+dune exec bench/main.exe
 
-echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + engine check + bench kernels + audit ledger + certificates + live telemetry + census scale + spmv gate)"
+echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + engine check + audit ledger + certificates + live telemetry + census scale + perf gates)"

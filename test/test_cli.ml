@@ -394,17 +394,16 @@ let test_pso_audit_unwritable_outputs () =
     (run
        (pso_audit
           [ "run"; "E2"; "--quick"; "--timeline"; missing_dir_path "t.json" ]));
-  let snapshot = Filename.temp_file "cli" ".bench.json" in
-  let oc = open_out snapshot in
-  output_string oc
-    {|{"schema":"bench-kernels/v1","version":1,"jobs":1,"kernels":[
-       {"name":"a","ns_per_run":100.0,"r_square":0.99}]}|};
-  close_out oc;
+  let timeline = Filename.temp_file "cli" ".timeline.json" in
+  let gen =
+    run (pso_audit [ "run"; "E2"; "--quick"; "--timeline"; timeline ])
+  in
+  Alcotest.(check int) "artifact-producing run exits 0" 0 gen.code;
   check_cannot_write "report-html into a missing directory"
     (run
        (pso_audit
-          [ "report-html"; missing_dir_path "o.html"; "--bench"; snapshot ]));
-  Sys.remove snapshot
+          [ "report-html"; missing_dir_path "o.html"; "--timeline"; timeline ]));
+  Sys.remove timeline
 
 let test_pso_audit_tick_ms_validation () =
   let r = run (pso_audit [ "run"; "E2"; "--quick"; "--tick-ms"; "0" ]) in
@@ -507,9 +506,7 @@ let rendered docs =
   List.map (fun (name, doc) -> (name, Core.Json.to_string ~pretty:true doc)) docs
 
 (* Mutated documents: the timeline readers ([validate-json],
-   [report-html]) accept a mutant or reject it with exit 2; the
-   bench-kernels/v1 readers ([bench-compare], [bench-pair]) may also
-   return their gate verdict, exit 1. *)
+   [report-html]) accept a mutant or reject it with exit 2. *)
 let test_pso_audit_mutated_timeline () =
   let timeline = Filename.temp_file "cli" ".timeline.json" in
   let gen =
@@ -555,67 +552,7 @@ let test_pso_audit_mutated_timeline () =
         ("validate-json", [ "validate-json"; path ]);
         ("report-html", [ "report-html"; out; "--timeline"; path ]);
       ]);
-  let kernel name ns =
-    Core.Json.Obj
-      [
-        ("name", Core.Json.String name);
-        ("ns_per_run", Core.Json.Number ns);
-        ("r_square", Core.Json.Number 0.99);
-      ]
-  in
-  let snapshot =
-    Core.Json.Obj
-      [
-        ("schema", Core.Json.String "bench-kernels/v1");
-        ("version", Core.Json.Number 1.);
-        ("jobs", Core.Json.Number 1.);
-        ("kernels",
-          Core.Json.List [ kernel "k/base" 1000.; kernel "k/current" 900. ]);
-      ]
-  in
-  let base = Filename.temp_file "cli" ".bench.json" in
-  let oc = open_out_bin base in
-  output_string oc (Core.Json.to_string snapshot);
-  close_out oc;
-  let bench_text = Core.Json.to_string ~pretty:true snapshot in
-  let ns_of f = map_nth "kernels" 1 (set_field "ns_per_run" f) snapshot in
-  check_mutants ~codes:[ 0; 1; 2 ]
-    (truncations bench_text
-    @ [
-        ("overflowing timing",
-          {|{"schema": "bench-kernels/v1", "version": 1, "jobs": 1, "kernels": [
-             {"name": "k/base", "ns_per_run": 1000},
-             {"name": "k/current", "ns_per_run": 9e999}]}|});
-        ("nested garbage", String.make 100_000 '[');
-      ]
-    @ rendered
-        [
-          ("unmutated", snapshot);
-          ("wrong schema",
-            set_field "schema" (Core.Json.String "obs-timeline/v3") snapshot);
-          ("schema dropped", drop_field "schema" snapshot);
-          ("kernels dropped", drop_field "kernels" snapshot);
-          ("kernels retyped", set_field "kernels" (Core.Json.String "k") snapshot);
-          ("kernels empty", set_field "kernels" (Core.Json.List []) snapshot);
-          ("kernel retyped", map_nth "kernels" 0 (fun _ -> Core.Json.Number 1.) snapshot);
-          ("name retyped",
-            map_nth "kernels" 0 (set_field "name" (Core.Json.Number 1.)) snapshot);
-          ("timing dropped", map_nth "kernels" 1 (drop_field "ns_per_run") snapshot);
-          ("timing retyped", ns_of (Core.Json.String "900"));
-          ("timing null", ns_of Core.Json.Null);
-          ("timing zero", ns_of (Core.Json.Number 0.));
-          ("timing negative", ns_of (Core.Json.Number (-900.)));
-          ("timing subnormal", ns_of (Core.Json.Number 5e-324));
-          ("timing huge", ns_of (Core.Json.Number 1e308));
-          ("duplicate kernel",
-            map_nth "kernels" 1 (set_field "name" (Core.Json.String "k/base")) snapshot);
-        ])
-    (fun path ->
-      [
-        ("bench-compare", [ "bench-compare"; base; path ]);
-        ("bench-pair", [ "bench-pair"; path; "k/base"; "k/current" ]);
-      ]);
-  List.iter Sys.remove [ timeline; out; base ]
+  List.iter Sys.remove [ timeline; out ]
 
 (* Lines of [text] with [f] applied to the first line [pick] accepts. *)
 let map_first_line pick f text =
@@ -755,33 +692,40 @@ let test_pso_audit_dpcheck_flags_broken_case () =
 
 (* --- bench --- *)
 
+(* bench/main.exe takes no arguments: any argument exits 2 with usage
+   before a gate is timed, so nothing reaches stdout. *)
 let test_bench_bad_invocations () =
-  (* --metrics: telemetry flags belong to pso_audit, not to bench. *)
   List.iter
-    (fun flag ->
-      check_fails_with_usage "bench unknown option" (bench [ flag ]) ~code:2)
-    [ "--frob"; "--metrics" ];
-  check_fails_with_usage "bench anonymous argument" (bench [ "E2" ]) ~code:2;
-  check_fails_with_usage "bench jobs zero" (bench [ "--jobs"; "0" ]) ~code:2;
-  check_fails_with_usage "bench negative jobs" (bench [ "--jobs=-2" ]) ~code:2;
-  let r = run (bench [ "--only"; "E99" ]) in
-  Alcotest.(check int) "bench unknown --only exits 2" 2 r.code;
-  Alcotest.(check bool) "error names the id" true (contains r.stderr "E99");
-  Alcotest.(check bool) "error lists valid ids" true (contains r.stderr "E13")
+    (fun args ->
+      let name = "bench " ^ String.concat " " args in
+      let r = run (bench args) in
+      Alcotest.(check int) (name ^ " exits 2") 2 r.code;
+      Alcotest.(check bool) (name ^ " prints usage") true
+        (contains (String.lowercase_ascii r.stderr) "usage");
+      Alcotest.(check string) (name ^ " times nothing") "" r.stdout)
+    [
+      [ "--frob" ]; [ "--metrics" ]; [ "E2" ]; [ "--jobs"; "1" ]; [ "--full" ];
+      [ "--only"; "E2" ]; [ "--json"; "b.json" ]; [ "--help" ];
+    ]
 
+(* The experiment tables are pso_audit run's: one id renders that table
+   alone. *)
 let test_bench_only_tables () =
-  let r = run (bench [ "--only"; "E2"; "--no-perf"; "--jobs"; "1" ]) in
-  Alcotest.(check int) "tables-only run exits 0" 0 r.code;
+  let r = run (pso_audit [ "run"; "E2"; "--quick" ]) in
+  Alcotest.(check int) "run E2 exits 0" 0 r.code;
   Alcotest.(check bool) "renders the experiment" true (contains r.stdout "E2");
   Alcotest.(check bool) "skips other experiments" false (contains r.stdout "E7")
 
+(* The parallel determinism guarantee end to end: one table, the same
+   bytes at one and two jobs. *)
 let test_bench_speedup_determinism () =
-  let r =
-    run (bench [ "--speedup"; "--only"; "E2"; "--no-perf"; "--jobs"; "2" ])
+  let table jobs =
+    let r = run (pso_audit [ "run"; "E2"; "--quick"; "--jobs"; jobs ]) in
+    Alcotest.(check int) ("run E2 --jobs " ^ jobs ^ " exits 0") 0 r.code;
+    r.stdout
   in
-  Alcotest.(check int) "speedup run exits 0" 0 r.code;
-  Alcotest.(check bool) "tables compared identical" true
-    (contains r.stdout "tables identical")
+  Alcotest.(check string) "tables identical at --jobs 1 and 2" (table "1")
+    (table "2")
 
 let () =
   Alcotest.run "cli"

@@ -1,7 +1,7 @@
 (* Row-level assertions on the experiment harness at quick scale: each
    experiment's rows must already show the paper's qualitative shape, so a
    regression that flattens a curve or flips a comparison fails here even
-   before anyone reads the bench tables. *)
+   before anyone reads the rendered tables. *)
 
 let rng () = Prob.Rng.create ~seed:9000L ()
 

@@ -1,9 +1,10 @@
 (* Golden-table regression harness for the experiment suite and the
    certificate verdict table.
 
-   Every E1..E13 table is rendered at Quick scale from the bench harness's
-   exact specification — [Parallel.Pool.set_default_jobs], then a fresh
-   generator seeded 20210621 — and compared byte-for-byte against the
+   Every E1..E14 table is rendered at Quick scale exactly as
+   [pso_audit run E<k> --quick --seed 20210621] renders it —
+   [Parallel.Pool.set_default_jobs], then a fresh generator seeded
+   20210621 — and compared byte-for-byte against the
    checked-in snapshot in test/golden/. Each table is rendered at jobs = 1,
    2 and 4, so the suite simultaneously pins the numbers (any change to a
    mechanism, sampler or experiment shows up as a diff) and the

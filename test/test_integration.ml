@@ -114,12 +114,15 @@ let test_experiment_registry_lookup () =
   Alcotest.(check bool) "rejects junk" true (Experiments.Registry.find "E99" = None);
   Alcotest.(check int) "fourteen experiments" 14 (List.length Experiments.Registry.all)
 
-(* Experiment kernels (the Bechamel payloads) all run. *)
+(* Every perf gate's A and B sides run once, untimed, with their
+   cross-checks: SpMV sparse == dense bitwise, and every predicate engine
+   and the batched mechanism agree with the interpreter's counts. The
+   timeline gate leaves no ticker running and the ledger gate leaves the
+   journal off. *)
 let test_experiment_kernels () =
-  let r = rng () in
-  List.iter
-    (fun (e : Experiments.Registry.entry) -> e.Experiments.Registry.kernel r)
-    Experiments.Registry.all
+  List.iter Stattest.Gate.exercise Stattest.Gate.all;
+  Alcotest.(check bool) "no ticker left running" false (Obs.Timeline.running ());
+  Alcotest.(check bool) "ledger left off" false (Obs.Ledger.enabled ())
 
 let test_core_version () =
   Alcotest.(check bool) "semver-ish" true (String.length Core.version >= 5)

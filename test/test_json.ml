@@ -1,7 +1,7 @@
-(* Core.Json unit tests plus the --json contract test: bench/main.exe is
-   spawned for one kernel and its output parsed back, pinning the
-   documented schema (sorted keys, version field) so downstream tooling
-   can depend on it. *)
+(* Core.Json unit tests plus the benchmark output contract: one
+   bench/e2e/main.exe run's --out line is parsed back, pinning its
+   workload name and end-to-end metric fields so downstream tooling can
+   depend on them. *)
 
 module J = Core.Json
 
@@ -91,52 +91,62 @@ let test_accessors () =
   Alcotest.(check bool) "member miss" true (J.member "zzz" doc = None);
   Alcotest.(check bool) "member on non-obj" true (J.member "a" (J.Number 1.) = None)
 
-(* --- the bench --json contract --- *)
+(* --- the bench/e2e --out contract --- *)
 
-let bench_exe () =
+let e2e_exe () =
   (* dune runtest runs from _build/default/test with the exe staged one
      level up; fall back to the repo-root path for manual `dune exec`. *)
   List.find_opt Sys.file_exists
     [
-      Filename.concat ".." (Filename.concat "bench" "main.exe");
-      Filename.concat "_build" (Filename.concat "default" (Filename.concat "bench" "main.exe"));
+      List.fold_left Filename.concat ".." [ "bench"; "e2e"; "main.exe" ];
+      List.fold_left Filename.concat "_build" [ "default"; "bench"; "e2e"; "main.exe" ];
     ]
 
+(* One short run appends one canonical JSON line naming its workload and
+   carrying the four end-to-end metrics, each a value with its unit. *)
 let test_bench_json_contract () =
-  match bench_exe () with
-  | None -> Alcotest.fail "bench/main.exe not found"
+  match e2e_exe () with
+  | None -> Alcotest.fail "bench/e2e/main.exe not found"
   | Some exe ->
-    let out = Filename.temp_file "bench" ".json" in
+    let out = Filename.temp_file "e2e" ".jsonl" in
     let cmd =
-      Printf.sprintf "%s --no-tables --only E2 --jobs 1 --json %s > %s 2>&1"
+      Printf.sprintf
+        "%s run --workload census-suppressed --seed 1 --seconds 0.01 --out %s > %s 2>&1"
         (Filename.quote exe) (Filename.quote out) Filename.null
     in
-    let rc = Sys.command cmd in
-    Alcotest.(check int) "bench exits 0" 0 rc;
+    Alcotest.(check int) "e2e run exits 0" 0 (Sys.command cmd);
     let ic = open_in_bin out in
     let contents = really_input_string ic (in_channel_length ic) in
     close_in ic;
     Sys.remove out;
-    let doc = parse_ok contents in
-    Alcotest.(check (option string)) "schema field" (Some "bench-kernels/v1")
-      (Option.bind (J.member "schema" doc) J.to_string_opt);
-    Alcotest.(check (option int)) "version field" (Some 1)
-      (Option.bind (J.member "version" doc) J.to_int);
-    Alcotest.(check (option int)) "jobs field" (Some 1)
-      (Option.bind (J.member "jobs" doc) J.to_int);
-    (match Option.bind (J.member "kernels" doc) J.to_list with
-    | Some [ kernel ] ->
-      Alcotest.(check (option string)) "kernel name" (Some "experiments/E2-kernel")
-        (Option.bind (J.member "name" kernel) J.to_string_opt);
-      (match Option.bind (J.member "ns_per_run" kernel) J.to_float with
-      | Some ns -> Alcotest.(check bool) "positive timing" true (ns > 0.)
-      | None -> Alcotest.fail "ns_per_run missing or not a number");
-      Alcotest.(check bool) "r_square present" true (J.member "r_square" kernel <> None)
-    | Some ks -> Alcotest.failf "expected exactly one kernel, got %d" (List.length ks)
-    | None -> Alcotest.fail "kernels array missing");
+    let line =
+      match String.split_on_char '\n' (String.trim contents) with
+      | [ line ] -> line
+      | lines -> Alcotest.failf "expected one line, got %d" (List.length lines)
+    in
+    let doc = parse_ok line in
+    Alcotest.(check (option string)) "workload field" (Some "census-suppressed")
+      (Option.bind (J.member "workload" doc) J.to_string_opt);
+    let metrics =
+      match Option.bind (J.member "result" doc) (J.member "metrics") with
+      | Some m -> m
+      | None -> Alcotest.fail "result.metrics missing"
+    in
+    List.iter
+      (fun name ->
+        match J.member name metrics with
+        | None -> Alcotest.failf "metric %s missing" name
+        | Some m ->
+          (match Option.bind (J.member "value" m) J.to_float with
+          | Some v ->
+            Alcotest.(check bool) (name ^ " finite, >= 0") true
+              (Float.is_finite v && v >= 0.)
+          | None -> Alcotest.failf "metric %s has no numeric value" name);
+          Alcotest.(check bool) (name ^ " has a unit") true
+            (Option.bind (J.member "unit" m) J.to_string_opt <> None))
+      [ "setup_s"; "items_per_ref"; "accuracy"; "peak_heap_mb" ];
     (* Canonical rendering: re-serializing the parse is byte-identical. *)
-    Alcotest.(check string) "canonical bytes" (String.trim contents)
-      (J.to_string ~pretty:true doc)
+    Alcotest.(check string) "canonical bytes" line (J.to_string doc)
 
 let () =
   Alcotest.run "json"

@@ -1,8 +1,8 @@
 (* The audit ledger (Obs.Ledger): emission round-trips through the
    library API, the replay verifier catches tampering, and — end to end
    through the CLI — ledger files are byte-identical at every --jobs and
-   ledger-verify / ledger-report / bench-pair hold their exit-code
-   contracts. *)
+   ledger-verify / ledger-report hold their exit-code contracts; the
+   ledger's overhead gate judges by Stattest.Gate's verdict rule. *)
 
 module L = Obs.Ledger
 
@@ -331,33 +331,52 @@ let test_cli_ledger_report_json () =
   Alcotest.(check bool) "cost_p99 is null when no query costs" true
     (Json.member "cost_p99" a = Some Json.Null)
 
+(* The verdict rule the ledger overhead gate (and every other perf gate
+   in Stattest.Gate) is judged by, on synthetic round times: A jitters
+   around 100 us, B is A scaled, and the gate reads the median ratio's
+   bootstrap interval against its bound. *)
 let test_cli_bench_pair () =
-  let snapshot = Filename.temp_file "bench" ".json" in
-  let oc = open_out snapshot in
-  output_string oc
-    {|{"schema":"bench-kernels/v1","version":1,"jobs":1,"kernels":[
-       {"name":"base","ns_per_run":100000.0,"r_square":0.99},
-       {"name":"near","ns_per_run":105000.0,"r_square":0.99},
-       {"name":"slow","ns_per_run":200000.0,"r_square":0.99}]}|};
-  close_out oc;
-  let pass = run (pso_audit [ "bench-pair"; snapshot; "base"; "near"; "--tolerance"; "10" ]) in
-  Alcotest.(check int) "+5% within 10%" 0 pass.code;
-  Alcotest.(check bool) "verdict printed" true (contains pass.stdout "within tolerance");
-  let fail = run (pso_audit [ "bench-pair"; snapshot; "base"; "slow"; "--tolerance"; "10" ]) in
-  Alcotest.(check int) "+100% beyond 10%" 1 fail.code;
-  let missing = run (pso_audit [ "bench-pair"; snapshot; "base"; "nope" ]) in
-  Alcotest.(check int) "unknown kernel exits 2" 2 missing.code;
-  (* A zero timing would print a nan delta and pass any tolerance. *)
-  let oc = open_out snapshot in
-  output_string oc
-    {|{"schema":"bench-kernels/v1","version":1,"jobs":1,"kernels":[
-       {"name":"a","ns_per_run":0,"r_square":0.99}]}|};
-  close_out oc;
-  let zero = run (pso_audit [ "bench-pair"; snapshot; "a"; "a" ]) in
-  Alcotest.(check int) "zero ns_per_run exits 2" 2 zero.code;
-  Alcotest.(check bool) "zero ns_per_run prints no verdict" false
-    (contains zero.stdout "within tolerance");
-  Sys.remove snapshot
+  let module G = Stattest.Gate in
+  let rounds = 21 in
+  let jitter i k = 1. +. (0.005 *. float_of_int (((i * k) mod 5) - 2)) in
+  let a = Array.init rounds (fun i -> 100_000. *. jitter i 7) in
+  let scaled scale = Array.mapi (fun i t -> t *. scale *. jitter i 3) a in
+  let verdict bound b = (G.judge bound ~a ~b).G.verdict in
+  let check name want got =
+    Alcotest.(check bool) name true (want = got)
+  in
+  check "+5% passes a 10% overhead bound" G.Pass
+    (verdict (G.Overhead 1.10) (scaled 1.05));
+  check "+100% fails a 10% overhead bound" G.Fail
+    (verdict (G.Overhead 1.10) (scaled 2.0));
+  check "20x passes a 10x speedup bound" G.Pass
+    (verdict (G.Speedup 10.) (scaled 0.05));
+  check "5x fails a 10x speedup bound" G.Fail
+    (verdict (G.Speedup 10.) (scaled 0.2));
+  (* Ratios spread evenly over [1.0, 1.2]: the interval holds 1.10. *)
+  let spread = Array.mapi (fun i t -> t *. (1. +. (0.01 *. float_of_int i))) a in
+  let s = G.judge (G.Overhead 1.10) ~a ~b:spread in
+  Alcotest.(check bool) "interval holds the bound" true (s.G.lo < 1.10 && s.G.hi > 1.10);
+  check "a straddling interval is unresolved" G.Unresolved s.G.verdict;
+  let raises name b =
+    Alcotest.(check bool) name true
+      (match G.judge (G.Overhead 1.10) ~a:(Array.sub a 0 (Array.length b)) ~b with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let with_round x = Array.mapi (fun i t -> if i = 3 then x else t) a in
+  raises "a zero time" (with_round 0.);
+  raises "a negative time" (with_round (-1.));
+  raises "a nan time" (with_round nan);
+  raises "an infinite time" (with_round infinity);
+  raises "too few rounds" (Array.sub a 0 (G.min_rounds - 1));
+  Alcotest.(check bool) "rounds must pair up" true
+    (match G.judge (G.Overhead 1.10) ~a ~b:(Array.sub a 0 10) with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let again = G.judge (G.Overhead 1.10) ~a ~b:spread in
+  Alcotest.(check bool) "same samples, same interval" true
+    (again.G.lo = s.G.lo && again.G.hi = s.G.hi && again.G.ratio = s.G.ratio)
 
 let () =
   Alcotest.run "ledger"
