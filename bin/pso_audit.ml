@@ -42,36 +42,12 @@ let jobs_arg =
 
 let set_jobs =
   Option.iter (fun j ->
-      if j < 1 then begin
-        Format.eprintf "pso_audit: --jobs must be >= 1 (got %d)@." j;
+      if j < 1 || j > Parallel.Pool.max_jobs then begin
+        Format.eprintf "pso_audit: --jobs must be >= 1 and <= %d (got %d)@."
+          Parallel.Pool.max_jobs j;
         exit 2
       end;
       Parallel.Pool.set_default_jobs j)
-
-(* Query evaluation engine (see Query.Predicate). Results are identical
-   under every engine; check mode cross-validates the compiled path
-   against the reference interpreter and fails loudly on divergence. The
-   flag overrides the PSO_QUERY_ENGINE environment variable. *)
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [
-                ("interp", Query.Predicate.Interpreted);
-                ("bitset", Query.Predicate.Compiled);
-                ("check", Query.Predicate.Checked);
-              ]))
-        None
-    & info [ "engine" ] ~docv:"E"
-        ~doc:
-          "Query evaluation engine: $(b,interp) (reference row-by-row \
-           interpreter), $(b,bitset) (compiled columnar engine, the \
-           default) or $(b,check) (run both and fail on any divergence). \
-           Results do not depend on this.")
-
-let set_engine = Option.iter Query.Predicate.set_engine
 
 (* --- file input and output --- *)
 
@@ -365,9 +341,8 @@ let anonymize_cmd =
 type game_target = Count | Dp_count | Kanon_member | Kanon_class
 
 let game_cmd =
-  let run seed jobs engine n trials target obs =
+  let run seed jobs n trials target obs =
     set_jobs jobs;
-    set_engine engine;
     exit_with @@ with_obs obs
     @@ fun () ->
     let rng = rng_of_seed seed in
@@ -431,7 +406,7 @@ let game_cmd =
   Cmd.v
     (Cmd.info "game" ~doc:"Run the PSO security game (Definition 2.4).")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ n_arg 120 $ trials_arg
+      const run $ seed_arg $ jobs_arg $ n_arg 120 $ trials_arg
       $ target_arg $ obs_term)
 
 (* --- audit --- *)
@@ -445,9 +420,8 @@ type audit_target =
   | A_synthetic
 
 let audit_cmd =
-  let run seed jobs engine n trials target obs =
+  let run seed jobs n trials target obs =
     set_jobs jobs;
-    set_engine engine;
     exit_with @@ with_obs obs
     @@ fun () ->
     let rng = rng_of_seed seed in
@@ -516,15 +490,14 @@ let audit_cmd =
     (Cmd.info "audit"
        ~doc:"Run the standard PSO attacker battery against a mechanism.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ n_arg 120 $ trials_arg
+      const run $ seed_arg $ jobs_arg $ n_arg 120 $ trials_arg
       $ target_arg $ obs_term)
 
 (* --- theorems --- *)
 
 let theorems_cmd =
-  let run seed jobs engine n trials obs =
+  let run seed jobs n trials obs =
     set_jobs jobs;
-    set_engine engine;
     exit_with @@ with_obs obs
     @@ fun () ->
     let rng = rng_of_seed seed in
@@ -544,15 +517,14 @@ let theorems_cmd =
   Cmd.v
     (Cmd.info "theorems" ~doc:"Run the executable theorem battery.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ n_arg 150 $ trials_arg
+      const run $ seed_arg $ jobs_arg $ n_arg 150 $ trials_arg
       $ obs_term)
 
 (* --- report --- *)
 
 let report_cmd =
-  let run seed jobs engine n trials obs =
+  let run seed jobs n trials obs =
     set_jobs jobs;
-    set_engine engine;
     exit_with @@ with_obs obs
     @@ fun () ->
     let rng = rng_of_seed seed in
@@ -566,15 +538,14 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc:"Print the full legal-technical audit report.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ n_arg 150 $ trials_arg
+      const run $ seed_arg $ jobs_arg $ n_arg 150 $ trials_arg
       $ obs_term)
 
 (* --- dpcheck --- *)
 
 let dpcheck_cmd =
-  let run seed jobs engine trials confidence battery mechanism obs =
+  let run seed jobs trials confidence battery mechanism obs =
     set_jobs jobs;
-    set_engine engine;
     if trials < 1 then begin
       Format.eprintf "pso_audit: --trials must be >= 1 (got %d)@." trials;
       exit 2
@@ -652,14 +623,14 @@ let dpcheck_cmd =
          "Empirically audit the eps-DP mechanisms (Definition 1.2); exits 1 \
           when a statistically certified violation is found.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ trials_arg
+      const run $ seed_arg $ jobs_arg $ trials_arg
       $ confidence_arg $ battery_arg $ mechanism_arg $ obs_term)
 
 (* --- certify --- *)
 
 let certify_cmd =
   let run mechanism tamper legal seed =
-    (* No --jobs / --engine here: certificate checking is an exhaustive
+    (* No --jobs here: certificate checking is an exhaustive
        deterministic enumeration — nothing is sampled, nothing fans out. *)
     if tamper then begin
       let results = Cert.Registry.tamper_suite () in
@@ -763,7 +734,7 @@ let certify_cmd =
 (* --- run --- *)
 
 let run_cmd =
-  let run seed jobs engine quick full id obs =
+  let run seed jobs quick full id obs =
     if quick && full then begin
       Format.eprintf "pso_audit: --quick and --full are mutually exclusive@.";
       exit 2
@@ -772,7 +743,6 @@ let run_cmd =
       if full then Experiments.Common.Full else Experiments.Common.Quick
     in
     set_jobs jobs;
-    set_engine engine;
     (* Validate the id before enabling telemetry so a typo exits cleanly. *)
     let entries =
       if String.lowercase_ascii id = "all" then Experiments.Registry.all
@@ -813,7 +783,7 @@ let run_cmd =
          "Run an experiment from DESIGN.md's index at quick (the default) \
           or full scale.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ quick_arg $ full_arg
+      const run $ seed_arg $ jobs_arg $ quick_arg $ full_arg
       $ id_arg $ obs_term)
 
 (* --- census --- *)

@@ -30,11 +30,11 @@ let mean rng ~epsilon ~lo ~hi values =
   noisy_sum /. Float.max 1. noisy_count
 
 (* Batched: one shared columnar evaluation of the whole query vector
-   (Query.Engine dispatches on the engine mode, so Checked still
-   cross-validates), then one bulk noise pass. Predicate counts never
-   touch the rng, so "counts first, then noise in ascending order" draws
-   the exact sequence of the old per-query interleaving — answers are
-   byte-identical to [Array.map (count ~epsilon:per_query table) qs]. *)
+   through Query.Engine.counts, then one bulk noise pass. Predicate
+   counts never touch the rng, so "counts first, then noise in ascending
+   order" draws the exact sequence of the old per-query interleaving —
+   answers are byte-identical to
+   [Array.map (count ~epsilon:per_query table) qs]. *)
 let counts ?accountant rng ~epsilon table qs =
   check_epsilon epsilon;
   let nq = Array.length qs in

@@ -7,6 +7,10 @@
     side — the fact that forces Definition 2.3 to be weakened into
     Definition 2.4. *)
 
+val model : Dataset.Model.t
+(** 365 uniform birthdays and a 4096-valued noise attribute: the data
+    model every trial's table is sampled from. *)
+
 type row = {
   n : int;
   weight : float;

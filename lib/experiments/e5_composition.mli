@@ -7,6 +7,9 @@
     face of the theorem's ω(log n) threshold. Also ablates the
     single-bucket (≈37%-capped) vs scouted (→100%) attacker. *)
 
+val model : Dataset.Model.t
+(** The data model every trial's table is sampled from. *)
+
 type row = {
   n : int;
   ell : int;

@@ -37,7 +37,12 @@ let c_warm_starts = Obs.Counter.make "linalg.lsq_warm_starts"
 
 let c_power_iters = Obs.Counter.make "linalg.lsq_power_iterations"
 
-let record_iters ~warm iters =
+(* Solves stopped by the iteration cap (or, in [cg], by a non-positive
+   curvature step): the run's solver-health signal. *)
+let c_unconverged = Obs.Counter.make "linalg.lsq_unconverged"
+
+let record_iters ~warm ~converged iters =
+  if not converged then Obs.Counter.incr c_unconverged;
   Obs.Counter.add c_iters iters;
   if warm then begin
     Obs.Counter.incr c_warm_starts;
@@ -82,7 +87,7 @@ let cg ?(options = default_options) ?x0 apply b =
       incr iter
     end
   done;
-  record_iters ~warm:(x0 <> None) !iter;
+  record_iters ~warm:(x0 <> None) ~converged:!converged !iter;
   { x; iterations = !iter; converged = !converged }
 
 let conjugate_gradient ?options ?x0 apply b = (cg ?options ?x0 apply b).x
@@ -171,7 +176,7 @@ let box ?(options = default_options) ?x0 o b ~lo ~hi =
     end;
     incr iter
   done;
-  record_iters ~warm:(x0 <> None) !iter;
+  record_iters ~warm:(x0 <> None) ~converged:!converged !iter;
   { x = z; iterations = !iter; converged = !converged }
 
 let solve_box ?options ?x0 a b ~lo ~hi =

@@ -41,7 +41,10 @@ val of_sparse : Sparse.t -> op
 type solution = {
   x : Vector.t;
   iterations : int;
-  converged : bool;  (** false when the iteration cap stopped the solve *)
+  converged : bool;
+      (** false when the iteration cap stopped the solve; each such
+          {!cg} or {!box} solve bumps the [linalg.lsq_unconverged]
+          counter *)
 }
 
 val cg :

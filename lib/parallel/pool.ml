@@ -9,6 +9,16 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
+(* OCaml 5.1 runs at most 128 domains at once (Max_domains in
+   caml/domain.h), the main domain included. [jobs] counts the calling
+   domain; one more slot stays free for the Obs.Timeline ticker. *)
+let max_jobs = 127
+
+let check_jobs fn jobs =
+  if jobs < 1 then invalid_arg (fn ^ ": jobs must be >= 1");
+  if jobs > max_jobs then
+    invalid_arg (Printf.sprintf "%s: jobs must be <= %d" fn max_jobs)
+
 let recommended_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let jobs t = t.jobs
@@ -42,7 +52,7 @@ let worker_loop pool =
 
 let create ?jobs () =
   let jobs = match jobs with Some j -> j | None -> recommended_jobs () in
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
+  check_jobs "Pool.create" jobs;
   let pool =
     {
       jobs;
@@ -195,7 +205,7 @@ let requested_default_jobs = ref None
 let at_exit_registered = ref false
 
 let set_default_jobs j =
-  if j < 1 then invalid_arg "Pool.set_default_jobs: jobs must be >= 1";
+  check_jobs "Pool.set_default_jobs" j;
   requested_default_jobs := Some j;
   match !default_pool with
   | Some p when p.jobs <> j ->

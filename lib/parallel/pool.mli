@@ -21,6 +21,12 @@
 
 type t
 
+val max_jobs : int
+(** 127: the largest [jobs] a pool accepts. OCaml 5.1 runs at most 128
+    domains at once, the main domain included; a pool of [jobs] uses the
+    calling domain and [jobs - 1] workers, and one slot stays free for the
+    [Obs.Timeline] ticker. *)
+
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1] with a floor of 1: one slot
     is left for the calling domain, and a machine with unknown topology
@@ -29,7 +35,8 @@ val recommended_jobs : unit -> int
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs] defaults to
     {!recommended_jobs}). [jobs = 1] spawns nothing: every operation runs
-    sequentially on the caller. Raises [Invalid_argument] if [jobs < 1]. *)
+    sequentially on the caller. Raises [Invalid_argument], before
+    spawning anything, unless [1 <= jobs <= max_jobs]. *)
 
 val jobs : t -> int
 (** Total parallelism, counting the calling domain. *)
@@ -56,7 +63,7 @@ val map_reduce :
 val set_default_jobs : int -> unit
 (** Configure the parallelism of {!default}. If a default pool already
     exists at a different size it is shut down and recreated lazily.
-    Raises [Invalid_argument] if the argument is [< 1]. *)
+    Raises [Invalid_argument] unless [1 <= jobs <= max_jobs]. *)
 
 val default : unit -> t
 (** The process-wide shared pool, created on first use with the size from

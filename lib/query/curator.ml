@@ -149,54 +149,27 @@ let ask_subset_as t ~digest ~engine subset =
 
 let ask_subset t subset = ask_subset_as t ~digest:"-" ~engine:"subset" subset
 
-let matching_interpreted t schema p =
-  let subset = ref [] in
-  Table.iter
-    (fun i row -> if Predicate.eval schema p row then subset := i :: !subset)
-    t.table;
-  Array.of_list (List.rev !subset)
-
-let show_subset s =
-  "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int s)) ^ "]"
-
+(* Predicate queries journal as engine "bitset" (the compiled evaluator),
+   index-subset queries as "subset": ledger/v1's [engine] field. *)
 let ask t p =
-  let schema = Table.schema t.table in
-  let subset =
-    Predicate.by_engine
-      ~what:(fun () -> "Curator.ask on " ^ Predicate.to_string p)
-      ~show:show_subset
-      (fun () -> matching_interpreted t schema p)
-      (fun () ->
-        Bitset.indices (Predicate.bits (Predicate.compile schema p) t.table))
-  in
+  let c = Predicate.compile (Table.schema t.table) p in
+  let subset = Bitset.indices (Predicate.bits c t.table) in
   let digest = if Obs.Ledger.enabled () then Predicate.digest p else "-" in
-  ask_subset_as t ~digest
-    ~engine:(Predicate.engine_name (Predicate.engine ()))
-    subset
+  ask_subset_as t ~digest ~engine:"bitset" subset
 
 (* Subpopulation extraction for a whole question list at once. Replies
    still go through [ask_subset] one by one in index order, so the
    curator's state transitions (budget, audit, noise draws) are exactly
    those of asking sequentially — [ask_many] and [Array.map (ask t)]
    produce identical replies from identical starting states. *)
-let matching_many t schema ps =
-  Predicate.by_engine
-    ~what:(fun () ->
-      Printf.sprintf "Curator.ask_many on %d queries" (Array.length ps))
-    ~show:(fun ss -> String.concat " " (Array.to_list (Array.map show_subset ss)))
-    (fun () -> Array.map (matching_interpreted t schema) ps)
-    (fun () ->
-      let cs = Array.map (Predicate.compile schema) ps in
-      Array.map Bitset.indices (Predicate.bits_many t.table cs))
-
 let ask_many t ps =
-  let subsets = matching_many t (Table.schema t.table) ps in
-  let engine = Predicate.engine_name (Predicate.engine ()) in
+  let cs = Array.map (Predicate.compile (Table.schema t.table)) ps in
+  let subsets = Array.map Bitset.indices (Predicate.bits_many t.table cs) in
   let ledger_on = Obs.Ledger.enabled () in
   let out = Array.make (Array.length ps) (Refusal "unasked") in
   for i = 0 to Array.length ps - 1 do
     let digest = if ledger_on then Predicate.digest ps.(i) else "-" in
-    out.(i) <- ask_subset_as t ~digest ~engine subsets.(i)
+    out.(i) <- ask_subset_as t ~digest ~engine:"bitset" subsets.(i)
   done;
   out
 

@@ -4,9 +4,9 @@
    batch-wide atom dedup, fused word-machine evaluation. This module adds
    the two things the kernel deliberately does not know about:
 
-   - engine dispatch: [counts]/[isolations] go through
-     Predicate.by_engine, whose interpreted side is the one interpreted
-     batch below and whose [Checked] mode compares the two;
+   - predicate-level entry points: [counts]/[isolations] compile the
+     batch (or reuse the caller's compilation) and charge
+     [query.predicate_evals];
 
    - optional domain fan-out: [?pool] splits a large batch into contiguous
      chunks evaluated by Parallel.Pool workers and concatenated in chunk
@@ -19,7 +19,7 @@ module Table = Dataset.Table
 (* Same handle as Predicate's per-query accounting (Counter.make is
    idempotent by name): a batched count still charges one logical
    row-evaluation per row per predicate, so query.predicate_evals stays
-   engine- and batch-invariant. *)
+   batch-invariant. *)
 let c_evals = Obs.Counter.make "query.predicate_evals"
 
 (* Fan a batch of independent per-predicate results over the pool in
@@ -55,44 +55,16 @@ let isolates_many ?pool ?cache table cs =
     fan_out pool (Array.length cs) (fun off len ->
         Predicate.isolates_many ?cache table (Array.sub cs off len))
 
-let compile_all schema qs = Array.map (Predicate.compile schema) qs
-
-(* The interpreted batch: rows outer, queries inner, so hash-atom digests
-   (cached per row by the interpreter) are paid once per record for the
-   whole batch. *)
-let count_interpreted_many schema qs table =
-  let counts = Array.make (Array.length qs) 0 in
-  Array.iter
-    (fun row ->
-      Array.iteri
-        (fun i q ->
-          if Predicate.eval schema q row then counts.(i) <- counts.(i) + 1)
-        qs)
-    (Table.rows table);
-  counts
-
-let show_array show a =
-  "[" ^ String.concat "; " (Array.to_list (Array.map show a)) ^ "]"
-
-(* Charge the batch, then switch engines: [interp] derives the answer
-   from the interpreted counts, [compiled] runs the word machine over
-   [?compiled] or a fresh compilation of [qs]. *)
-let dispatch what ~show ?compiled table qs ~interp run =
+(* Charge the batch and return its compilation: [?compiled], or a fresh
+   compilation of [qs]. *)
+let compiled_batch ?compiled table qs =
   Obs.Counter.add c_evals (Table.nrows table * Array.length qs);
-  let schema = Table.schema table in
-  Predicate.by_engine
-    ~what:(fun () ->
-      Printf.sprintf "Engine.%s on %d queries" what (Array.length qs))
-    ~show:(show_array show)
-    (fun () -> interp (count_interpreted_many schema qs table))
-    (fun () ->
-      run (match compiled with Some cs -> cs | None -> compile_all schema qs))
+  match compiled with
+  | Some cs -> cs
+  | None -> Array.map (Predicate.compile (Table.schema table)) qs
 
 let counts ?pool ?compiled table qs =
-  dispatch "counts" ~show:string_of_int ?compiled table qs ~interp:Fun.id
-    (count_many ?pool table)
+  count_many ?pool table (compiled_batch ?compiled table qs)
 
 let isolations ?pool ?compiled table qs =
-  dispatch "isolations" ~show:string_of_bool ?compiled table qs
-    ~interp:(Array.map (fun n -> n = 1))
-    (isolates_many ?pool table)
+  isolates_many ?pool table (compiled_batch ?compiled table qs)

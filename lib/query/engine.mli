@@ -3,14 +3,13 @@
     The attacks in this repo — reconstruction (Section 1), the PSO
     composition game (Section 4), the dpcheck audits — each evaluate
     hundreds to thousands of count queries against one table. This module
-    is their entry point: it switches on the process-wide
-    {!Predicate.engine} mode through {!Predicate.by_engine}, runs whole
-    predicate arrays through the compiled evaluator
-    ({!Predicate.count_many}: one columnar scan, batch-wide atom dedup,
-    fused word-machine evaluation) or through one rows-outer interpreted
-    pass, and can optionally fan a large batch across a {!Parallel.Pool}
-    in contiguous chunks combined in chunk order — the answers are
-    byte-identical at every [jobs] count. *)
+    is their entry point: it runs whole predicate arrays through the
+    compiled evaluator ({!Predicate.count_many}: one columnar scan,
+    batch-wide atom dedup, fused word-machine evaluation), and can
+    optionally fan a large batch across a {!Parallel.Pool} in contiguous
+    chunks combined in chunk order — the answers are byte-identical at
+    every [jobs] count. The tests hold its answers to
+    {!Predicate.count_interpreted}, the reference interpreter. *)
 
 val count_many :
   ?pool:Parallel.Pool.t ->
@@ -38,16 +37,11 @@ val counts :
   Dataset.Table.t ->
   Predicate.t array ->
   int array
-(** Engine-dispatched batch counts: the [Interpreted] engine runs the
-    reference interpreter over the rows once, evaluating every predicate
-    per row (so hash-atom digests are computed once per record), the
-    [Compiled] engine runs {!count_many}, and [Checked] runs both and
-    raises [Failure] if any answer differs. Pass [?compiled] to reuse an
-    existing compilation of [qs] (they must correspond index-wise);
-    otherwise the predicates are compiled on the fly under
-    [Compiled]/[Checked].
-    Charges [query.predicate_evals] with rows × queries regardless of
-    engine, keeping the counter batch-invariant. *)
+(** Batch counts of predicates: {!count_many} over [?compiled], or over
+    a fresh compilation of [qs]. Pass [?compiled] to reuse an existing
+    compilation of [qs] (they must correspond index-wise). Charges
+    [query.predicate_evals] with rows × queries, keeping the counter
+    batch-invariant. *)
 
 val isolations :
   ?pool:Parallel.Pool.t ->
@@ -55,4 +49,4 @@ val isolations :
   Dataset.Table.t ->
   Predicate.t array ->
   bool array
-(** Engine-dispatched batched isolation tests; contract as {!counts}. *)
+(** Batched isolation tests of predicates; contract as {!counts}. *)

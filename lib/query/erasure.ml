@@ -21,22 +21,10 @@ let erase t i =
 
 let live_records t = Dataset.Table.nrows t.snapshot - Hashtbl.length t.erased
 
-let count_over_interpreted t ~include_erased p =
-  let schema = Dataset.Table.schema t.snapshot in
-  let acc = ref 0 in
-  Dataset.Table.iter
-    (fun i row ->
-      if
-        (include_erased || not (Hashtbl.mem t.erased i))
-        && Predicate.eval schema p row
-      then incr acc)
-    t.snapshot;
-  !acc
-
 (* Bitset count over the snapshot, minus the erased matches: the erased
    set is small relative to the table, so subtracting per erased index
    beats masking out a whole complement bitset. *)
-let count_over_compiled t ~include_erased p =
+let count_over t ~include_erased p =
   let schema = Dataset.Table.schema t.snapshot in
   let b = Predicate.bits (Predicate.compile schema p) t.snapshot in
   let total = Bitset.count b in
@@ -45,13 +33,6 @@ let count_over_compiled t ~include_erased p =
     Hashtbl.fold
       (fun i () acc -> if Bitset.get b i then acc - 1 else acc)
       t.erased total
-
-let count_over t ~include_erased p =
-  Predicate.by_engine
-    ~what:(fun () -> "Erasure.count_over on " ^ Predicate.to_string p)
-    ~show:string_of_int
-    (fun () -> count_over_interpreted t ~include_erased p)
-    (fun () -> count_over_compiled t ~include_erased p)
 
 let count t p =
   match t.implementation with

@@ -43,9 +43,7 @@ let log_run ~digest ~noised ~cost f =
     Obs.Sketchm.observe sk_latency (Int64.to_float (Int64.sub (Obs.now_ns ()) t0));
     Obs.Sketchm.observe sk_cost (float_of_int cost);
     Obs.Ledger.query ~analyst:Obs.Ledger.ambient_analyst ~kind:"mechanism"
-      ~digest:(digest ())
-      ~engine:(Predicate.engine_name (Predicate.engine ()))
-      ~noised ~cost;
+      ~digest:(digest ()) ~engine:"bitset" ~noised ~cost;
     out
   end
 
@@ -90,8 +88,7 @@ let batch_compiled b schema =
 (* The shared, non-journaling counts kernel: both the exact and the
    Laplace batch mechanisms call this and then emit their *own* single
    query event, so a noised release is never double-logged as an exact
-   one. Engine.counts switches engines and reuses the batch's
-   compilation on the compiled side. *)
+   one. Engine.counts reuses the batch's compilation. *)
 let batch_counts ?pool b table =
   let compiled = batch_compiled b (Dataset.Table.schema table) in
   Array.map float_of_int (Engine.counts ?pool ~compiled table b.queries)

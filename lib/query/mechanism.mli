@@ -42,9 +42,8 @@ val laplace_counts : epsilon:float -> Predicate.t array -> t
     the PSO game replays one mechanism thousands of times, and schemes like
     {!Pso.Composition} build several mechanisms over the same queries.
     Counts are evaluated through {!Engine.counts}: one shared columnar
-    scan with batch-wide atom dedup (and under the [Checked] engine, every
-    batch answer compared with the interpreter's). Outputs are identical
-    to the unbatched constructors on every input. *)
+    scan with batch-wide atom dedup. Outputs are identical to the
+    unbatched constructors on every input. *)
 
 type batch
 

@@ -687,50 +687,10 @@ let count_compiled ?(cache = true) c table = count_plan (plan_one ~cache table c
 
 let bits ?(cache = true) c table = plan_bits (plan_one ~cache table c) 0
 
-(* --- Engine selection --- *)
-
-type engine = Interpreted | Compiled | Checked
-
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "interp" | "interpreted" -> Some Interpreted
-  | "bitset" | "compiled" -> Some Compiled
-  | "check" | "checked" -> Some Checked
-  | _ -> None
-
-let engine_name = function
-  | Interpreted -> "interp"
-  | Compiled -> "bitset"
-  | Checked -> "check"
-
-(* Unrecognized env values fall back to the default rather than raising at
-   library init; the CLIs validate their --engine flag properly. *)
-let engine_mode =
-  Atomic.make
-    (match Option.bind (Sys.getenv_opt "PSO_QUERY_ENGINE") engine_of_string with
-    | Some e -> e
-    | None -> Compiled)
-
-let engine () = Atomic.get engine_mode
-
-let set_engine e = Atomic.set engine_mode e
-
-let by_engine ~what ~show interp compiled =
-  match engine () with
-  | Interpreted -> interp ()
-  | Compiled -> compiled ()
-  | Checked ->
-    let a = interp () in
-    let b = compiled () in
-    if a <> b then
-      failwith
-        (Printf.sprintf "%s: engine mismatch (interpreter %s, compiled %s)"
-           (what ()) (show a) (show b));
-    a
-
 (* One row-evaluation per row scanned: the logical cost of every counting
    query, deterministic for a deterministic workload at any --jobs and
-   charged identically by every engine. *)
+   charged alike by single queries and batches ([Engine.counts]). The
+   interpreter is the uncharged reference. *)
 let c_evals = Obs.Counter.make "query.predicate_evals"
 
 let count_interpreted schema t table =
@@ -738,19 +698,9 @@ let count_interpreted schema t table =
 
 let count schema t table =
   Obs.Counter.add c_evals (Table.nrows table);
-  by_engine
-    ~what:(fun () -> "Predicate.count on " ^ to_string t)
-    ~show:string_of_int
-    (fun () -> count_interpreted schema t table)
-    (fun () -> count_compiled (compile schema t) table)
+  count_compiled (compile schema t) table
 
-let isolates schema t table =
-  Obs.Counter.add c_evals (Table.nrows table);
-  by_engine
-    ~what:(fun () -> "Predicate.isolates on " ^ to_string t)
-    ~show:string_of_bool
-    (fun () -> count_interpreted schema t table = 1)
-    (fun () -> count_compiled (compile schema t) table = 1)
+let isolates schema t table = count schema t table = 1
 
 (* --- Weight --- *)
 

@@ -49,15 +49,14 @@ val eval : Dataset.Schema.t -> t -> Dataset.Table.row -> bool
     schema. *)
 
 val count : Dataset.Schema.t -> t -> Dataset.Table.t -> int
-(** [Σᵢ p(xᵢ)] — the count-query answer for this predicate. Dispatches on
-    the current {!engine} through {!by_engine}: the default compiled path
-    runs the word machine on a batch of one; the interpreter is the
-    executable reference. Both produce identical results on every input —
-    [Checked] asserts exactly that. *)
+(** [Σᵢ p(xᵢ)] — the count-query answer for this predicate: compiles [p]
+    and runs the word machine on a batch of one ({!count_compiled}).
+    Charges [query.predicate_evals] with the table's row count. Equal to
+    {!count_interpreted} on every input (property-tested). *)
 
 val isolates : Dataset.Schema.t -> t -> Dataset.Table.t -> bool
 (** Definition 2.1: [p] isolates in [x] iff it holds for exactly one
-    record. Engine-dispatched like {!count}. *)
+    record. [count] compared with 1. *)
 
 (** {1 Compiled engine}
 
@@ -91,8 +90,8 @@ val source : compiled -> t
 (** The predicate this was compiled from. *)
 
 val count_compiled : ?cache:bool -> compiled -> Dataset.Table.t -> int
-(** The compiled count of one predicate: {!count_many} on a batch of one,
-    regardless of engine mode. [cache] (default [true]) controls the
+(** The compiled count of one predicate: {!count_many} on a batch of one.
+    [cache] (default [true]) controls the
     domain-local atom bitset cache; with [~cache:false] every atom
     rematerializes. *)
 
@@ -102,7 +101,9 @@ val bits : ?cache:bool -> compiled -> Dataset.Table.t -> Bitset.t
     {!count_compiled}. *)
 
 val count_interpreted : Dataset.Schema.t -> t -> Dataset.Table.t -> int
-(** The reference row-by-row interpreter, regardless of engine mode. *)
+(** The reference row-by-row interpreter ({!eval} on every row). No
+    workload runs it: it is what the tests and the perf gates check the
+    compiled evaluator against. *)
 
 (** {2 Batched evaluation}
 
@@ -116,8 +117,7 @@ val count_interpreted : Dataset.Schema.t -> t -> Dataset.Table.t -> int
     (by physical identity), since callers replay one array run after
     run.
 
-    Results equal the interpreter's on every input (property-tested, and
-    checked under the [Checked] engine by {!Engine.counts}). *)
+    Results equal the interpreter's on every input (property-tested). *)
 
 val count_many : ?cache:bool -> Dataset.Table.t -> compiled array -> int array
 (** [count_many table cs] is [Array.map (fun c -> count_compiled c table) cs],
@@ -131,37 +131,6 @@ val bits_many : ?cache:bool -> Dataset.Table.t -> compiled array -> Bitset.t arr
 (** Batched {!bits}: one freshly allocated row set per distinct predicate
     (duplicate slots share it), sharing atom materialization across the
     batch. *)
-
-(** {2 Engine selection} *)
-
-type engine =
-  | Interpreted  (** row-by-row reference interpreter *)
-  | Compiled  (** the word machine (default) *)
-  | Checked  (** run both, assert agreement — for tests and CI smoke *)
-
-val engine : unit -> engine
-
-val set_engine : engine -> unit
-(** Process-wide. The initial mode honours the [PSO_QUERY_ENGINE]
-    environment variable ([interp] / [bitset] / [check]; unrecognized
-    values are ignored) and defaults to [Compiled]. *)
-
-val by_engine :
-  what:(unit -> string) ->
-  show:('a -> string) ->
-  (unit -> 'a) ->
-  (unit -> 'a) ->
-  'a
-(** [by_engine ~what ~show interp compiled] is the one engine switch of
-    the query layer: [interp ()] under [Interpreted], [compiled ()] under
-    [Compiled], and under [Checked] both, returning the interpreter's
-    answer and raising [Failure] if the two differ (structural equality).
-    The message names the query with [what ()] and both answers with
-    [show]; neither is called unless the answers differ. *)
-
-val engine_of_string : string -> engine option
-
-val engine_name : engine -> string
 
 (** {1 Weight} *)
 

@@ -6,7 +6,9 @@
 #      --jobs 1 and --jobs 2 (the per-trial RNG fan-out guarantee, checked
 #      end to end)
 #   3. golden-table regression: the committed test/golden/*.txt snapshots
-#      must match a fresh render (test/test_golden.exe check mode)
+#      must match a fresh render (test/test_golden.exe check mode, whose
+#      jobs = 4 pass and theorem battery run with telemetry and the audit
+#      ledger on)
 #   4. negative-auditor smoke: the ε-DP auditor must flag the deliberately
 #      broken Laplace variant (exit 1), proving the audit has power
 #   5. observability smoke: one quick experiment with --trace + --timeline
@@ -16,30 +18,26 @@
 #      byte-for-byte (telemetry must not perturb results); then E5 at
 #      --jobs 4 with --timeline, whose mechanisms journal their first runs
 #      from several domains at once, must match its golden too
-#   6. query-engine smoke: E2 (single queries) and E5 (batched composition
-#      queries) with --engine check (interpreter and compiled evaluator
-#      compared on every query, failing on any divergence) must still match
-#      the committed goldens byte-for-byte
-#   7. audit-ledger smoke: a quick E2 run with --ledger must produce a
+#   6. audit-ledger smoke: a quick E2 run with --ledger must produce a
 #      ledger/v1 file that passes pso_audit ledger-verify and validate-json,
 #      renders a ledger-report, and is byte-identical at --jobs 1 and 2
-#   8. certificate gate: pso_audit certify must verify every production
+#   7. certificate gate: pso_audit certify must verify every production
 #      eps-DP coupling certificate exactly and reject every negative
 #      control (nonzero exit otherwise), and the tampered-certificate
 #      smoke (certify --tamper) must reject every corrupted witness
-#   9. live-telemetry smoke: a quick E2 run with --prom + --timeline +
+#   8. live-telemetry smoke: a quick E2 run with --prom + --timeline +
 #      --watch (plus --ledger) must leave the golden table untouched, its
 #      stderr must end the --watch heartbeat with the "(final)" line, both
 #      artifacts must pass validate-json (prometheus-text and
 #      obs-timeline/v3), and report-html must fuse the timeline
 #      (sparklines and the final metric tables) and the ledger into a
 #      self-contained page with every section present
-#  10. census-scale smoke: the E14 table must be byte-identical at --jobs 1
+#   9. census-scale smoke: the E14 table must be byte-identical at --jobs 1
 #      and --jobs 2 and must match the committed golden, and the census
 #      subcommand's stats for one seed must be byte-identical at --jobs 1
 #      and --jobs 4, both under threshold-3 suppression and under exact
 #      publication (--suppress 0, where propagation pins most cells)
-#  11. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
+#  10. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
 #      interleaved and fails when a gate's whole 95% interval is on the
 #      wrong side of its bound: SpMV sparse >= 10x dense (cross-checked
 #      bitwise), the ledger and 10 Hz timeline overheads <= 10% on the
@@ -99,19 +97,6 @@ if ! diff -u test/golden/E5.txt "$tmp1"; then
   echo "ci: telemetry at --jobs 4 perturbed the E5 table (differs from test/golden/E5.txt)" >&2
   exit 1
 fi
-
-# Query-engine smoke: force check mode (interpreter + compiled evaluator
-# run side by side; any count/isolation divergence aborts) and require the
-# tables to stay byte-identical to the committed goldens. E2 asks single
-# predicates; E5 asks batches through the composition game.
-for exp in E2 E5; do
-  dune exec bin/pso_audit.exe -- run "$exp" --quick --seed 20210621 --jobs 2 \
-    --engine check > "$tmp1" 2> /dev/null
-  if ! diff -u "test/golden/$exp.txt" "$tmp1"; then
-    echo "ci: --engine check perturbed the $exp table (differs from test/golden/$exp.txt)" >&2
-    exit 1
-  fi
-done
 
 # Audit-ledger smoke: journal a quick experiment, re-check the accountant
 # arithmetic by replay, validate the JSONL shape, render the per-analyst
@@ -216,4 +201,4 @@ done
 # wrong way, so host load reads as unresolved, not as a regression.
 dune exec bench/main.exe
 
-echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + engine check + audit ledger + certificates + live telemetry + census scale + perf gates)"
+echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + audit ledger + certificates + live telemetry + census scale + perf gates)"

@@ -74,6 +74,9 @@ let test_pso_audit_bad_invocations () =
     ~code:124;
   check_fails_with_usage "retired census --materialize"
     (pso_audit [ "census"; "--materialize" ])
+    ~code:124;
+  check_fails_with_usage "retired --engine"
+    (pso_audit [ "run"; "E2"; "--engine"; "check" ])
     ~code:124
 
 let test_pso_audit_validation_errors () =
@@ -90,6 +93,10 @@ let test_pso_audit_validation_errors () =
   in
   check "jobs zero" [ "game"; "--jobs"; "0" ] ~stderr_has:"--jobs must be >= 1";
   check "negative jobs" [ "theorems"; "--jobs=-3" ] ~stderr_has:"--jobs must be >= 1";
+  (* Above the runtime's domain limit: rejected before any spawn. *)
+  check ~one_line:true "jobs above the domain limit"
+    [ "run"; "E2"; "--quick"; "--jobs"; "100000" ]
+    ~stderr_has:"--jobs must be >= 1 and <= 127 (got 100000)";
   check "unknown experiment" [ "run"; "E99" ] ~stderr_has:"unknown experiment";
   check ~one_line:true "census zero blocks" [ "census"; "--blocks"; "0" ]
     ~stderr_has:"must all be >= 1";

@@ -9,7 +9,9 @@
    2 and 4, so the suite simultaneously pins the numbers (any change to a
    mechanism, sampler or experiment shows up as a diff) and the
    determinism contract (the rendering is byte-identical at every pool
-   size).
+   size). The jobs = 4 pass runs with telemetry and the audit ledger on,
+   and the theorem battery runs the same way afterwards: the domain-safety
+   check of every module-level cell those paths share.
 
    Regenerating after an intentional change:
 
@@ -35,6 +37,32 @@ let render (e : Experiments.Registry.entry) ~jobs =
 let render_cert ~jobs =
   Parallel.Pool.set_default_jobs jobs;
   Cert.Registry.render_table (Cert.Registry.verify_all ())
+
+(* Telemetry and the audit ledger on for [f], which must also leave a
+   ledger that verifies. With four domains sharing every metric and
+   ledger buffer, a domain-safety fault shows as a crash, a changed byte
+   or a ledger violation. *)
+let with_telemetry f =
+  Obs.reset ();
+  Obs.Ledger.reset ();
+  Obs.enable ();
+  Obs.Ledger.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.Ledger.disable ())
+    (fun () ->
+      let v = f () in
+      let violations =
+        match Obs.Ledger.parse_lines (Obs.Ledger.to_lines ()) with
+        | Error msg -> [ msg ]
+        | Ok events ->
+          List.map
+            (fun (x : Obs.Ledger.violation) ->
+              Printf.sprintf "line %d: %s" x.at x.what)
+            (Obs.Ledger.verify events)
+      in
+      (v, violations))
 
 let tables () =
   List.map
@@ -99,9 +127,18 @@ let check () =
         let expected = read_file path in
         List.iter
           (fun jobs ->
-            let actual = render ~jobs in
+            let actual, violations =
+              if jobs = 4 then with_telemetry (fun () -> render ~jobs)
+              else (render ~jobs, [])
+            in
+            List.iter
+              (fun v ->
+                incr failures;
+                Printf.printf "[FAIL] %s jobs=%d ledger: %s\n%!" id jobs v)
+              violations;
             if String.equal expected actual then
-              Printf.printf "[OK]   %s jobs=%d\n%!" id jobs
+              Printf.printf "[OK]   %s jobs=%d%s\n%!" id jobs
+                (if jobs = 4 then " (obs+ledger)" else "")
             else begin
               incr failures;
               (match first_diff expected actual with
@@ -115,6 +152,25 @@ let check () =
           [ 1; 2; 4 ]
       end)
     (tables ());
+  (* The battery as [pso_audit theorems --jobs 4 --ledger F --metrics]
+     runs it: default parameters, every verdict must hold. *)
+  Parallel.Pool.set_default_jobs 4;
+  let verdicts, violations =
+    with_telemetry (fun () -> Pso.Theorems.all (Prob.Rng.create ~seed ()))
+  in
+  List.iter
+    (fun (v : Pso.Theorems.verdict) ->
+      if v.holds then Printf.printf "[OK]   %s holds at jobs=4 (obs+ledger)\n%!" v.id
+      else begin
+        incr failures;
+        Printf.printf "[FAIL] %s REFUTED at jobs=4 (obs+ledger)\n%!" v.id
+      end)
+    verdicts;
+  List.iter
+    (fun v ->
+      incr failures;
+      Printf.printf "[FAIL] theorems jobs=4 ledger: %s\n%!" v)
+    violations;
   if !failures > 0 then begin
     Printf.printf
       "%d golden mismatch(es); if the change is intentional, regenerate with\n\

@@ -390,15 +390,16 @@ let test_box_allocation_free () =
     true
     (long -. short < 1024.)
 
+let counter name =
+  List.fold_left
+    (fun acc ((m : Obs.Metric.meta), v) ->
+      if m.Obs.Metric.name = name then v else acc)
+    0
+    (Obs.Metric.values ()).Obs.Metric.v_counters
+
 let test_power_iteration_counter () =
   let op, b, lo, hi = census_system () in
-  let count () =
-    List.fold_left
-      (fun acc ((m : Obs.Metric.meta), v) ->
-        if m.Obs.Metric.name = "linalg.lsq_power_iterations" then v else acc)
-      0
-      (Obs.Metric.values ()).Obs.Metric.v_counters
-  in
+  let count () = counter "linalg.lsq_power_iterations" in
   Obs.reset ();
   Obs.enable ();
   Fun.protect ~finally:Obs.disable (fun () ->
@@ -408,6 +409,27 @@ let test_power_iteration_counter () =
       Alcotest.(check int) "one box call" 50 (count () - before);
       ignore (Linalg.Lsq.box ~options op b ~lo ~hi);
       Alcotest.(check int) "two box calls" 100 (count () - before))
+
+let test_unconverged_counter () =
+  (* A solve stopped by its iteration cap bumps linalg.lsq_unconverged;
+     a converged one does not. *)
+  let op, b, lo, hi = census_system () in
+  let m = Linalg.Matrix.of_rows [| [| 4.; 1. |]; [| 1.; 3. |] |] in
+  let count () = counter "linalg.lsq_unconverged" in
+  let capped = { Linalg.Lsq.max_iter = 1; tolerance = 0. } in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let before = count () in
+      let sol = Linalg.Lsq.cg (Linalg.Matrix.mul_vec m) [| 1.; 2. |] in
+      Alcotest.(check bool) "cg converges uncapped" true sol.Linalg.Lsq.converged;
+      Alcotest.(check int) "converged cg not counted" 0 (count () - before);
+      let sol = Linalg.Lsq.cg ~options:capped (Linalg.Matrix.mul_vec m) [| 1.; 2. |] in
+      Alcotest.(check bool) "capped cg" false sol.Linalg.Lsq.converged;
+      Alcotest.(check int) "capped cg counted" 1 (count () - before);
+      let sol = Linalg.Lsq.box ~options:capped op b ~lo ~hi in
+      Alcotest.(check bool) "capped box" false sol.Linalg.Lsq.converged;
+      Alcotest.(check int) "capped box counted" 2 (count () - before))
 
 (* --- Simplex --- *)
 
@@ -788,6 +810,8 @@ let () =
             test_box_allocation_free;
           Alcotest.test_case "power iterations counted" `Quick
             test_power_iteration_counter;
+          Alcotest.test_case "unconverged solves counted" `Quick
+            test_unconverged_counter;
         ] );
       ( "simplex",
         [

@@ -68,6 +68,21 @@ let test_pool_usable_after_exception () =
       Alcotest.(check (array int)) "pool still works" (Array.init 10 (fun i -> i))
         (Parallel.Pool.parallel_init_array pool 10 (fun i -> i)))
 
+let test_jobs_bounds () =
+  (* Rejected before any domain is spawned: only counts that start
+     nothing are tried here. *)
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  let create jobs () = ignore (Parallel.Pool.create ~jobs ()) in
+  rejects "create 0" (create 0);
+  rejects "create max_jobs + 1" (create (Parallel.Pool.max_jobs + 1));
+  rejects "create 100000" (create 100_000);
+  rejects "set_default_jobs 0" (fun () -> Parallel.Pool.set_default_jobs 0);
+  rejects "set_default_jobs 100000" (fun () ->
+      Parallel.Pool.set_default_jobs 100_000)
+
 (* --- Trials: deterministic RNG fan-out --- *)
 
 let trial_sum jobs ~trials =
@@ -181,6 +196,7 @@ let () =
             test_exception_propagates;
           Alcotest.test_case "pool usable after exception" `Quick
             test_pool_usable_after_exception;
+          Alcotest.test_case "jobs bounds" `Quick test_jobs_bounds;
         ] );
       ( "trials",
         [

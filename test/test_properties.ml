@@ -117,15 +117,8 @@ let prop_engines_agree =
       let sch = Dataset.Model.schema m in
       let cs = Array.map (fun q -> P.compile sch q) qs in
       let expected_rows, expected, isolated = interpreted_answers sch t qs in
-      let prev = P.engine () in
-      P.set_engine P.Compiled;
-      let single_count, single_isolates =
-        Fun.protect
-          ~finally:(fun () -> P.set_engine prev)
-          (fun () ->
-            (Array.map (fun q -> P.count sch q t) qs,
-             Array.map (fun q -> P.isolates sch q t) qs))
-      in
+      let single_count = Array.map (fun q -> P.count sch q t) qs in
+      let single_isolates = Array.map (fun q -> P.isolates sch q t) qs in
       Array.map Array.length expected_rows = expected
       && single_count = expected
       && single_isolates = isolated

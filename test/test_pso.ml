@@ -335,6 +335,91 @@ let test_release_row_noop_elsewhere () =
   in
   Alcotest.(check bool) "False on non-release" true (p = Query.Predicate.False)
 
+(* --- The experiments' queries against the reference interpreter --- *)
+
+(* E2 and E5 replayed at their quick sizes: every predicate they ask and
+   every predicate their attackers output, answered by the compiled
+   evaluator, must equal the interpreter's answer on the same table. *)
+
+let count_interpreted = Query.Predicate.count_interpreted
+
+let test_e2_predicates_match_interpreter () =
+  let model = Experiments.E2_birthday.model and n = 365 in
+  let schema = Dataset.Model.schema model in
+  let attackers =
+    Pso.Attacker.fixed_value ~attr:"birthday" (Dataset.Value.Int 119)
+    :: List.map
+         (fun buckets -> Pso.Attacker.hash_bucket ~buckets)
+         [ 16 * n; 4 * n; n; n / 2; n / 8 ]
+  in
+  let r = rng () and isolated = ref 0 in
+  for _ = 1 to 50 do
+    let table = Dataset.Model.sample_table r model n in
+    let y = Query.Mechanism.run trivial_mechanism r table in
+    List.iter
+      (fun a ->
+        let p = Pso.Attacker.attack a r y in
+        let expected = count_interpreted schema p table in
+        let name = a.Pso.Attacker.name in
+        Alcotest.(check int) (name ^ " count") expected
+          (Query.Predicate.count schema p table);
+        Alcotest.(check bool) (name ^ " isolates") (expected = 1)
+          (Query.Predicate.isolates schema p table);
+        if expected = 1 then incr isolated)
+      attackers
+  done;
+  Alcotest.(check bool) "some predicate isolates" true (!isolated > 0)
+
+let test_e5_batches_match_interpreter () =
+  let model = Experiments.E5_composition.model and n = 128 in
+  let schema = Dataset.Model.schema model in
+  let pool = Parallel.Pool.create ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) @@ fun () ->
+  let r = rng () and isolated = ref 0 in
+  List.iter
+    (fun ell ->
+      List.iter
+        (fun (variant, scheme) ->
+          let scheme = scheme (Prob.Rng.bits64 r) in
+          let qs = scheme.Pso.Composition.queries in
+          let name = Printf.sprintf "%s ell=%d" variant ell in
+          let vector what = function
+            | Query.Mechanism.Vector v -> v
+            | _ -> Alcotest.failf "%s %s: expected a vector" name what
+          in
+          for _ = 1 to 4 do
+            let table = Dataset.Model.sample_table r model n in
+            let expected = Array.map (fun q -> count_interpreted schema q table) qs in
+            Alcotest.(check (array int)) (name ^ " counts") expected
+              (Query.Engine.counts table qs);
+            Alcotest.(check (array int)) (name ^ " pooled counts") expected
+              (Query.Engine.counts ~pool table qs);
+            Alcotest.(check (array bool)) (name ^ " pooled isolations")
+              (Array.map (fun c -> c = 1) expected)
+              (Query.Engine.isolations ~pool table qs);
+            let y = Query.Mechanism.run scheme.Pso.Composition.mechanism r table in
+            let floats = Array.map float_of_int expected in
+            Alcotest.(check (array (float 0.))) (name ^ " mechanism") floats
+              (vector "mechanism" y);
+            Alcotest.(check (array (float 0.))) (name ^ " pooled mechanism") floats
+              (vector "pooled mechanism"
+                 (Query.Mechanism.run
+                    (Query.Mechanism.exact_counts_batch ~pool
+                       scheme.Pso.Composition.batch)
+                    r table));
+            let p = Pso.Attacker.attack scheme.Pso.Composition.attacker r y in
+            let c = count_interpreted schema p table in
+            Alcotest.(check bool) (name ^ " attacker isolates") (c = 1)
+              (Query.Predicate.isolates schema p table);
+            if c = 1 then incr isolated
+          done)
+        [
+          ("single", fun salt -> Pso.Composition.single_bucket ~salt ~buckets:n ~ell);
+          ("scouted", fun salt -> Pso.Composition.scouted ~salt ~buckets:n ~ell ~scouts:6);
+        ])
+    [ 4; 12; 24; 40 ];
+  Alcotest.(check bool) "some attacker predicate isolates" true (!isolated > 0)
+
 (* --- Theorem battery --- *)
 
 let test_theorem_battery_holds () =
@@ -445,6 +530,12 @@ let () =
         [
           Alcotest.test_case "all hold" `Slow test_theorem_battery_holds;
           Alcotest.test_case "ids unique" `Quick test_theorem_ids_unique;
+        ] );
+      ( "interpreter",
+        [
+          Alcotest.test_case "E2 predicates" `Quick
+            test_e2_predicates_match_interpreter;
+          Alcotest.test_case "E5 batches" `Quick test_e5_batches_match_interpreter;
         ] );
       ("properties", qcheck);
     ]

@@ -593,11 +593,6 @@ let test_bitset_validation () =
 
 (* --- engines --- *)
 
-let with_engine e f =
-  let prev = P.engine () in
-  P.set_engine e;
-  Fun.protect ~finally:(fun () -> P.set_engine prev) f
-
 let engine_preds =
   [
     P.Atom (P.Eq ("a0", V.Int 1));
@@ -624,14 +619,9 @@ let test_engines_agree_on_fixtures () =
         (P.count_compiled ~cache:false c t);
       Alcotest.(check int) (P.to_string p ^ " bits") interp
         (Array.length (B.indices (P.bits c t)));
-      List.iter
-        (fun e ->
-          with_engine e (fun () ->
-              Alcotest.(check int) (P.to_string p ^ " dispatched") interp
-                (P.count schema p t);
-              Alcotest.(check bool) (P.to_string p ^ " isolates") (interp = 1)
-                (P.isolates schema p t)))
-        [ P.Interpreted; P.Compiled; P.Checked ])
+      Alcotest.(check int) (P.to_string p ^ " count") interp (P.count schema p t);
+      Alcotest.(check bool) (P.to_string p ^ " isolates") (interp = 1)
+        (P.isolates schema p t))
     engine_preds
 
 let test_engines_agree_on_nulls () =
@@ -670,56 +660,58 @@ let test_engine_cache_invalidation () =
   Alcotest.(check int) "selected (none match)" 0 (P.count_compiled c t'');
   Alcotest.(check int) "parent again after interleaving" 2 (P.count_compiled c t)
 
-let test_engine_of_string () =
-  List.iter
-    (fun (s, e) -> Alcotest.(check bool) s true (P.engine_of_string s = e))
-    [
-      ("interp", Some P.Interpreted);
-      ("bitset", Some P.Compiled);
-      ("check", Some P.Checked);
-      ("compiled", Some P.Compiled);
-      ("INTERP", Some P.Interpreted);
-      ("garbage", None);
-    ];
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) (P.engine_name e) true
-        (P.engine_of_string (P.engine_name e) = Some e))
-    [ P.Interpreted; P.Compiled; P.Checked ]
-
-let test_by_engine_switch () =
-  (* The one engine switch: each mode runs its side, Checked runs both,
-     returns the interpreter's answer when they agree and fails when they
-     do not. *)
-  let ran = ref [] in
-  let side name v () =
-    ran := name :: !ran;
-    v
-  in
-  let run e interp compiled =
-    ran := [];
-    with_engine e (fun () ->
-        P.by_engine ~what:(fun () -> "test") ~show:string_of_int
-          (side "interp" interp) (side "compiled" compiled))
-  in
-  Alcotest.(check int) "interpreted" 1 (run P.Interpreted 1 2);
-  Alcotest.(check (list string)) "interpreted runs one side" [ "interp" ] !ran;
-  Alcotest.(check int) "compiled" 2 (run P.Compiled 1 2);
-  Alcotest.(check (list string)) "compiled runs one side" [ "compiled" ] !ran;
-  Alcotest.(check int) "checked agreeing" 3 (run P.Checked 3 3);
-  Alcotest.(check (list string)) "checked runs both" [ "compiled"; "interp" ] !ran;
-  Alcotest.check_raises "checked disagreeing"
-    (Failure "test: engine mismatch (interpreter 1, compiled 2)") (fun () ->
-      ignore (run P.Checked 1 2))
+(* The rows [p] holds on, by the reference interpreter. *)
+let interpreted_rows t p =
+  let acc = ref [] in
+  Dataset.Table.iter
+    (fun i r -> if P.eval (Dataset.Table.schema t) p r then acc := i :: !acc)
+    t;
+  Array.of_list (List.rev !acc)
 
 let test_checked_engine_full_stack () =
-  (* Re-run representative mechanism/curator/erasure fixtures with the
-     cross-validating engine: any interpreter/compiled divergence fails. *)
-  with_engine P.Checked (fun () ->
-      test_mechanism_exact_counts ();
-      test_curator_exact ();
-      test_erasure_recompute_forgets ();
-      test_erasure_cached_retains ())
+  (* The mechanism, curator and erasure fixtures' predicate queries, each
+     answered through the compiled evaluator and compared with the
+     reference interpreter on the same table. *)
+  let t = table [ row 0 0 0; row 1 1 1 ] in
+  let qs = [| P.Atom (P.Eq ("a0", V.Int 0)); P.Atom (P.Eq ("a0", V.Int 1)); P.True |] in
+  let interp = Array.map (fun q -> float_of_int (P.count_interpreted schema q t)) qs in
+  (match Query.Mechanism.run (Query.Mechanism.exact_counts qs) (rng ()) t with
+  | Query.Mechanism.Vector v -> Alcotest.(check (array (float 0.))) "mechanism counts" interp v
+  | _ -> Alcotest.fail "expected vector");
+  Array.iteri
+    (fun i q ->
+      match Query.Mechanism.run (Query.Mechanism.exact_count q) (rng ()) t with
+      | Query.Mechanism.Scalar v ->
+        Alcotest.(check (float 0.)) ("mechanism count " ^ P.to_string q) interp.(i) v
+      | _ -> Alcotest.fail "expected scalar")
+    qs;
+  let ct = curator_table 10 in
+  let exact () = Query.Curator.create ~policy:Query.Curator.Exact ~target:"trait" ct in
+  let c = exact () and reference = exact () in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) ("curator " ^ P.to_string p) true
+        (Query.Curator.ask c p
+        = Query.Curator.ask_subset reference (interpreted_rows ct p)))
+    [ P.True; P.Atom (P.Eq ("grp", V.Int 1)); P.Atom (P.Member ("grp", [ V.Int 0; V.Int 3 ])) ];
+  List.iter
+    (fun implementation ->
+      let et = erasure_table () in
+      let s = Query.Erasure.create implementation et in
+      Query.Erasure.erase s 0;
+      List.iter
+        (fun p ->
+          let all = interpreted_rows et p in
+          let live = Array.of_list (List.filter (( <> ) 0) (Array.to_list all)) in
+          let expected =
+            match implementation with
+            | Query.Erasure.Recompute -> Array.length live
+            | Query.Erasure.Cached -> Array.length all
+          in
+          Alcotest.(check int) ("erasure " ^ P.to_string p) expected
+            (Query.Erasure.count s p))
+        [ P.Atom (P.Eq ("a0", V.Int 7)); P.Atom (P.Eq ("a0", V.Int 2)); P.True ])
+    [ Query.Erasure.Recompute; Query.Erasure.Cached ]
 
 (* --- batched evaluation --- *)
 
@@ -761,17 +753,10 @@ let test_engine_counts_dispatch () =
   let expected =
     Array.map (fun p -> P.count_interpreted schema p t) batch_preds
   in
-  List.iter
-    (fun e ->
-      with_engine e (fun () ->
-          Alcotest.(check (array int))
-            (P.engine_name e ^ " counts") expected
-            (Query.Engine.counts t batch_preds);
-          Alcotest.(check (array bool))
-            (P.engine_name e ^ " isolations")
-            (Array.map (fun n -> n = 1) expected)
-            (Query.Engine.isolations t batch_preds)))
-    [ P.Interpreted; P.Compiled; P.Checked ];
+  Alcotest.(check (array int)) "counts" expected (Query.Engine.counts t batch_preds);
+  Alcotest.(check (array bool)) "isolations"
+    (Array.map (fun n -> n = 1) expected)
+    (Query.Engine.isolations t batch_preds);
   (* Reusing a caller-held compilation must not change answers. *)
   let cs = Array.map (fun p -> P.compile schema p) batch_preds in
   Alcotest.(check (array int)) "counts with ?compiled" expected
@@ -1101,9 +1086,7 @@ let () =
           Alcotest.test_case "compile raises eagerly" `Quick
             test_compile_unknown_attr_raises;
           Alcotest.test_case "cache invalidation" `Quick test_engine_cache_invalidation;
-          Alcotest.test_case "engine_of_string" `Quick test_engine_of_string;
           Alcotest.test_case "checked full stack" `Quick test_checked_engine_full_stack;
-          Alcotest.test_case "by_engine switch" `Quick test_by_engine_switch;
         ] );
       ( "batch",
         [
