@@ -234,6 +234,11 @@ let largest_remainder ~mass ~lo ~hi ~target =
   end;
   base
 
+(* Blocks whose published rows propagation proves inconsistent (no
+   table satisfies them all): impossible for a truthful tabulation, but
+   noised tables reach it. *)
+let c_empty = Obs.Counter.make "attacks.census_empty_propagations"
+
 let solve_block ?x0 ?(shave = false) sup =
   let a = constraint_matrix () in
   let row_lo, row_hi = row_bounds sup in
@@ -243,7 +248,9 @@ let solve_block ?x0 ?(shave = false) sup =
   let bounds =
     match Intervals.propagate a ~row_lo ~row_hi box0 with
     | `Bounded b -> b
-    | `Empty _ -> box0 (* unreachable on truthfully tabulated bounds *)
+    | `Empty _ ->
+      Obs.Counter.incr c_empty;
+      box0
   in
   let bounds = if shave then Intervals.shave a ~row_lo ~row_hi bounds else bounds in
   let fixed_cells = Intervals.fixed_count bounds in
@@ -313,11 +320,19 @@ let solve_block ?x0 ?(shave = false) sup =
       (fun cells -> Array.fold_left (fun acc j -> acc +. relaxed.(j)) 0. cells)
       cells_by_age
   in
+  let age_lo = Array.map (fun b -> float_of_int b.b_lo) sup.s_age in
+  let age_hi = Array.map (fun b -> float_of_int b.b_hi) sup.s_age in
+  (* On an inconsistent table whose age rows cannot sum to the exact
+     total, the total wins: its allocation across ages ignores their
+     bounds, so the block still emits [s_total] records. *)
+  let total = float_of_int sup.s_total in
+  let sum = Array.fold_left ( +. ) 0. in
+  let age_lo, age_hi =
+    if sum age_lo <= total && total <= sum age_hi then (age_lo, age_hi)
+    else (Array.make n_age 0., Array.make n_age total)
+  in
   let age_targets =
-    largest_remainder ~mass:age_mass
-      ~lo:(Array.map (fun b -> float_of_int b.b_lo) sup.s_age)
-      ~hi:(Array.map (fun b -> float_of_int b.b_hi) sup.s_age)
-      ~target:sup.s_total
+    largest_remainder ~mass:age_mass ~lo:age_lo ~hi:age_hi ~target:sup.s_total
   in
   for age = 0 to n_age - 1 do
     let cells = cells_by_age.(age) in

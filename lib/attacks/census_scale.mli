@@ -19,9 +19,9 @@
     block warm-starts from its neighbor's relaxed solution, raked onto
     this block's published age, sex×decade and race×ethnicity rows and
     its exact total (see {!warm_seed}) — the joint structure transfers
-    between blocks, the marginals do not — which cuts projected-gradient
-    iterations; the [census.*] and [linalg.lsq_{warm,cold}_iterations]
-    counters expose the effect.
+    between blocks, the marginals do not — which cuts solver iterations;
+    the [census.*] and [linalg.lsq_{warm,cold}_iterations] counters
+    expose the effect.
 
     Determinism: block [b]'s generator is derived by sequential
     {!Prob.Rng.split}s from its shard's generator, and shard results
@@ -61,7 +61,7 @@ val constraint_matrix : unit -> Linalg.Sparse.t
 type block_solution = {
   counts : int array;  (** length [n_cells]: reconstructed joint cells *)
   relaxed : float array;  (** the pre-rounding LS solution — warm-start seed *)
-  iterations : int;  (** projected-gradient iterations spent *)
+  iterations : int;  (** {!Linalg.Lsq.box} iterations spent *)
   converged : bool;
   fixed_cells : int;  (** cells pinned by interval propagation *)
 }
@@ -82,7 +82,12 @@ val solve_block :
     elimination of the pinned cells, warm-started ([?x0], a full
     [n_cells]-length relaxed solution) sparse box least squares on the
     free cells, then per-age-row largest-remainder rounding back to
-    integer counts consistent with the published age histogram. *)
+    integer counts consistent with the published age histogram. The
+    counts always sum to [s_total]. Rows that propagation proves
+    inconsistent (impossible for a truthful tabulation) bump the
+    [attacks.census_empty_propagations] counter and leave the solve the
+    whole box [\[0, s_total\]]; age rows that cannot sum to [s_total]
+    give way to the exact total in the rounding. *)
 
 type config = {
   blocks : int;

@@ -3,6 +3,7 @@ type result = {
   hamming_errors : int;
   agreement : float;
   queries_used : int;
+  converged : bool;
 }
 
 let blatant_non_privacy_threshold = 0.95
@@ -19,14 +20,20 @@ let agreement a b =
 
 let c_queries = Obs.Counter.make "attacks.queries"
 
-let finish ~truth ~queries_used estimate =
+let finish ~truth ~queries_used ~converged estimate =
   Obs.Counter.add c_queries queries_used;
   let hamming_errors =
     let e = ref 0 in
     Array.iteri (fun i v -> if v <> truth.(i) then incr e) estimate;
     !e
   in
-  { estimate; hamming_errors; agreement = agreement estimate truth; queries_used }
+  {
+    estimate;
+    hamming_errors;
+    agreement = agreement estimate truth;
+    queries_used;
+    converged;
+  }
 
 (* Callers guarantee n <= 16, so masks fit Query.Bitset's shared 16-bit
    popcount table — sizing the subset is one load instead of a bit loop. *)
@@ -75,7 +82,7 @@ let exhaustive oracle ~truth =
     end
   done;
   let estimate = Array.init n (fun i -> (!best lsr i) land 1) in
-  finish ~truth ~queries_used:nmasks estimate
+  finish ~truth ~queries_used:nmasks ~converged:true estimate
 
 let random_queries rng ~queries n =
   (* Build each subset directly into a scratch buffer instead of consing an
@@ -106,13 +113,14 @@ let least_squares rng oracle ~queries ~truth =
      the same order as the dense loops, so the solution (and the E1 golden)
      is bit-identical — only the memory and the per-iteration work shrink. *)
   let a = Linalg.Sparse.of_subset_queries ~query:qs ~n in
-  let z =
-    Linalg.Lsq.solve_box_sparse
+  let sol =
+    Linalg.Lsq.box
       ~options:{ Linalg.Lsq.max_iter = 2000; tolerance = 1e-10 }
-      a answers ~lo:0. ~hi:1.
+      (Linalg.Lsq.of_sparse a) answers
+      ~lo:(Linalg.Vector.create n 0.) ~hi:(Linalg.Vector.create n 1.)
   in
-  let estimate = Array.map (fun v -> if v >= 0.5 then 1 else 0) z in
-  finish ~truth ~queries_used:queries estimate
+  let estimate = Array.map (fun v -> if v >= 0.5 then 1 else 0) sol.Linalg.Lsq.x in
+  finish ~truth ~queries_used:queries ~converged:sol.Linalg.Lsq.converged estimate
 
 let lp_decode rng oracle ~queries ~truth =
   Obs.with_span "attacks.lp_decode" @@ fun () ->
@@ -155,4 +163,4 @@ let lp_decode rng oracle ~queries ~truth =
          feasible, objective bounded by 0) — fall back to all-zeros. *)
       Array.make n 0
   in
-  finish ~truth ~queries_used:queries estimate
+  finish ~truth ~queries_used:queries ~converged:true estimate

@@ -14,6 +14,11 @@ type result = {
   hamming_errors : int;  (** #entries where x̃ disagrees with the truth *)
   agreement : float;  (** 1 − errors/n *)
   queries_used : int;
+  converged : bool;
+      (** whether the decode's solver met its stopping test: always true
+          for {!exhaustive}; {!least_squares}' box solve flag; true for
+          {!lp_decode}, where a simplex stall at its pivot cap is still
+          reported as optimal *)
 }
 
 val blatant_non_privacy_threshold : float
@@ -29,7 +34,8 @@ val least_squares :
   Prob.Rng.t -> Query.Oracle.t -> queries:int -> truth:int array -> result
 (** Theorem 1.1(ii): asks [queries] random subset queries (each index
     included with probability 1/2), solves the box-constrained least-squares
-    problem [min_{z∈[0,1]^n} ‖Az − a‖²] and rounds. *)
+    problem [min_{z∈[0,1]^n} ‖Az − a‖²] and rounds. [converged] is false
+    when the solve stopped at its 2,000-iteration cap. *)
 
 val lp_decode :
   Prob.Rng.t -> Query.Oracle.t -> queries:int -> truth:int array -> result

@@ -130,8 +130,11 @@ let clamp_into ~lo ~hi (v : Vector.t) =
       let x = v.(i) in
       if x < lo.(i) then lo.(i) else if x > hi.(i) then hi.(i) else x)
 
-(* Projected gradient with [r = A z − b], the gradient and the iterate
-   [z] allocated once per call; each step updates [z] in place. *)
+(* Accelerated projected gradient (FISTA, Beck–Teboulle 2009) with
+   gradient restart (O'Donoghue–Candès 2015). The iterate [x], the
+   extrapolated point [y], [r = A y − b] and the gradient are allocated
+   once per call; the projected step [x⁺] is written over the gradient,
+   which it no longer needs, so each iteration allocates nothing. *)
 let box ?(options = default_options) ?x0 o b ~lo ~hi =
   let n = o.op_cols in
   if Vector.dim lo <> n || Vector.dim hi <> n then
@@ -140,7 +143,7 @@ let box ?(options = default_options) ?x0 o b ~lo ~hi =
     if hi.(i) < lo.(i) then invalid_arg "Lsq.box: empty box"
   done;
   let step = 1. /. lipschitz_op o in
-  let z =
+  let x =
     match x0 with
     | Some z0 ->
       if Vector.dim z0 <> n then invalid_arg "Lsq.box: x0 dimension mismatch";
@@ -149,35 +152,52 @@ let box ?(options = default_options) ?x0 o b ~lo ~hi =
   in
   let m = o.op_rows in
   if Vector.dim b <> m then invalid_arg "Lsq.box: rhs dimension mismatch";
+  let y = Array.copy x in
   let r = Array.make m 0. and grad = Array.make n 0. in
+  let t = ref 1. in
   let iter = ref 0 in
   let converged = ref false in
   let continue_ = ref true in
   while !continue_ && !iter < options.max_iter do
-    o.apply z r;
+    o.apply y r;
     for i = 0 to m - 1 do
       r.(i) <- r.(i) -. b.(i)
     done;
     o.tapply r grad;
-    (* next = clamp (z − step·grad), and ‖next − z‖² summed in index
-       order, as one pass. *)
-    let moved_sq = ref 0. in
+    (* x⁺ = clamp (y − step·grad) into [grad], with ‖x⁺ − y‖² and the
+       restart test (y − x⁺)·(x⁺ − x) summed in index order, as one pass. *)
+    let moved_sq = ref 0. and ascent = ref 0. in
     for i = 0 to n - 1 do
-      let zi = z.(i) in
-      let x = zi -. (step *. grad.(i)) in
-      let next = if x < lo.(i) then lo.(i) else if x > hi.(i) then hi.(i) else x in
-      let d = next -. zi in
+      let yi = y.(i) in
+      let v = yi -. (step *. grad.(i)) in
+      let next = if v < lo.(i) then lo.(i) else if v > hi.(i) then hi.(i) else v in
+      let d = next -. yi in
       moved_sq := !moved_sq +. (d *. d);
-      z.(i) <- next
+      ascent := !ascent +. ((yi -. next) *. (next -. x.(i)));
+      grad.(i) <- next
     done;
     if Float.sqrt !moved_sq < options.tolerance then begin
+      Array.blit grad 0 x 0 n;
       converged := true;
       continue_ := false
+    end
+    else begin
+      (* The momentum points uphill: drop it, so this step's
+         extrapolation is zero. *)
+      if !ascent > 0. then t := 1.;
+      let t' = (1. +. Float.sqrt (1. +. (4. *. !t *. !t))) /. 2. in
+      let beta = (!t -. 1.) /. t' in
+      for i = 0 to n - 1 do
+        let next = grad.(i) in
+        y.(i) <- next +. (beta *. (next -. x.(i)));
+        x.(i) <- next
+      done;
+      t := t'
     end;
     incr iter
   done;
   record_iters ~warm:(x0 <> None) ~converged:!converged !iter;
-  { x = z; iterations = !iter; converged = !converged }
+  { x; iterations = !iter; converged = !converged }
 
 let solve_box ?options ?x0 a b ~lo ~hi =
   if hi < lo then invalid_arg "Lsq.solve_box: empty box";

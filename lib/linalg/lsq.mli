@@ -4,8 +4,8 @@
     noisy subset-count answers [a ≈ A x], the box-constrained least-squares
     problem [min_{z ∈ [0,1]^n} ‖A z − a‖²] and rounds the solution to
     {0,1}^n. This module provides a conjugate-gradient solver for the
-    unconstrained normal equations and a projected-gradient solver for the
-    box-constrained problem.
+    unconstrained normal equations and an accelerated projected-gradient
+    solver for the box-constrained problem.
 
     Both solvers operate over an abstract {!op} — a dense {!Matrix.t} or a
     CSR {!Sparse.t} — and accept an [?x0] warm start. At census scale the
@@ -18,7 +18,9 @@ type options = {
   max_iter : int;  (** iteration cap *)
   tolerance : float;
       (** {!cg} stops when the residual norm drops below this; {!box} stops
-          when the step length [‖z_{k+1} − z_k‖₂] does *)
+          when its projected step from the extrapolated point,
+          [‖x_{k+1} − y_k‖₂], does (with no momentum [y_k = x_k], and
+          this is the step length) *)
 }
 
 val default_options : options
@@ -66,13 +68,19 @@ val box :
   hi:Vector.t ->
   solution
 (** [box o b ~lo ~hi] approximately minimizes [‖A z − b‖²] over the
-    per-coordinate box [∏ \[lo.(i), hi.(i)\]] by projected gradient descent
-    with a Lipschitz step size estimated by power iteration on [AᵀA].
-    Starts from [x0] clamped into the box when given, else from the box
-    midpoint, and stops when a step moves the iterate less than
-    [tolerance] in the Euclidean norm. The work vectors are allocated once
-    per call, so an iteration allocates nothing. Raises [Invalid_argument]
-    if some [hi.(i) < lo.(i)]. *)
+    per-coordinate box [∏ \[lo.(i), hi.(i)\]] by accelerated projected
+    gradient (FISTA, Beck–Teboulle 2009) with gradient restart
+    (O'Donoghue–Candès 2015), at the step [1/L] with [L] estimated by
+    {!lipschitz_op}. Each iteration takes the projected gradient step
+    [x⁺ = clamp (y − ∇f(y)/L)] from the extrapolated point [y] (one
+    [A]/[Aᵀ] pair), stops when [‖x⁺ − y‖₂ < tolerance], resets the
+    momentum to zero when [(y − x⁺)·(x⁺ − x) > 0], and otherwise
+    extrapolates [y := x⁺ + ((t − 1)/t')(x⁺ − x)] with
+    [t' = (1 + √(1 + 4t²))/2]. Starts from [x = y = x0] clamped into the
+    box when given, else from the box midpoint; the solution is the last
+    [x⁺]. The work vectors are allocated once per call, so an iteration
+    allocates nothing. Raises [Invalid_argument] if some
+    [hi.(i) < lo.(i)]. *)
 
 val solve_box :
   ?options:options ->
@@ -97,7 +105,7 @@ val solve_box_sparse :
 
 val lipschitz_op : op -> float
 (** Largest singular value squared of the operator, by 50 power
-    iterations — the reciprocal of the projected-gradient step size. Each
+    iterations — the reciprocal of {!box}'s step size. Each
     iteration bumps the [linalg.lsq_power_iterations] counter. *)
 
 val residual : Matrix.t -> Vector.t -> Vector.t -> float

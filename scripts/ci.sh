@@ -36,7 +36,10 @@
 #      and --jobs 2 and must match the committed golden, and the census
 #      subcommand's stats for one seed must be byte-identical at --jobs 1
 #      and --jobs 4, both under threshold-3 suppression and under exact
-#      publication (--suppress 0, where propagation pins most cells)
+#      publication (--suppress 0, where propagation pins most cells); then
+#      solver health: every box least-squares solve of quick E1 and E14
+#      must converge before its iteration cap (--metrics reads
+#      linalg.lsq_unconverged 0)
 #  10. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
 #      interleaved and fails when a gate's whole 95% interval is on the
 #      wrong side of its bound: SpMV sparse >= 10x dense (cross-checked
@@ -172,7 +175,8 @@ fi
 # be byte-identical across --jobs and match the committed golden, and the
 # census subcommand, run end to end, must print the same stats at every
 # --jobs (its wall-clock rows/sec goes to stderr), with and without
-# suppression.
+# suppression. Then solver health: no box solve of quick E1 or E14 may stop
+# at its iteration cap.
 dune exec bin/pso_audit.exe -- run E14 --quick --seed 20210621 --jobs 1 \
   > "$tmp1" 2> /dev/null
 dune exec bin/pso_audit.exe -- run E14 --quick --seed 20210621 --jobs 2 \
@@ -195,10 +199,19 @@ for suppress in 3 0; do
     exit 1
   fi
 done
+for exp in E1 E14; do
+  dune exec bin/pso_audit.exe -- run "$exp" --quick --seed 20210621 --metrics \
+    > /dev/null 2> "$tmp1"
+  if ! grep -Eq '^linalg\.lsq_unconverged +0$' "$tmp1"; then
+    echo "ci: solver health: $exp has least-squares solves stopped at the iteration cap" >&2
+    grep 'linalg\.lsq_unconverged' "$tmp1" >&2 || true
+    exit 1
+  fi
+done
 
 # Perf gates: every A/B pair of Stattest.Gate, timed interleaved in one
 # run; a gate fails only when its whole interval clears the bound the
 # wrong way, so host load reads as unresolved, not as a regression.
 dune exec bench/main.exe
 
-echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + audit ledger + certificates + live telemetry + census scale + perf gates)"
+echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + audit ledger + certificates + live telemetry + census scale + solver health + perf gates)"

@@ -68,6 +68,30 @@ let test_least_squares_huge_noise_fails () =
     (result.Attacks.Reconstruction.agreement
     < Attacks.Reconstruction.blatant_non_privacy_threshold)
 
+(* E1's quick least-squares rows: n = 64, 512 queries, every alpha of the
+   table, two trials each. Each decode's box solve must stop on its
+   step-length test, not at the 2,000-iteration cap. *)
+let test_least_squares_converges_at_e1_shape () =
+  let r = rng () in
+  let n = 64 in
+  let sqrt_n = Float.sqrt (float_of_int n) in
+  List.iter
+    (fun alpha ->
+      for trial = 1 to 2 do
+        let truth = random_bits r n in
+        let oracle =
+          if alpha = 0. then Query.Oracle.exact truth
+          else Query.Oracle.bounded_noise r ~magnitude:alpha truth
+        in
+        let result =
+          Attacks.Reconstruction.least_squares r oracle ~queries:(8 * n) ~truth
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "alpha %.1f trial %d converged" alpha trial)
+          true result.Attacks.Reconstruction.converged
+      done)
+    [ 0.; 0.5 *. sqrt_n; sqrt_n; float_of_int n /. 8.; float_of_int n /. 3. ]
+
 let test_lp_decode_exact_answers () =
   let r = rng () in
   let truth = random_bits r 24 in
@@ -479,8 +503,8 @@ let test_scale_exact_publication_pinned () =
   let s = Attacks.Census_scale.run cfg (Prob.Rng.create ~seed:17L ()) in
   let check name expected actual = Alcotest.(check int) name expected actual in
   check "records" 350 s.Attacks.Census_scale.records;
-  check "cells_matched" 207 s.Attacks.Census_scale.cells_matched;
-  check "iterations" 416 s.Attacks.Census_scale.iterations;
+  check "cells_matched" 206 s.Attacks.Census_scale.cells_matched;
+  check "iterations" 130 s.Attacks.Census_scale.iterations;
   check "fixed_cells" 26868 s.Attacks.Census_scale.fixed_cells;
   check "converged_blocks" 12 s.Attacks.Census_scale.converged_blocks
 
@@ -518,8 +542,8 @@ let test_scale_warm_solve_bits_pinned () =
       Alcotest.(check int) (name "iterations") iterations
         second.Attacks.Census_scale.iterations)
     [
-      (0, "4565a0d3ab933c76b782a1682ef449f9", "d26eb7408240297c0cde44c1f845105d", 1);
-      (3, "f4147bb4802e79eee5a0d36e248b1f06", "b5f4cf21fff213ffb2ff77ce379cb3bd", 12);
+      (0, "a8ba4875ae59b8659ff6f833c234b501", "c471c074e56096f70c0da921e2f6d1f5", 1);
+      (3, "5ad91f5834ab68ba7c7b6cd6215efea1", "76ddaba4b32ffe3b3865d7f647ddaf3f", 3);
     ]
 
 let test_scale_suppressed_run_quality () =
@@ -631,6 +655,32 @@ let test_scale_solve_block_respects_published_bounds () =
       && !sum <= b.Attacks.Census_scale.b_hi)
   done
 
+(* Ages 0 and 1 publish exactly 2 each and every other row leaves each
+   age a single free cell (sex 0, race 0, non-Hispanic), but the exact
+   total is 3: no table satisfies the rows, propagation proves it, and
+   the counter records it. The total still decides the record count. *)
+let test_scale_inconsistent_block_counted () =
+  let open Attacks.Census_scale in
+  let total = 3 in
+  let exact c = { b_lo = c; b_hi = c } and free = { b_lo = 0; b_hi = total } in
+  let sup =
+    {
+      s_block = 0;
+      s_total = total;
+      s_age = Array.init 100 (fun age -> exact (if age < 2 then 2 else 0));
+      s_sex_bucket = Array.init 20 (fun i -> if i < 10 then free else exact 0);
+      s_race_eth = Array.init 12 (fun i -> if i = 0 then free else exact 0);
+      s_suppressed = 0;
+    }
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let sol = Fun.protect ~finally:Obs.disable (fun () -> solve_block sup) in
+  Alcotest.(check int) "one empty propagation" 1
+    (obs_counter (Obs.Metric.values ()) "attacks.census_empty_propagations");
+  Alcotest.(check int) "counts sum to the exact total" total
+    (Array.fold_left ( + ) 0 sol.counts)
+
 (* --- QCheck properties --- *)
 
 let qcheck =
@@ -666,6 +716,8 @@ let () =
           Alcotest.test_case "lsq small noise" `Quick test_least_squares_small_noise;
           Alcotest.test_case "lsq huge noise fails" `Quick
             test_least_squares_huge_noise_fails;
+          Alcotest.test_case "lsq converges at E1 shape" `Quick
+            test_least_squares_converges_at_e1_shape;
           Alcotest.test_case "lp decode exact" `Slow test_lp_decode_exact_answers;
           Alcotest.test_case "laplace oracle reconstruction" `Quick
             test_laplace_oracle_reconstruction;
@@ -720,6 +772,8 @@ let () =
             test_scale_suppressed_run_quality;
           Alcotest.test_case "warm start saves iterations" `Quick
             test_scale_warm_start_saves_iterations;
+          Alcotest.test_case "inconsistent block counted" `Quick
+            test_scale_inconsistent_block_counted;
           Alcotest.test_case "solve_block respects bounds" `Quick
             test_scale_solve_block_respects_published_bounds;
         ] );

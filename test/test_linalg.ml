@@ -236,6 +236,50 @@ let test_box_warm_start_matches_cold () =
     true
     (warm.Linalg.Lsq.iterations < cold.Linalg.Lsq.iterations)
 
+(* Box optimality at the solver's answer: with g = Aᵀ(Ax − b), a
+   coordinate strictly inside the box has g_i ≈ 0, one at its lower bound
+   g_i ≥ −ε and one at its upper bound g_i ≤ ε. The instance is
+   Theorem 1.1(ii)'s: n = 64, 512 random subset queries answered within
+   √n/2, solved with the reconstruction attack's options. *)
+let test_box_kkt_dinur_nissim () =
+  let r = rng () in
+  let n = 64 and queries = 512 in
+  let alpha = Float.sqrt (float_of_int n) /. 2. in
+  let truth = Array.init n (fun _ -> if Prob.Rng.bool r then 1. else 0.) in
+  let qs =
+    Array.init queries (fun _ ->
+        let members = List.filter (fun _ -> Prob.Rng.bool r) (List.init n Fun.id) in
+        Array.of_list members)
+  in
+  let a = Linalg.Sparse.of_subset_queries ~query:qs ~n in
+  let b =
+    Array.map
+      (fun v -> v +. ((Prob.Rng.uniform r *. 2. -. 1.) *. alpha))
+      (Linalg.Sparse.mul_vec a truth)
+  in
+  let options = { Linalg.Lsq.max_iter = 2000; tolerance = 1e-10 } in
+  let lo = Array.make n 0. and hi = Array.make n 1. in
+  let sol = Linalg.Lsq.box ~options (Linalg.Lsq.of_sparse a) b ~lo ~hi in
+  Alcotest.(check bool)
+    (Printf.sprintf "converged in %d iterations" sol.Linalg.Lsq.iterations)
+    true sol.Linalg.Lsq.converged;
+  let x = sol.Linalg.Lsq.x in
+  let g =
+    Linalg.Sparse.tmul_vec a (Linalg.Vector.sub (Linalg.Sparse.mul_vec a x) b)
+  in
+  let eps = 1e-6 in
+  Array.iteri
+    (fun i gi ->
+      let ok =
+        if x.(i) = lo.(i) then gi >= -.eps
+        else if x.(i) = hi.(i) then gi <= eps
+        else Float.abs gi <= eps
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "coordinate %d: x = %g, g = %g" i x.(i) gi)
+        true ok)
+    g
+
 let test_box_scalar_wrappers_agree () =
   let rows = [| [| 1.; 1. |]; [| 1.; 0. |] |] in
   let m = Linalg.Matrix.of_rows rows in
@@ -296,28 +340,35 @@ let ref_clamp ~lo ~hi v =
       let x = v.(i) in
       if x < lo.(i) then lo.(i) else if x > hi.(i) then hi.(i) else x)
 
+(* FISTA with gradient restart, one fresh vector per operation. *)
 let ref_box ~max_iter ~tolerance ?x0 o n b ~lo ~hi =
   let module V = Linalg.Vector in
   let step = 1. /. ref_lipschitz o n in
-  let z =
-    ref
-      (match x0 with
-      | Some z0 -> ref_clamp ~lo ~hi z0
-      | None -> Array.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.))
+  let start =
+    match x0 with
+    | Some z0 -> ref_clamp ~lo ~hi z0
+    | None -> Array.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.)
   in
+  let x = ref start and y = ref start and t = ref 1. in
   let iter = ref 0 and converged = ref false and continue_ = ref true in
   while !continue_ && !iter < max_iter do
-    let grad = o.r_tapply (V.sub (o.r_apply !z) b) in
-    let next = ref_clamp ~lo ~hi (V.sub !z (V.scale step grad)) in
-    let moved = V.norm2 (V.sub next !z) in
-    z := next;
-    if moved < tolerance then begin
+    let grad = o.r_tapply (V.sub (o.r_apply !y) b) in
+    let next = ref_clamp ~lo ~hi (V.sub !y (V.scale step grad)) in
+    if V.norm2 (V.sub next !y) < tolerance then begin
+      x := next;
       converged := true;
       continue_ := false
+    end
+    else begin
+      if V.dot (V.sub !y next) (V.sub next !x) > 0. then t := 1.;
+      let t' = (1. +. Float.sqrt (1. +. (4. *. !t *. !t))) /. 2. in
+      y := V.add next (V.scale ((!t -. 1.) /. t') (V.sub next !x));
+      x := next;
+      t := t'
     end;
     incr iter
   done;
-  (!z, !iter, !converged)
+  (!x, !iter, !converged)
 
 let ref_propagate ~integral ~max_passes a ~row_lo ~row_hi (box : Linalg.Intervals.t) =
   let eps = 1e-9 in
@@ -804,6 +855,7 @@ let () =
             test_cg_warm_start_matches_cold;
           Alcotest.test_case "warm-started box matches cold" `Quick
             test_box_warm_start_matches_cold;
+          Alcotest.test_case "box solution is KKT" `Quick test_box_kkt_dinur_nissim;
           Alcotest.test_case "scalar box wrappers agree" `Quick
             test_box_scalar_wrappers_agree;
           Alcotest.test_case "box steps allocate nothing" `Quick
