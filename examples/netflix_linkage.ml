@@ -13,7 +13,7 @@ let () =
     "Releasing an 'anonymized' ratings dataset: %d subscribers, %d movies...@."
     users movies;
   let ratings =
-    Core.Dataset.Synth.ratings rng ~users ~movies ~ratings_per_user:12 ()
+    Core.Dataset.Synth.ratings rng ~users ~movies ~ratings_per_user:12
   in
   let by_user = Core.Dataset.Synth.ratings_by_user ratings ~users in
   let support = Core.Attacks.Sparse_linkage.movie_support ratings ~movies in
@@ -21,7 +21,7 @@ let () =
 
   (* The attacker knows ~4 of a target's ratings, imprecisely. *)
   let target = 1234 in
-  let aux = Core.Attacks.Sparse_linkage.make_aux rng by_user.(target) ~items:4 () in
+  let aux = Core.Attacks.Sparse_linkage.make_aux rng by_user.(target) ~items:4 in
   Format.fprintf fmt "auxiliary knowledge about one subscriber (noisy):@.";
   Array.iter
     (fun item ->
@@ -52,7 +52,7 @@ let () =
       let hits = ref 0 in
       for _ = 1 to 60 do
         let t = Core.Prob.Rng.int rng users in
-        let aux = Core.Attacks.Sparse_linkage.make_aux rng by_user.(t) ~items () in
+        let aux = Core.Attacks.Sparse_linkage.make_aux rng by_user.(t) ~items in
         let v =
           Core.Attacks.Sparse_linkage.deanonymize ~support ~threshold:1.5 aux by_user
         in

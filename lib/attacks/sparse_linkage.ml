@@ -1,6 +1,11 @@
 type aux_item = { movie : int; stars : int; day : int }
 
-let make_aux rng target_ratings ~items ?(star_fuzz = 1) ?(day_fuzz = 14) () =
+(* The attacker's memory is off by up to this many stars and days. *)
+let star_fuzz = 1
+
+let day_fuzz = 14
+
+let make_aux rng target_ratings ~items =
   let available = Array.length target_ratings in
   let take = min items available in
   let chosen = Prob.Rng.sample_without_replacement rng take available in

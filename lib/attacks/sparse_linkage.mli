@@ -14,14 +14,10 @@ val make_aux :
   Prob.Rng.t ->
   Dataset.Synth.rating array ->
   items:int ->
-  ?star_fuzz:int ->
-  ?day_fuzz:int ->
-  unit ->
   aux_item array
 (** Sample [items] of a target user's ratings (fewer if the user rated
-    fewer) and perturb each by up to ±[star_fuzz] stars (default 1) and
-    ±[day_fuzz] days (default 14) — the attacker's imperfect memory /
-    IMDb-sourced knowledge. *)
+    fewer) and perturb each by up to ±1 star and ±14 days — the
+    attacker's imperfect memory / IMDb-sourced knowledge. *)
 
 val movie_support : Dataset.Synth.rating array -> movies:int -> int array
 (** Number of raters per movie in the released data. *)

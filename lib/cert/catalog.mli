@@ -30,10 +30,6 @@ val production : unit -> entry list
     randomized_response, histogram, noisy_max, sparse_vector, exponential,
     subsample. *)
 
-val controls : unit -> entry list
-(** One entry per {!Stattest.Controls.spec}, claiming the bound of the
-    {e claimed} ε while the weights realize the defect's actual ε. *)
-
 val all : unit -> entry list
 (** [production () @ controls ()]. *)
 

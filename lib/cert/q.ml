@@ -35,13 +35,11 @@ let zero = { num = 0; den = 1 }
 let one = { num = 1; den = 1 }
 let of_int n = { num = n; den = 1 }
 let num t = t.num
-let den t = t.den
 
 let add a b =
   make (add_exn (mul_exn a.num b.den) (mul_exn b.num a.den)) (mul_exn a.den b.den)
 
 let neg a = { a with num = neg_exn a.num }
-let sub a b = add a (neg b)
 let mul a b = make (mul_exn a.num b.num) (mul_exn a.den b.den)
 
 let div a b =

@@ -31,12 +31,7 @@ val make : int -> int -> t
 
 val num : t -> int
 
-val den : t -> int
-(** Always positive. *)
-
 val add : t -> t -> t
-
-val sub : t -> t -> t
 
 val mul : t -> t -> t
 

@@ -28,10 +28,6 @@ val verify : Catalog.entry -> verdict
 val verify_all : unit -> row list
 (** {!Catalog.all} in catalog order. *)
 
-val row_ok : row -> bool
-(** The verdict matches the entry's expectation ([negative] rejected,
-    production certified). *)
-
 val all_ok : row list -> bool
 
 val render_table : row list -> string

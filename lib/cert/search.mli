@@ -1,7 +1,7 @@
 (** Certificate search and exact refutation — untrusted producers for the
     {!Witness} checker.
 
-    {!align} looks for an alignment by bipartite maximum matching inside
+    {!certify} looks for an alignment by bipartite maximum matching inside
     each output class: source atom ω may align to destination atom t iff
     they induce the same output event and the atomwise mass bound
     [mass_src(ω) ≤ Λ·mass_dst(t)] holds. Kuhn's augmenting-path matching
@@ -16,7 +16,7 @@
     leaves open that the mechanism is private but not alignment-provable
     at atom granularity).
 
-    Nothing here is trusted: whatever {!align} returns is re-verified by
+    Nothing here is trusted: whatever the search returns is re-verified by
     {!Witness.check} before a model is ever reported as certified. *)
 
 type counterexample = {
@@ -41,14 +41,10 @@ val refute : Model.t -> counterexample option
 (** The first output event (lowest index, [A_to_b] direction first) whose
     exact probability ratio exceeds the claimed bound, if any. *)
 
-val align : Model.t -> Witness.direction -> Witness.t option
-(** Complete matching search for one direction. Zero-mass source atoms
-    are aligned to themselves (their entries are unconstrained beyond
-    range). *)
-
 val certify : Model.t -> outcome
-(** [refute] first; otherwise [align] both directions and re-check the
-    found pair with {!Witness.check_pair}. *)
+(** [refute] first; otherwise align both directions (zero-mass source
+    atoms align to themselves) and re-check the found pair with
+    {!Witness.check_pair}. *)
 
 val pp_counterexample :
   label:(int -> string) -> Format.formatter -> counterexample -> unit

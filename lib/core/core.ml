@@ -46,7 +46,4 @@ module Audit = struct
     List.fold_left
       (fun acc f -> Float.max acc f.outcome.Pso.Game.success_rate)
       0. findings
-
-  let legal_report ?context rng =
-    Legal.Report.build ?context rng Pso.Theorems.default_params
 end

@@ -51,8 +51,4 @@ module Audit : sig
 
   val worst_success : finding list -> float
   (** The highest PSO success across the battery — the headline number. *)
-
-  val legal_report : ?context:string -> Prob.Rng.t -> Legal.Report.t
-  (** Run the full theorem battery at default parameters and derive the
-      paper's legal theorems. *)
 end

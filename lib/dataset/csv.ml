@@ -113,12 +113,3 @@ let write_gtable_file path gtable =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (gtable_to_string gtable))
-
-let read_file schema path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      of_string schema s)

@@ -14,8 +14,6 @@ val of_string : Schema.t -> string -> Table.t
 
 val write_file : string -> Table.t -> unit
 
-val read_file : Schema.t -> string -> Table.t
-
 val gtable_to_string : Gtable.t -> string
 (** Generalized releases as CSV, cells rendered with
     {!Gvalue.to_string} ("1234*", "30-39", "PULM", "*"). One-way: the

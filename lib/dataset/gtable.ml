@@ -68,8 +68,6 @@ let smallest = function
   | [] -> 0
   | cs -> List.fold_left (fun acc c -> min acc (Array.length c.members)) max_int cs
 
-let min_class_size t = smallest (classes t)
-
 let min_class_size_on t names = smallest (classes_on t names)
 
 let matches_row grow raw =

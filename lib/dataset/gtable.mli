@@ -35,13 +35,9 @@ val classes_on : t -> string list -> eclass list
     defined on the quasi-identifier columns. Raises [Not_found] on unknown
     attribute names. *)
 
-val min_class_size : t -> int
-(** Size of the smallest equivalence class ([0] for an empty table) — the
-    released table is k-anonymous iff this is [>= k]. *)
-
 val min_class_size_on : t -> string list -> int
-(** Like {!min_class_size} but on the named attributes (typically the
-    quasi-identifiers). *)
+(** The size of the smallest of the {!classes_on} the named attributes
+    (typically the quasi-identifiers); 0 when there are none. *)
 
 val matches_row : grow -> Table.row -> bool
 (** Does a raw row fall under every cell of a generalized row? *)

@@ -9,8 +9,6 @@ type t = {
 
 let height t = t.height
 
-let name t = t.name
-
 let apply t ~level v =
   if level < 0 then invalid_arg "Hierarchy.apply: negative level";
   if level = 0 then Gvalue.Exact v

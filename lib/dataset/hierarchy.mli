@@ -12,8 +12,6 @@ val height : t -> int
 (** Number of levels, including level 0 (exact) and the top ([Any]). At
     least 2. *)
 
-val name : t -> string
-
 val apply : t -> level:int -> Value.t -> Gvalue.t
 (** Generalize a value to the given level. Levels at or above
     [height - 1] yield [Gvalue.Any]; level 0 yields [Exact]. Raises

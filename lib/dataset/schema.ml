@@ -43,9 +43,3 @@ let equal a b =
   && Array.for_all2 (fun x y -> x = y) a.attrs b.attrs
 
 let project t names = make (List.map (fun n -> find t n) names)
-
-let role_name = function
-  | Identifier -> "identifier"
-  | Quasi_identifier -> "quasi-identifier"
-  | Sensitive -> "sensitive"
-  | Insensitive -> "insensitive"

@@ -32,9 +32,6 @@ val index_of : t -> string -> int
 
 val mem : t -> string -> bool
 
-val find : t -> string -> attribute
-(** Raises [Not_found]. *)
-
 val with_role : t -> role -> string list
 (** Names of the attributes holding a given role. *)
 
@@ -43,5 +40,3 @@ val equal : t -> t -> bool
 val project : t -> string list -> t
 (** Schema restricted to the named attributes, in the given order. Raises
     [Not_found] on unknown names. *)
-
-val role_name : role -> string

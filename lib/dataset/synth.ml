@@ -145,14 +145,6 @@ let pso_model ~attributes ~values_per_attribute =
   Model.make schema
     (List.init attributes (fun i -> (Printf.sprintf "a%d" i, dist)))
 
-let birthday_model ~days =
-  let schema =
-    Schema.make
-      [ { Schema.name = "birthday"; kind = Value.Kint; role = Schema.Quasi_identifier } ]
-  in
-  Model.make schema
-    [ ("birthday", Prob.Distribution.uniform (List.init days (fun d -> Value.Int d))) ]
-
 let kanon_pso_model ~qis ~retained ~domain =
   if qis < 1 || retained < 0 then invalid_arg "Synth.kanon_pso_model";
   if domain < 2 then invalid_arg "Synth.kanon_pso_model: domain";
@@ -173,10 +165,10 @@ let kanon_pso_model ~qis ~retained ~domain =
 
 type rating = { user : int; movie : int; stars : int; day : int }
 
-let ratings rng ~users ~movies ~ratings_per_user ?(skew = 1.0) () =
+let ratings rng ~users ~movies ~ratings_per_user =
   if users <= 0 || movies <= 0 || ratings_per_user <= 0 then
     invalid_arg "Synth.ratings";
-  let popularity = Prob.Distribution.zipf ~skew movies in
+  let popularity = Prob.Distribution.zipf movies in
   let base_score = Array.init movies (fun _ -> 1 + Prob.Rng.int rng 5) in
   let out = ref [] in
   for user = 0 to users - 1 do

@@ -10,14 +10,6 @@
 
 (** {1 Demographic population (Sweeney / GIC story)} *)
 
-val demographic_schema : Schema.t
-(** Attributes: [id] (identifier), [name] (identifier), [zip] (QI, 5-char
-    string), [birth_date] (QI), [sex] (QI, "M"/"F"), [disease] (sensitive). *)
-
-val disease_taxonomy : Hierarchy.tree
-(** Two-level taxonomy over the disease domain (pulmonary / cardiac /
-    metabolic / oncological groups) — the paper's "PULM" toy example. *)
-
 val disease_hierarchy : Hierarchy.t
 
 val population : Prob.Rng.t -> n:int -> ?zips:int -> unit -> Table.t
@@ -41,21 +33,12 @@ val pso_model : attributes:int -> values_per_attribute:int -> Model.t
     [values_per_attribute ^ attributes]. Used by the PSO game experiments
     where exact predicate weights are needed. *)
 
-val birthday_model : days:int -> Model.t
-(** The paper's Section 2.2 example: a single attribute uniform over [days]
-    birthdays. *)
-
 val kanon_pso_model : qis:int -> retained:int -> domain:int -> Model.t
 (** The data model of the Theorem 2.10 experiments: [qis] quasi-identifier
     attributes plus [retained] insensitive attributes, each uniform over
     [domain] integer values. "Typical datasets include many more attributes
     than the toy example" — enough attributes make the equivalence-class
     predicates' weights negligible. *)
-
-val gic_model : ?zips:int -> unit -> Model.t
-(** Product approximation of the demographic population (quasi-identifiers +
-    disease only), for weight computations against k-anonymized GIC-style
-    releases. *)
 
 (** {1 Sparse ratings (Netflix story)} *)
 
@@ -66,12 +49,10 @@ val ratings :
   users:int ->
   movies:int ->
   ratings_per_user:int ->
-  ?skew:float ->
-  unit ->
   rating array
-(** Each user rates ~[ratings_per_user] movies chosen from a Zipf([skew])
-    popularity distribution (default skew [1.0]); stars are 1–5 correlated
-    with a per-movie base score; days span ~2 years. *)
+(** Each user rates ~[ratings_per_user] movies chosen from a Zipf(1)
+    popularity distribution; stars are 1–5 correlated with a per-movie
+    base score; days span ~2 years. *)
 
 val ratings_by_user : rating array -> users:int -> rating array array
 

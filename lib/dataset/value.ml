@@ -92,5 +92,3 @@ let to_float = function
   | Date d -> Some (float_of_int (date_ordinal d))
   | Bool b -> Some (if b then 1. else 0.)
   | String _ | Null -> None
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

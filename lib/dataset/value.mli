@@ -42,5 +42,3 @@ val date_ordinal : date -> int
 
 val make_date : year:int -> month:int -> day:int -> t
 (** Raises [Invalid_argument] on out-of-range month or day. *)
-
-val pp : Format.formatter -> t -> unit

@@ -45,8 +45,6 @@ let spend_many t ~epsilon ?(delta = 0.) ~n label =
     Obs.Ledger.spend_many ~analyst:t.analyst ~label ~epsilon ~n ~total
   end
 
-let spent_epsilon t = t.spent_eps
-
 let steps t = List.rev t.steps
 
 let basic t =

@@ -25,11 +25,6 @@ val spend_many : t -> epsilon:float -> ?delta:float -> n:int -> string -> unit
 val steps : t -> (string * float * float) list
 (** [(label, epsilon, delta)] in the order spent. *)
 
-val spent_epsilon : t -> float
-(** Running [Σ ε] across all spends — the value journaled as the
-    [cumulative] field of audit-ledger spend events, and accumulated in
-    the ["dp.epsilon_spent"] gauge of every metrics export. *)
-
 val basic : t -> float * float
 (** Sequential composition: [(Σ εᵢ, Σ δᵢ)]. *)
 

@@ -272,8 +272,6 @@ let exponential_spec () =
 
 let weights spec = function A -> spec.weights_a | B -> spec.weights_b
 
-let total_weight spec side = Array.fold_left ( + ) 0 (weights spec side)
-
 let sample rng spec side =
   let w = weights spec side in
   let total = Array.fold_left ( + ) 0 w in

@@ -130,8 +130,6 @@ val subsample_pair : unit -> spec
 
 (** {1 Sampling} *)
 
-val total_weight : spec -> side -> int
-
 val sample : Prob.Rng.t -> spec -> side -> int
 (** Draw one output event exactly: a uniform integer below the side's
     total weight selects an atom by cumulative weight (no floating point),

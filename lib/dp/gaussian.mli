@@ -9,9 +9,6 @@ val count :
   Prob.Rng.t -> epsilon:float -> delta:float -> Dataset.Table.t -> Query.Predicate.t -> float
 (** (ε, δ)-DP count (sensitivity 1). *)
 
-val perturb :
-  Prob.Rng.t -> epsilon:float -> delta:float -> sensitivity:float -> float -> float
-
 val counts :
   Prob.Rng.t ->
   epsilon:float ->

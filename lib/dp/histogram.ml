@@ -25,11 +25,3 @@ let noisy rng ~epsilon table cells =
         +. Telemetry.noise ~mechanism:"laplace" ~scale:(1. /. epsilon)
              (Prob.Sampler.laplace rng ~scale:(1. /. epsilon)) ))
     (exact table cells)
-
-let mechanism ~epsilon cells =
-  {
-    Query.Mechanism.name = Printf.sprintf "dp-histogram[%d cells, eps=%g]" (Array.length cells) epsilon;
-    run =
-      (fun rng table ->
-        Query.Mechanism.Vector (Array.map snd (noisy rng ~epsilon table cells)));
-  }

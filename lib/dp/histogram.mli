@@ -17,6 +17,3 @@ val noisy : Prob.Rng.t -> epsilon:float -> Dataset.Table.t -> cell array -> (str
     Raises [Invalid_argument] if [epsilon <= 0]. *)
 
 val exact : Dataset.Table.t -> cell array -> (string * int) array
-
-val mechanism : epsilon:float -> cell array -> Query.Mechanism.t
-(** The noisy histogram as a mechanism (cell order fixed). *)

@@ -52,15 +52,3 @@ let range t ~lo ~hi =
     r := !r / 2
   done;
   !acc
-
-let flat_range rng ~epsilon histogram ~lo ~hi =
-  if epsilon <= 0. then invalid_arg "Dp.Tree.flat_range: epsilon";
-  if lo < 0 || hi >= Array.length histogram || lo > hi then
-    invalid_arg "Dp.Tree.flat_range";
-  let acc = ref 0. in
-  for i = lo to hi do
-    acc :=
-      !acc +. float_of_int histogram.(i)
-      +. Prob.Sampler.laplace rng ~scale:(1. /. epsilon)
-  done;
-  !acc

@@ -26,7 +26,3 @@ val range : t -> lo:int -> hi:int -> float
 
 val total : t -> float
 (** The root's noisy count. *)
-
-val flat_range : Prob.Rng.t -> epsilon:float -> int array -> lo:int -> hi:int -> float
-(** Baseline for comparison: per-cell Laplace noise at the same total ε,
-    summed over the range — error grows with the range width. *)

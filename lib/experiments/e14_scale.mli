@@ -23,6 +23,4 @@ type row = {
   rows_per_sec : float;  (** wall-clock throughput; never rendered *)
 }
 
-val run : ?pool:Parallel.Pool.t -> scale:Common.scale -> Prob.Rng.t -> row list
-
 val print : scale:Common.scale -> Prob.Rng.t -> Format.formatter -> unit

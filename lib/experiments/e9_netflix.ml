@@ -11,7 +11,7 @@ let threshold = 1.5
 
 let measure rng ~users ~movies ~aux_items ~targets =
   let ratings =
-    Dataset.Synth.ratings rng ~users ~movies ~ratings_per_user:12 ()
+    Dataset.Synth.ratings rng ~users ~movies ~ratings_per_user:12
   in
   let by_user = Dataset.Synth.ratings_by_user ratings ~users in
   let support = Attacks.Sparse_linkage.movie_support ratings ~movies in
@@ -19,7 +19,7 @@ let measure rng ~users ~movies ~aux_items ~targets =
   for _ = 1 to targets do
     let target = Prob.Rng.int rng users in
     let aux =
-      Attacks.Sparse_linkage.make_aux rng by_user.(target) ~items:aux_items ()
+      Attacks.Sparse_linkage.make_aux rng by_user.(target) ~items:aux_items
     in
     let verdict =
       Attacks.Sparse_linkage.deanonymize ~support ~threshold aux by_user

@@ -8,15 +8,6 @@ type config = {
   recoding : Mondrian.recoding;
 }
 
-let default ~k ~scheme =
-  {
-    algorithm = Mondrian;
-    k;
-    scheme;
-    max_suppression = 0.05;
-    recoding = Mondrian.Member_level;
-  }
-
 let algorithm_name = function
   | Mondrian -> "mondrian"
   | Datafly -> "datafly"

@@ -17,9 +17,6 @@ type config = {
   recoding : Mondrian.recoding;  (** honored by Mondrian only *)
 }
 
-val default : k:int -> scheme:Generalization.scheme -> config
-(** Mondrian, member-level recoding, 5% suppression budget. *)
-
 val anonymize : config -> Dataset.Table.t -> Dataset.Gtable.t
 
 val is_k_anonymous : k:int -> Dataset.Gtable.t -> bool
@@ -28,5 +25,3 @@ val is_k_anonymous : k:int -> Dataset.Gtable.t -> bool
 
 val mechanism : config -> Query.Mechanism.t
 (** The anonymizer as a mechanism [M : X^n → generalized release]. *)
-
-val algorithm_name : algorithm -> string

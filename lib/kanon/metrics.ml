@@ -30,23 +30,6 @@ let average_class_size ~qis gtable =
   if classes = [] then infinity
   else float_of_int rows /. float_of_int (List.length classes)
 
-let ncp ~domains gtable =
-  let schema = Gtable.schema gtable in
-  let columns =
-    List.map (fun (name, size) -> (Schema.index_of schema name, size)) domains
-  in
-  let total = ref 0. in
-  let cells = ref 0 in
-  Array.iter
-    (fun grow ->
-      List.iter
-        (fun (j, domain_size) ->
-          total := !total +. Gvalue.span grow.(j) ~domain_size;
-          incr cells)
-        columns)
-    (Gtable.rows gtable);
-  if !cells = 0 then 0. else !total /. float_of_int !cells
-
 let generalization_intensity gtable =
   let total = ref 0 in
   let coarse = ref 0 in

@@ -13,11 +13,6 @@ val average_class_size : qis:string list -> Dataset.Gtable.t -> float
 (** [n / #classes] over non-suppressed rows ([infinity] if everything is
     suppressed). *)
 
-val ncp : domains:(string * float) list -> Dataset.Gtable.t -> float
-(** Normalized certainty penalty, averaged over the cells of the listed
-    attributes: each cell contributes its {!Dataset.Gvalue.span} fraction of
-    the attribute's domain size. In [0, 1]; 0 means no generalization. *)
-
 val suppressed_rows : Dataset.Gtable.t -> int
 (** Rows whose every cell is [Any]. *)
 

@@ -14,13 +14,6 @@ let name = function
   | Personal_data -> "personal data"
   | Anonymous_data -> "anonymous data"
 
-let source = function
-  | Singling_out -> Source.gdpr_recital_26
-  | Linkability | Inference -> Source.wp29_anonymisation
-  | Identifiability -> Source.gdpr_article_4
-  | Personal_data -> Source.gdpr_article_4
-  | Anonymous_data -> Source.gdpr_recital_26
-
 let enables = function
   | Singling_out -> [ Identifiability ]
   | Linkability -> [ Identifiability ]

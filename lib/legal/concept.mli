@@ -16,17 +16,13 @@ type t =
 
 val name : t -> string
 
-val source : t -> Source.t
-(** The text anchoring the concept. *)
-
-val enables : t -> t list
-(** Direct legal implications: e.g. [Singling_out] enables
-    [Identifiability] (Recital 26), [Identifiability] makes data
-    [Personal_data] (Article 4). [Anonymous_data] appears only as the
-    negation target of [Personal_data]. *)
-
 val enables_transitively : t -> t -> bool
-(** Reflexive-transitive closure of {!enables}. *)
+(** Reflexive-transitive closure of the direct legal implications:
+    [Singling_out], [Linkability] and [Inference] enable
+    [Identifiability] (Recital 26), and [Identifiability] makes data
+    [Personal_data] (Article 4).
+    [Anonymous_data] appears only as the negation target of
+    [Personal_data]. *)
 
 val anonymity_requires_preventing : t -> bool
 (** Does rendering data anonymous require preventing this means of

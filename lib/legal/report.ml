@@ -54,5 +54,3 @@ let pp fmt t =
   Format.fprintf fmt
     "@.Statements above are mathematically falsifiable; each legal theorem \
      lists the measurement that would refute it.@."
-
-let to_string t = Format.asprintf "%a" pp t

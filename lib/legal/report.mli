@@ -24,5 +24,3 @@ val of_verdicts : ?context:string -> Pso.Theorems.verdict list -> t
     [Invalid_argument] otherwise. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

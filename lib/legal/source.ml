@@ -129,7 +129,3 @@ let all =
     ferpa;
     title_13;
   ]
-
-let pp fmt t =
-  Format.fprintf fmt "[%s] %s (%s, %d): \"%s\"" t.id t.title t.jurisdiction
-    t.year t.quote

@@ -11,12 +11,6 @@ type t = {
   quote : string;  (** the operative passage *)
 }
 
-val gdpr_article_1 : t
-
-val gdpr_article_4 : t
-(** The definition of personal data: "any information relating to an
-    identified or identifiable natural person". *)
-
 val gdpr_article_17 : t
 (** The right to erasure ("right to be forgotten") — the sibling
     legal-technical question the paper's discussion points to. *)
@@ -30,18 +24,10 @@ val wp29_personal_data : t
     Data — singling out as "the possibility to isolate some or all records
     which identify an individual in the dataset". *)
 
-val wp29_anonymisation : t
-(** Article 29 Working Party Opinion 05/2014 on Anonymisation Techniques —
-    the opinion table our analysis contradicts. *)
-
 val hipaa_privacy_rule : t
-
-val ferpa : t
 
 val title_13 : t
 (** The US Census confidentiality mandate the 2010 reconstruction puts in
     question. *)
 
 val all : t list
-
-val pp : Format.formatter -> t -> unit

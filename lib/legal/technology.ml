@@ -16,17 +16,6 @@ let name = function
   | Count_release -> "count release"
   | Differential_privacy -> "differential privacy"
 
-let all =
-  [
-    Raw_release;
-    Hipaa_safe_harbor;
-    K_anonymity;
-    L_diversity;
-    T_closeness;
-    Count_release;
-    Differential_privacy;
-  ]
-
 let kanon_family = function
   | K_anonymity | L_diversity | T_closeness -> true
   | Raw_release | Hipaa_safe_harbor | Count_release | Differential_privacy ->

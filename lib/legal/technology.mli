@@ -11,8 +11,6 @@ type t =
 
 val name : t -> string
 
-val all : t list
-
 val kanon_family : t -> bool
 (** k-anonymity or one of the variants the paper's footnote 3 extends the
     analysis to. *)

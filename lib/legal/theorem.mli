@@ -77,5 +77,3 @@ val raw_release_fails : t
     any record isolates). *)
 
 val pp : Format.formatter -> t -> unit
-
-val standing_name : standing -> string

@@ -11,8 +11,6 @@ type risk =
   | No_risk
   | May_not_be_risk
 
-val risk_name : risk -> string
-
 val wp29_assessment : Technology.t -> risk option
 (** The Working Party's published answer ([None] where the opinion does not
     assess the technology). *)

@@ -21,11 +21,13 @@ let fixed_count b =
    above/below an integer (from float division) still admits that integer. *)
 let eps = 1e-9
 
-let round_lo ~integral v = if integral then Float.ceil (v -. eps) else v
+let round_lo v = Float.ceil (v -. eps)
 
-let round_hi ~integral v = if integral then Float.floor (v +. eps) else v
+let round_hi v = Float.floor (v +. eps)
 
-let propagate ?(integral = true) ?(max_passes = 50) a ~row_lo ~row_hi box =
+let max_passes = 50
+
+let propagate a ~row_lo ~row_hi box =
   let m = Sparse.rows a and n = Sparse.cols a in
   if Array.length row_lo <> m || Array.length row_hi <> m then
     invalid_arg "Intervals.propagate: row bound dimension mismatch";
@@ -33,8 +35,8 @@ let propagate ?(integral = true) ?(max_passes = 50) a ~row_lo ~row_hi box =
     invalid_arg "Intervals.propagate: box dimension mismatch";
   let lo = Array.make n 0. and hi = Array.make n 0. in
   for j = 0 to n - 1 do
-    lo.(j) <- round_lo ~integral box.lo.(j);
-    hi.(j) <- round_hi ~integral box.hi.(j)
+    lo.(j) <- round_lo box.lo.(j);
+    hi.(j) <- round_hi box.hi.(j)
   done;
   let empty = ref (-1) in
   for j = 0 to n - 1 do
@@ -64,10 +66,10 @@ let propagate ?(integral = true) ?(max_passes = 50) a ~row_lo ~row_hi box =
         if !empty < 0 && v > 0. then begin
           (* others' max contribution leaves this much for x_j at least *)
           let new_lo =
-            round_lo ~integral ((row_lo.(!r) -. (s_hi -. (v *. hi.(j)))) /. v)
+            round_lo ((row_lo.(!r) -. (s_hi -. (v *. hi.(j)))) /. v)
           in
           let new_hi =
-            round_hi ~integral ((row_hi.(!r) -. (s_lo -. (v *. lo.(j)))) /. v)
+            round_hi ((row_hi.(!r) -. (s_lo -. (v *. lo.(j)))) /. v)
           in
           if new_lo > lo.(j) then begin
             lo.(j) <- new_lo;
@@ -117,9 +119,6 @@ let rec search budget a ~row_lo ~row_hi box =
         || search budget a ~row_lo ~row_hi right
       end
   end
-
-let feasible ?(budget = 2000) a ~row_lo ~row_hi box =
-  search (ref budget) a ~row_lo ~row_hi box
 
 let shave ?(budget = 2000) a ~row_lo ~row_hi box =
   match propagate a ~row_lo ~row_hi box with

@@ -18,18 +18,12 @@ type t = { lo : float array; hi : float array }
 
 val make : n:int -> lo:float -> hi:float -> t
 
-val copy : t -> t
-
-val width : t -> int -> float
-
 val is_fixed : t -> int -> bool
 (** The variable's interval contains a single point. *)
 
 val fixed_count : t -> int
 
 val propagate :
-  ?integral:bool ->
-  ?max_passes:int ->
   Sparse.t ->
   row_lo:float array ->
   row_hi:float array ->
@@ -42,23 +36,10 @@ val propagate :
       [x_j ≥ (row_lo_r − (S_hi − a_rj·hi_j)) / a_rj]
       [x_j ≤ (row_hi_r − (S_lo − a_rj·lo_j)) / a_rj]
 
-    until a fixpoint (or [max_passes], default 50). With [~integral:true]
-    (default) the bounds also round inward to integers. Returns [`Empty j]
+    until a fixpoint or 50 passes, rounding the bounds inward to integers.
+    Returns [`Empty j]
     when variable [j]'s interval became empty — the constraints are
     mutually unsatisfiable. The input box is not mutated. *)
-
-val feasible :
-  ?budget:int ->
-  Sparse.t ->
-  row_lo:float array ->
-  row_hi:float array ->
-  t ->
-  bool
-(** [feasible a ~row_lo ~row_hi box] searches for an integer point of [box]
-    satisfying the row intervals, by depth-first branching on the widest
-    variable with propagation at every node. The search is budgeted
-    ([budget] propagation calls, default 2000); when the budget runs out the
-    answer is [true] ("not proven infeasible"), so a [false] is a proof. *)
 
 val shave :
   ?budget:int ->
@@ -69,7 +50,8 @@ val shave :
   t
 (** [shave a ~row_lo ~row_hi box] tightens integer endpoints by refutation:
     for each variable, if fixing it to its lower (upper) endpoint is proven
-    infeasible by {!feasible}, the endpoint moves inward, repeating while
-    the proof succeeds. Sound for the same reason {!feasible} is: an
+    infeasible, the endpoint moves inward, repeating while the proof
+    succeeds. The proof is a depth-first integer search with {!propagate}
+    at every node; running out of [budget] counts as feasible, so an
     endpoint is only removed with an infeasibility proof. The [budget]
-    (default 2000) is shared across the whole shave. *)
+    (default 2000 propagations) is shared across the whole shave. *)

@@ -37,8 +37,7 @@ let c_warm_starts = Obs.Counter.make "linalg.lsq_warm_starts"
 
 let c_power_iters = Obs.Counter.make "linalg.lsq_power_iterations"
 
-(* Solves stopped by the iteration cap (or, in [cg], by a non-positive
-   curvature step): the run's solver-health signal. *)
+(* Solves stopped by the iteration cap: the run's solver-health signal. *)
 let c_unconverged = Obs.Counter.make "linalg.lsq_unconverged"
 
 let record_iters ~warm ~converged iters =
@@ -49,48 +48,6 @@ let record_iters ~warm ~converged iters =
     Obs.Counter.add c_warm_iters iters
   end
   else Obs.Counter.add c_cold_iters iters
-
-let cg ?(options = default_options) ?x0 apply b =
-  let n = Vector.dim b in
-  let x, r =
-    match x0 with
-    | None -> (Vector.create n 0., Vector.copy b)
-    | Some x0 ->
-      if Vector.dim x0 <> n then invalid_arg "Lsq.cg: x0 dimension mismatch";
-      (Vector.copy x0, Vector.sub b (apply x0))
-  in
-  let p = Vector.copy r in
-  let rs_old = ref (Vector.dot r r) in
-  let iter = ref 0 in
-  let converged = ref (!rs_old <= options.tolerance *. options.tolerance) in
-  let continue_ = ref (not !converged) in
-  while !continue_ && !iter < options.max_iter do
-    let ap = apply p in
-    let pap = Vector.dot p ap in
-    if pap <= 0. then continue_ := false
-    else begin
-      let alpha = !rs_old /. pap in
-      Vector.axpy alpha p x;
-      Vector.axpy (-.alpha) ap r;
-      let rs_new = Vector.dot r r in
-      if Float.sqrt rs_new < options.tolerance then begin
-        converged := true;
-        continue_ := false
-      end
-      else begin
-        let beta = rs_new /. !rs_old in
-        for i = 0 to n - 1 do
-          p.(i) <- r.(i) +. (beta *. p.(i))
-        done;
-        rs_old := rs_new
-      end;
-      incr iter
-    end
-  done;
-  record_iters ~warm:(x0 <> None) ~converged:!converged !iter;
-  { x; iterations = !iter; converged = !converged }
-
-let conjugate_gradient ?options ?x0 apply b = (cg ?options ?x0 apply b).x
 
 (* Largest singular value of A, squared, via power iteration on AᵀA. The
    iterate, A v and AᵀA v live in three buffers allocated once per call. *)
@@ -113,16 +70,6 @@ let lipschitz_op o =
     end
   done;
   Float.max !lambda 1e-12
-
-let residual a z b =
-  let r = Vector.sub (Matrix.mul_vec a z) b in
-  Vector.dot r r
-
-let residual_op o z b =
-  let r = Array.make o.op_rows 0. in
-  o.apply z r;
-  let r = Vector.sub r b in
-  Vector.dot r r
 
 let clamp_into ~lo ~hi (v : Vector.t) =
   let n = Array.length v in

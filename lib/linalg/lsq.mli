@@ -1,14 +1,13 @@
-(** Least-squares solvers.
+(** Box-constrained least squares.
 
     The polynomial-time reconstruction attack of Theorem 1.1(ii) solves, from
     noisy subset-count answers [a ≈ A x], the box-constrained least-squares
     problem [min_{z ∈ [0,1]^n} ‖A z − a‖²] and rounds the solution to
-    {0,1}^n. This module provides a conjugate-gradient solver for the
-    unconstrained normal equations and an accelerated projected-gradient
-    solver for the box-constrained problem.
+    {0,1}^n. This module provides an accelerated projected-gradient solver
+    for that problem.
 
-    Both solvers operate over an abstract {!op} — a dense {!Matrix.t} or a
-    CSR {!Sparse.t} — and accept an [?x0] warm start. At census scale the
+    The solver operates over an abstract {!op} — a dense {!Matrix.t} or a
+    CSR {!Sparse.t} — and accepts an [?x0] warm start. At census scale the
     per-block systems are near-duplicates of their neighbors, so warm-starting
     a block from the previous block's solution cuts the iteration count; the
     [linalg.lsq_cold_iterations] / [linalg.lsq_warm_iterations] counters
@@ -17,13 +16,10 @@
 type options = {
   max_iter : int;  (** iteration cap *)
   tolerance : float;
-      (** {!cg} stops when the residual norm drops below this; {!box} stops
-          when its projected step from the extrapolated point,
+      (** {!box} stops when its projected step from the extrapolated point,
           [‖x_{k+1} − y_k‖₂], does (with no momentum [y_k = x_k], and
           this is the step length) *)
 }
-
-val default_options : options
 
 type op = {
   op_rows : int;
@@ -45,19 +41,9 @@ type solution = {
   iterations : int;
   converged : bool;
       (** false when the iteration cap stopped the solve; each such
-          {!cg} or {!box} solve bumps the [linalg.lsq_unconverged]
+          {!box} solve bumps the [linalg.lsq_unconverged]
           counter *)
 }
-
-val cg :
-  ?options:options -> ?x0:Vector.t -> (Vector.t -> Vector.t) -> Vector.t -> solution
-(** [cg apply b] solves [M z = b] for symmetric positive-semidefinite [M]
-    given as the operator [apply]. Starts from [x0] when given (computing
-    the true initial residual [b − M x0]), else from the zero vector. *)
-
-val conjugate_gradient :
-  ?options:options -> ?x0:Vector.t -> (Vector.t -> Vector.t) -> Vector.t -> Vector.t
-(** [cg] returning only the solution vector. *)
 
 val box :
   ?options:options ->
@@ -70,8 +56,9 @@ val box :
 (** [box o b ~lo ~hi] approximately minimizes [‖A z − b‖²] over the
     per-coordinate box [∏ \[lo.(i), hi.(i)\]] by accelerated projected
     gradient (FISTA, Beck–Teboulle 2009) with gradient restart
-    (O'Donoghue–Candès 2015), at the step [1/L] with [L] estimated by
-    {!lipschitz_op}. Each iteration takes the projected gradient step
+    (O'Donoghue–Candès 2015), at the step [1/L] with [L], the largest
+    singular value of [A] squared, estimated by 50 power iterations (each
+    bumps the [linalg.lsq_power_iterations] counter). Each iteration takes the projected gradient step
     [x⁺ = clamp (y − ∇f(y)/L)] from the extrapolated point [y] (one
     [A]/[Aᵀ] pair), stops when [‖x⁺ − y‖₂ < tolerance], resets the
     momentum to zero when [(y − x⁺)·(x⁺ − x) > 0], and otherwise
@@ -102,13 +89,3 @@ val solve_box_sparse :
   hi:float ->
   Vector.t
 (** [box] over a CSR matrix with scalar bounds. *)
-
-val lipschitz_op : op -> float
-(** Largest singular value squared of the operator, by 50 power
-    iterations — the reciprocal of {!box}'s step size. Each
-    iteration bumps the [linalg.lsq_power_iterations] counter. *)
-
-val residual : Matrix.t -> Vector.t -> Vector.t -> float
-(** [residual a z b] is [‖A z − b‖²]. *)
-
-val residual_op : op -> Vector.t -> Vector.t -> float

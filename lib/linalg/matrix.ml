@@ -27,22 +27,6 @@ let get m i j = m.data.((i * m.cols) + j)
 
 let set m i j v = m.data.((i * m.cols) + j) <- v
 
-let row m i = Array.sub m.data (i * m.cols) m.cols
-
-let fold_row m i ~init ~f =
-  let base = i * m.cols in
-  let acc = ref init in
-  for j = 0 to m.cols - 1 do
-    acc := f !acc j m.data.(base + j)
-  done;
-  !acc
-
-let iter_row m i ~f =
-  let base = i * m.cols in
-  for j = 0 to m.cols - 1 do
-    f j m.data.(base + j)
-  done
-
 let mul_vec_into m x y =
   if Array.length x <> m.cols then invalid_arg "Matrix.mul_vec: dimension mismatch";
   if Array.length y <> m.rows then
@@ -62,9 +46,9 @@ let mul_vec m x =
   y
 
 let tmul_vec_into m y out =
-  if Array.length y <> m.rows then invalid_arg "Matrix.tmul_vec: dimension mismatch";
+  if Array.length y <> m.rows then invalid_arg "Matrix.tmul_vec_into: dimension mismatch";
   if Array.length out <> m.cols then
-    invalid_arg "Matrix.tmul_vec: output dimension mismatch";
+    invalid_arg "Matrix.tmul_vec_into: output dimension mismatch";
   Array.fill out 0 m.cols 0.;
   for i = 0 to m.rows - 1 do
     let base = i * m.cols in
@@ -74,11 +58,6 @@ let tmul_vec_into m y out =
         out.(j) <- out.(j) +. (m.data.(base + j) *. yi)
       done
   done
-
-let tmul_vec m y =
-  let out = Array.make m.cols 0. in
-  tmul_vec_into m y out;
-  out
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Matrix.mul: dimension mismatch";

@@ -16,23 +16,9 @@ val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
 
-val row : t -> int -> Vector.t
-(** Copy of a row. Allocates; hot loops should use {!fold_row} or
-    {!iter_row} instead. *)
-
-val fold_row : t -> int -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
-(** [fold_row m i ~init ~f] folds [f acc j m_ij] over row [i] in ascending
-    column order without copying the row. *)
-
-val iter_row : t -> int -> f:(int -> float -> unit) -> unit
-(** Like {!fold_row} for effects only. *)
-
 val mul_vec : t -> Vector.t -> Vector.t
 (** [mul_vec a x] is [A x]. Raises [Invalid_argument] on dimension
     mismatch. *)
-
-val tmul_vec : t -> Vector.t -> Vector.t
-(** [tmul_vec a y] is [Aᵀ y]. Rows with [y.(i) = 0.] are skipped. *)
 
 val mul_vec_into : t -> Vector.t -> Vector.t -> unit
 (** [mul_vec_into a x y] stores [A x] into [y] with no allocation.

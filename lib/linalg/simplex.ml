@@ -287,9 +287,3 @@ let solve problem =
         done;
         Optimal { x; objective = !objective }
     end
-
-let maximize problem =
-  let negated = { problem with objective = Array.map (fun v -> -.v) problem.objective } in
-  match solve negated with
-  | Optimal { x; objective } -> Optimal { x; objective = -.objective }
-  | (Infeasible | Unbounded) as r -> r

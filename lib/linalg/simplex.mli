@@ -23,7 +23,3 @@ type outcome =
 val solve : problem -> outcome
 (** Raises [Invalid_argument] if a constraint row's length differs from the
     objective's. *)
-
-val maximize : problem -> outcome
-(** Convenience wrapper: maximizes the objective instead (negates in and
-    out). *)

@@ -20,8 +20,6 @@ let rows t = t.m
 
 let cols t = t.n
 
-let nnz t = t.row_ptr.(t.m)
-
 let row_nnz t i = t.row_ptr.(i + 1) - t.row_ptr.(i)
 
 let of_rows ~cols:n rows_l =
@@ -159,15 +157,10 @@ let mul_vec t x =
   y
 
 let tmul_vec_into t y out =
-  if Array.length y <> t.m then invalid_arg "Sparse.tmul_vec: dimension mismatch";
+  if Array.length y <> t.m then invalid_arg "Sparse.tmul_vec_into: dimension mismatch";
   if Array.length out <> t.n then
-    invalid_arg "Sparse.tmul_vec: output dimension mismatch";
+    invalid_arg "Sparse.tmul_vec_into: output dimension mismatch";
   spmv_tmul t.row_ptr t.col_idx t.values y out
-
-let tmul_vec t y =
-  let out = Array.make t.n 0. in
-  tmul_vec_into t y out;
-  out
 
 let mul_vec_ml t x =
   if Array.length x <> t.n then invalid_arg "Sparse.mul_vec: dimension mismatch";
@@ -179,7 +172,7 @@ let mul_vec_ml t x =
       !acc)
 
 let tmul_vec_ml t y =
-  if Array.length y <> t.m then invalid_arg "Sparse.tmul_vec: dimension mismatch";
+  if Array.length y <> t.m then invalid_arg "Sparse.tmul_vec_ml: dimension mismatch";
   let out = Array.make t.n 0. in
   for i = 0 to t.m - 1 do
     let yi = y.(i) in

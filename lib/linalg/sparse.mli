@@ -39,8 +39,6 @@ val rows : t -> int
 
 val cols : t -> int
 
-val nnz : t -> int
-
 val row_nnz : t -> int -> int
 (** Number of stored entries in one row. *)
 
@@ -51,10 +49,6 @@ val fold_row : t -> int -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
 val mul_vec : t -> Vector.t -> Vector.t
 (** [mul_vec a x] is [A x] via the C SpMV kernel. Raises [Invalid_argument]
     on dimension mismatch. *)
-
-val tmul_vec : t -> Vector.t -> Vector.t
-(** [tmul_vec a y] is [Aᵀ y]. Rows with [y.(i) = 0.] are skipped, matching
-    the dense kernel. *)
 
 val mul_vec_into : t -> Vector.t -> Vector.t -> unit
 (** [mul_vec_into a x y] stores [A x] into [y] with no allocation. *)
@@ -68,7 +62,8 @@ val mul_vec_ml : t -> Vector.t -> Vector.t
     cross-check the C kernel against it. *)
 
 val tmul_vec_ml : t -> Vector.t -> Vector.t
-(** Pure-OCaml reference implementation of {!tmul_vec}. *)
+(** Pure-OCaml reference implementation of {!tmul_vec_into}, returning a
+    fresh vector. *)
 
 val restrict_cols : t -> keep:int array -> t
 (** [restrict_cols a ~keep] is the submatrix of the columns listed in

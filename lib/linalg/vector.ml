@@ -4,8 +4,6 @@ let create n v = Array.make n v
 
 let dim = Array.length
 
-let copy = Array.copy
-
 let check_dims name x y =
   if Array.length x <> Array.length y then
     invalid_arg (Printf.sprintf "Vector.%s: dimension mismatch" name)
@@ -20,17 +18,9 @@ let dot x y =
 
 let norm2 x = Float.sqrt (dot x x)
 
-let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. x
-
-let add x y =
-  check_dims "add" x y;
-  Array.mapi (fun i v -> v +. y.(i)) x
-
 let sub x y =
   check_dims "sub" x y;
   Array.mapi (fun i v -> v -. y.(i)) x
-
-let scale a x = Array.map (fun v -> a *. v) x
 
 let axpy a x y =
   check_dims "axpy" x y;

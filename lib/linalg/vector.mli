@@ -6,22 +6,13 @@ val create : int -> float -> t
 
 val dim : t -> int
 
-val copy : t -> t
-
 val dot : t -> t -> float
 (** Raises [Invalid_argument] on dimension mismatch. *)
 
 val norm2 : t -> float
 (** Euclidean norm. *)
 
-val norm_inf : t -> float
-(** Max absolute entry. *)
-
-val add : t -> t -> t
-
 val sub : t -> t -> t
-
-val scale : float -> t -> t
 
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] sets [y := a*x + y] in place. *)

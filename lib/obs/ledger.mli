@@ -128,9 +128,6 @@ val report : parsed list -> analyst_report list
 
 val pp_report : Format.formatter -> analyst_report list -> unit
 
-val report_schema : string
-(** ["ledger-report/v1"]. *)
-
 val report_json : analyst_report list -> Json.t
 (** The machine-readable twin of {!pp_report}: a [ledger-report/v1]
     document with one entry per analyst (queries, refusals, eps

@@ -222,9 +222,6 @@ module Sketchm = struct
       s
 
   let observe t v = if Atomic.get on then Sketch.add (row (collector ()) t) v
-
-  let observe_n t v k =
-    if Atomic.get on then Sketch.add_n (row (collector ()) t) v k
 end
 
 (* --- spans --- *)

@@ -149,9 +149,7 @@ type point = {
 
 let capture_mutex = Mutex.create ()
 
-let default_capacity = 512
-
-let capacity = ref default_capacity
+let capacity = 512
 
 let ring : point Queue.t = Queue.create ()
 
@@ -183,21 +181,11 @@ let subscribe f =
 
 let set_jobs j = cfg_jobs := max 1 j
 
-let set_capacity n =
-  Mutex.lock capture_mutex;
-  capacity := max 2 n;
-  while Queue.length ring > !capacity do
-    ignore (Queue.pop ring)
-  done;
-  Mutex.unlock capture_mutex
-
 let locked f =
   Mutex.lock capture_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock capture_mutex) f
 
 let points () = locked (fun () -> List.of_seq (Queue.to_seq ring))
-
-let last () = locked (fun () -> Queue.fold (fun _ p -> Some p) None ring)
 
 let build_point ~final (v : Metric.values) =
   let now = Clock.now_ns () in
@@ -273,7 +261,7 @@ let build_point ~final (v : Metric.values) =
   in
   incr seq_next;
   Queue.push p ring;
-  while Queue.length ring > !capacity do
+  while Queue.length ring > capacity do
     ignore (Queue.pop ring)
   done;
   p
@@ -296,7 +284,6 @@ let reset () =
   last_t := 0L;
   cfg_jobs := 1;
   cfg_period := 0L;
-  capacity := default_capacity;
   Hashtbl.reset prev_counters;
   Hashtbl.reset prev_gauges;
   Hashtbl.reset prev_sketches;

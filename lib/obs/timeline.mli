@@ -68,9 +68,7 @@ val capture : ?final:bool -> unit -> point
     already moving again). [final] marks the post-workload capture. *)
 
 val points : unit -> point list
-(** Ring contents, oldest first. *)
-
-val last : unit -> point option
+(** Ring contents (the last 512 points), oldest first. *)
 
 type subscriber = Metric.values -> point -> unit
 
@@ -81,12 +79,9 @@ val subscribe : subscriber -> unit
 val set_jobs : int -> unit
 (** Echoed into the [obs-timeline/v3] header. *)
 
-val set_capacity : int -> unit
-(** Ring size (default 512); the oldest points fall off first. *)
-
 val reset : unit -> unit
-(** Clear points, deltas, subscribers and configuration (jobs 1, default
-    capacity), and start the clock: the next point's [t_ns] and [dt_ns]
+(** Clear points, deltas, subscribers and configuration (jobs 1), and
+    start the clock: the next point's [t_ns] and [dt_ns]
     measure from here. Does not stop a running ticker — call {!stop}
     first. *)
 

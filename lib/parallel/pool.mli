@@ -27,14 +27,10 @@ val max_jobs : int
     calling domain and [jobs - 1] workers, and one slot stays free for the
     [Obs.Timeline] ticker. *)
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count () - 1] with a floor of 1: one slot
-    is left for the calling domain, and a machine with unknown topology
-    still gets a working sequential pool. *)
-
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs] defaults to
-    {!recommended_jobs}). [jobs = 1] spawns nothing: every operation runs
+    [Domain.recommended_domain_count () - 1] with a floor of 1, leaving a
+    slot for the calling domain). [jobs = 1] spawns nothing: every operation runs
     sequentially on the caller. Raises [Invalid_argument], before
     spawning anything, unless [1 <= jobs <= max_jobs]. *)
 
@@ -67,6 +63,6 @@ val set_default_jobs : int -> unit
 
 val default : unit -> t
 (** The process-wide shared pool, created on first use with the size from
-    {!set_default_jobs} (or {!recommended_jobs}) and shut down at exit.
+    {!set_default_jobs} (or the {!create} default) and shut down at exit.
     This is what [Pso.Game.run] and the experiment harness use when not
     handed an explicit pool. *)

@@ -18,8 +18,4 @@ val classify : (int * float) array -> shape
     distinct [n]; raises [Invalid_argument] otherwise. Points with success
     [<= 0] are treated as at the Monte-Carlo resolution floor. *)
 
-val fit_exponent : (int * float) array -> float
-(** Least-squares slope of log(success) against log(n): the estimated decay
-    exponent [k] in success ≈ c·n^(-k). Positive means decaying. *)
-
 val to_string : shape -> string

@@ -44,15 +44,7 @@ let uniform values =
 
 let singleton v = of_weights [ (v, 1.) ]
 
-let bernoulli p =
-  if p < 0. || p > 1. then invalid_arg "Distribution.bernoulli";
-  if p = 0. then singleton false
-  else if p = 1. then singleton true
-  else of_weights [ (true, p); (false, 1. -. p) ]
-
 let support t = Array.copy t.values
-
-let size t = Array.length t.values
 
 let prob t v = match Hashtbl.find_opt t.index v with Some p -> p | None -> 0.
 
@@ -66,8 +58,6 @@ let sample rng t =
     if t.cumulative.(mid) > u then hi := mid else lo := mid + 1
   done;
   t.values.(!lo)
-
-let sample_many rng t n = Array.init n (fun _ -> sample rng t)
 
 let to_assoc t =
   Array.to_list (Array.mapi (fun i v -> (v, t.probs.(i))) t.values)

@@ -20,24 +20,14 @@ val uniform : 'a list -> 'a t
 val singleton : 'a -> 'a t
 (** Point mass. *)
 
-val bernoulli : float -> bool t
-(** [bernoulli p] puts mass [p] on [true]. Raises [Invalid_argument] unless
-    [0 <= p <= 1]. *)
-
 val support : 'a t -> 'a array
 (** Values with nonzero mass, in insertion order. *)
-
-val size : 'a t -> int
-(** Support size. *)
 
 val prob : 'a t -> 'a -> float
 (** Point mass of a value ([0.] off-support). Uses structural equality. *)
 
 val sample : Rng.t -> 'a t -> 'a
 (** Draw one value (inverse-CDF over the stored cumulative table, O(log n)). *)
-
-val sample_many : Rng.t -> 'a t -> int -> 'a array
-(** [sample_many rng d n] draws [n] i.i.d. values. *)
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 (** Pushforward; masses of values that collide under [f] are merged. *)
@@ -55,9 +45,6 @@ val min_entropy : 'a t -> float
 (** Min-entropy [-log2 (max_x Pr x)] in bits. The paper invokes moderate
     min-entropy as the condition under which Leftover-Hash-Lemma-style
     predicates of any prescribed weight exist. *)
-
-val max_prob : 'a t -> float
-(** Largest point mass. *)
 
 val total_variation : 'a t -> 'a t -> float
 (** Total-variation distance (used by the t-closeness check). *)

@@ -42,8 +42,6 @@ let uniform t =
   let r = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float r *. (1.0 /. 9007199254740992.0)
 
-let float t bound = uniform t *. bound
-
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let shuffle t a =
@@ -53,10 +51,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
 
 let sample_without_replacement t k n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";

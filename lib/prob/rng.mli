@@ -32,9 +32,6 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
 val uniform : t -> float
 (** Uniform in [\[0, 1)]. *)
 
@@ -43,10 +40,6 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. Raises [Invalid_argument] on
-    an empty array. *)
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] is a sorted [k]-subset of

@@ -48,8 +48,6 @@ let quantile xs q =
     (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
   end
 
-let median xs = quantile xs 0.5
-
 let proportion_ci ~successes ~trials =
   if trials <= 0 then invalid_arg "Stats.proportion_ci: trials must be positive";
   let z = 1.959963984540054 in

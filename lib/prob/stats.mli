@@ -19,8 +19,6 @@ val variance : float array -> float
 
 val std : float array -> float
 
-val median : float array -> float
-
 val quantile : float array -> float -> float
 (** [quantile xs q] with [0 <= q <= 1], linear interpolation between order
     statistics. *)

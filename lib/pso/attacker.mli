@@ -13,10 +13,6 @@ type t = {
 
 val attack : t -> Prob.Rng.t -> Query.Mechanism.output -> Query.Predicate.t
 
-val constant : string -> Query.Predicate.t -> t
-(** Ignores the output entirely — the "trivial attacker" family of
-    Section 2.2. *)
-
 val fixed_value : attr:string -> Dataset.Value.t -> t
 (** The birthday attacker: "is this person born on Apr-30". *)
 

@@ -8,11 +8,9 @@ type t = {
   ell : int;
 }
 
-(* Both constructors used to wrap [queries] in [Mechanism.exact_counts]
-   directly, so building the DP variant of a scheme (Theorems.dp_defends,
-   E6) compiled the same predicate array a second time. Now the scheme
-   carries one shared batch; every mechanism derived from it reuses the
-   compilation. *)
+(* The scheme carries one shared batch, so every mechanism derived from
+   it (the exact counts here, the DP variant of Theorems.dp_prevents_pso
+   and E6) reuses one compilation of the predicate array. *)
 let of_queries queries attacker ell =
   let batch = Query.Mechanism.batch queries in
   {

@@ -14,9 +14,6 @@ val trivial_isolation_probability : n:int -> w:float -> float
 (** [n·w·(1−w)^{n−1}], the exact isolation probability of a data-independent
     weight-[w] predicate against [x ~ D^n]. *)
 
-val optimal_trivial_weight : n:int -> float
-(** [1/n], the weight maximizing the above. *)
-
 val max_trivial_probability : n:int -> float
 (** The value at the optimum: [(1 − 1/n)^{n−1}], approaching [1/e]. *)
 

@@ -23,30 +23,6 @@ type params = {
   weight_exponent : float;  (** negligible-weight stand-in: bound = n^-c *)
 }
 
-val default_params : params
-(** [n = 150], [trials = 200], [c = 2] — sized so the full battery runs in
-    seconds; the benches re-run with larger parameters. *)
-
-val laplace_is_dp : ?params:params -> Prob.Rng.t -> verdict
-(** Theorem 1.3: output histograms of the Laplace count on neighbouring
-    datasets differ by at most [e^ε] per bin (up to sampling error). *)
-
-val count_mechanism_secure : ?params:params -> Prob.Rng.t -> verdict
-(** Theorem 2.5: [M#q] prevents PSO — the best-effort negligible-weight
-    attacker wins only with ≈ [n·w] probability, and the weight-[1/n]
-    attacker's ≈ 37% isolations do not count. *)
-
-val post_processing_robust : ?params:params -> Prob.Rng.t -> verdict
-(** Theorem 2.6: post-processing [M#q] leaves the above unchanged. *)
-
-val incomposability_pair : ?params:params -> Prob.Rng.t -> verdict
-(** Theorem 2.7: the pad construction — both marginals secure, the
-    composition broken with probability ≈ 1. *)
-
-val count_composition_breaks : ?params:params -> Prob.Rng.t -> verdict
-(** Theorem 2.8: composing ω(log n) count mechanisms enables PSO (the
-    bucket-and-bits attacker). *)
-
 val dp_prevents_pso : ?params:params -> Prob.Rng.t -> verdict
 (** Theorem 2.9: the same attacker against ε-DP noisy counts fails. *)
 
@@ -55,6 +31,12 @@ val kanon_fails : ?params:params -> Prob.Rng.t -> verdict
     released-unique attacker ≈ 100% on member-level releases. *)
 
 val all : ?params:params -> Prob.Rng.t -> verdict list
-(** Every check above, in paper order. *)
+(** Every check, in paper order: Theorem 1.3 (Laplace counts on
+    neighbouring datasets differ by at most [e^ε] per bin), 2.5 ([M#q]
+    prevents PSO), 2.6 (post-processing [M#q] keeps it so), 2.7 (the pad
+    construction: secure marginals, broken composition), 2.8 (composing
+    ω(log n) counts enables PSO), then {!dp_prevents_pso} and
+    {!kanon_fails}. [params] defaults to [n = 150], [trials = 200],
+    [c = 2], sized so the battery runs in seconds. *)
 
 val pp : Format.formatter -> verdict -> unit

@@ -1,7 +1,7 @@
 (** Exact-disclosure query auditing.
 
     Theorem 1.1 leaves a curator two defenses: add enough noise, or limit
-    the queries. A crude limit is a counter ({!Oracle.with_limit}); this
+    the queries. A crude limit is a counter ({!Curator}'s [Limited]); this
     module implements the classical {e auditing} alternative for exact
     subset-sum queries over a binary dataset: refuse a query if answering
     it (together with everything already answered) would determine some

@@ -18,8 +18,6 @@ let tail_mask len =
   let r = len mod bits_per_word in
   if r = 0 then -1 else (1 lsl r) - 1
 
-let length t = t.len
-
 let create len =
   if len < 0 then invalid_arg "Bitset.create: negative length";
   { len; words = Array.make (nwords len) 0 }

@@ -8,8 +8,6 @@
 
 type t
 
-val length : t -> int
-
 val create : int -> t
 (** All-zeros bitset of the given length. Raises [Invalid_argument] on a
     negative length (here and in [ones]/[init]). *)
@@ -39,9 +37,6 @@ val popcount16 : int -> int
     connectives one word-wise loop per operator, reading many atom
     bitsets' words directly. That needs the representation; nothing else
     should. *)
-
-val bits_per_word : int
-(** 63: every bit of a native OCaml int. *)
 
 val word_count : int -> int
 (** Words backing a bitset of the given length. *)

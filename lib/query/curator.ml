@@ -173,8 +173,6 @@ let ask_many t ps =
   done;
   out
 
-let analyst t = t.analyst
-
 let answered t = t.answered
 
 let refused t = t.refused

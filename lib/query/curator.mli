@@ -48,9 +48,6 @@ val create :
     is enabled. When the ledger is on, creation opens the analyst's
     session — analyst ids must therefore be unique per run. *)
 
-val analyst : t -> string
-(** The audit-ledger session id this curator journals under. *)
-
 val ask : t -> Predicate.t -> reply
 (** Count of target-positive records in the subpopulation satisfying the
     predicate. *)

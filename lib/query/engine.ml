@@ -4,8 +4,8 @@
    batch-wide atom dedup, fused word-machine evaluation. This module adds
    the two things the kernel deliberately does not know about:
 
-   - predicate-level entry points: [counts]/[isolations] compile the
-     batch (or reuse the caller's compilation) and charge
+   - a predicate-level entry point: [counts] compiles the batch (or
+     reuses the caller's compilation) and charges
      [query.predicate_evals];
 
    - optional domain fan-out: [?pool] splits a large batch into contiguous
@@ -48,13 +48,6 @@ let count_many ?pool ?cache table cs =
     fan_out pool (Array.length cs) (fun off len ->
         Predicate.count_many ?cache table (Array.sub cs off len))
 
-let isolates_many ?pool ?cache table cs =
-  match pool with
-  | None -> Predicate.isolates_many ?cache table cs
-  | Some pool ->
-    fan_out pool (Array.length cs) (fun off len ->
-        Predicate.isolates_many ?cache table (Array.sub cs off len))
-
 (* Charge the batch and return its compilation: [?compiled], or a fresh
    compilation of [qs]. *)
 let compiled_batch ?compiled table qs =
@@ -65,6 +58,3 @@ let compiled_batch ?compiled table qs =
 
 let counts ?pool ?compiled table qs =
   count_many ?pool table (compiled_batch ?compiled table qs)
-
-let isolations ?pool ?compiled table qs =
-  isolates_many ?pool table (compiled_batch ?compiled table qs)

@@ -11,42 +11,14 @@
     every [jobs] count. The tests hold its answers to
     {!Predicate.count_interpreted}, the reference interpreter. *)
 
-val count_many :
-  ?pool:Parallel.Pool.t ->
-  ?cache:bool ->
-  Dataset.Table.t ->
-  Predicate.compiled array ->
-  int array
-(** [count_many table cs] is {!Predicate.count_many}. With [?pool], the
-    batch is split into contiguous chunks (at least 64 predicates each —
-    below that the pool's per-item overhead swamps the work) evaluated in
-    parallel and concatenated in chunk order, so results do not depend on
-    pool size. *)
-
-val isolates_many :
-  ?pool:Parallel.Pool.t ->
-  ?cache:bool ->
-  Dataset.Table.t ->
-  Predicate.compiled array ->
-  bool array
-(** Batched Definition 2.1, same fan-out contract as {!count_many}. *)
-
 val counts :
   ?pool:Parallel.Pool.t ->
   ?compiled:Predicate.compiled array ->
   Dataset.Table.t ->
   Predicate.t array ->
   int array
-(** Batch counts of predicates: {!count_many} over [?compiled], or over
+(** Batch counts of predicates: {!Predicate.count_many} over [?compiled], or over
     a fresh compilation of [qs]. Pass [?compiled] to reuse an existing
     compilation of [qs] (they must correspond index-wise). Charges
     [query.predicate_evals] with rows × queries, keeping the counter
     batch-invariant. *)
-
-val isolations :
-  ?pool:Parallel.Pool.t ->
-  ?compiled:Predicate.compiled array ->
-  Dataset.Table.t ->
-  Predicate.t array ->
-  bool array
-(** Batched isolation tests of predicates; contract as {!counts}. *)

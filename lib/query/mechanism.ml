@@ -75,8 +75,6 @@ type batch = {
 
 let batch queries = { queries; cache = Atomic.make None }
 
-let batch_queries b = b.queries
-
 let batch_compiled b schema =
   match Atomic.get b.cache with
   | Some (s, cs) when s == schema || s = schema -> cs
@@ -112,8 +110,6 @@ let exact_counts_batch ?pool b =
         log_run ~digest ~noised:false ~cost:(batch_cost b table) (fun () ->
             Vector (batch_counts ?pool b table)));
   }
-
-let exact_counts qs = exact_counts_batch (batch qs)
 
 (* Same handles as lib/dp (make is idempotent by name): noise
    added by the Laplace-counts mechanism is accounted with the rest. *)

@@ -27,10 +27,6 @@ val run : t -> Prob.Rng.t -> Dataset.Table.t -> output
 val exact_count : Predicate.t -> t
 (** Theorem 2.5's [M#q]: the exact number of records satisfying [q]. *)
 
-val exact_counts : Predicate.t array -> t
-(** Tuple of exact counts — the composed mechanism of Theorem 2.8.
-    Equivalent to [exact_counts_batch (batch qs)]. *)
-
 val laplace_counts : epsilon:float -> Predicate.t array -> t
 (** Counts with i.i.d. Laplace([len/epsilon]) noise: an [epsilon]-DP answer
     to the whole vector (sensitivity 1 per query, budget split evenly). *)
@@ -49,12 +45,11 @@ type batch
 
 val batch : Predicate.t array -> batch
 
-val batch_queries : batch -> Predicate.t array
-
 val exact_counts_batch : ?pool:Parallel.Pool.t -> batch -> t
-(** [exact_counts] evaluating through the shared batch. With [?pool],
-    large batches fan across the domain pool (deterministic in-order
-    combine — see {!Engine.count_many}). *)
+(** The exact answers to every query of the batch, as one [Vector],
+    evaluated through the batch's shared compilation. With [?pool], large
+    batches fan across the domain pool (deterministic in-order combine —
+    see {!Engine.counts}). *)
 
 val laplace_counts_batch :
   ?pool:Parallel.Pool.t -> epsilon:float -> batch -> t

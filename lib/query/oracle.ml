@@ -1,11 +1,8 @@
-exception Query_limit_exceeded
-
 type t = {
   data : int array;
   noise : int array -> float -> float;  (* query, true answer -> answer *)
   noised : bool;  (* exact-vs-noised flag for audit-ledger events *)
   mutable asked : int;
-  mutable limit : int option;
 }
 
 let n t = Array.length t.data
@@ -28,9 +25,6 @@ let c_queries = Obs.Counter.make "query.oracle_queries"
 let sk_cost = Obs.Sketchm.make "query.cost_rows"
 
 let ask t q =
-  (match t.limit with
-  | Some l when t.asked >= l -> raise Query_limit_exceeded
-  | Some _ | None -> ());
   let exact = true_answer t q in
   t.asked <- t.asked + 1;
   Obs.Counter.incr c_queries;
@@ -57,7 +51,7 @@ let check_binary data =
 
 let exact data =
   check_binary data;
-  { data; noise = (fun _ a -> a); noised = false; asked = 0; limit = None }
+  { data; noise = (fun _ a -> a); noised = false; asked = 0 }
 
 let bounded_noise rng ~magnitude data =
   if magnitude < 0. then invalid_arg "Oracle.bounded_noise";
@@ -67,7 +61,6 @@ let bounded_noise rng ~magnitude data =
     noise = (fun _ a -> a +. ((Prob.Rng.uniform rng *. 2. -. 1.) *. magnitude));
     noised = true;
     asked = 0;
-    limit = None;
   }
 
 let laplace rng ~scale data =
@@ -77,9 +70,4 @@ let laplace rng ~scale data =
     noise = (fun _ a -> a +. Prob.Sampler.laplace rng ~scale);
     noised = true;
     asked = 0;
-    limit = None;
   }
-
-let with_limit limit t =
-  if limit < 0 then invalid_arg "Oracle.with_limit";
-  { t with limit = Some (t.asked + limit) }

@@ -2,12 +2,10 @@
 
     The reconstruction setting of Theorem 1.1: the dataset is
     [x ∈ {0,1}^n]; an analyst issues subset queries [q ⊆ [n]] and receives
-    [a_q ≈ Σ_{i∈q} x_i]. The oracle tracks how many queries were asked and
-    can enforce a cap — the two defenses ("introduce sufficiently large
-    error" / "limit the number of queries") the theorem shows are the only
-    options. *)
-
-exception Query_limit_exceeded
+    [a_q ≈ Σ_{i∈q} x_i]. The oracle counts the queries asked and adds the
+    noise of one of the two defenses the theorem leaves ("introduce
+    sufficiently large error"); the other, "limit the number of queries",
+    is {!Curator}'s [Limited] policy. *)
 
 type t
 
@@ -18,12 +16,11 @@ val asked : t -> int
 
 val ask : t -> int array -> float
 (** Answer one subset query (indices into [0, n)); raises
-    [Query_limit_exceeded] past the cap and [Invalid_argument] on
-    out-of-range indices. *)
+    [Invalid_argument] on out-of-range indices. *)
 
 val ask_many : t -> int array array -> float array
 (** Answer a batch, drawing noise in ascending index order — identical
-    answers and limit behaviour to asking each query in turn. *)
+    answers to asking each query in turn. *)
 
 val exact : int array -> t
 (** Noise-free answers. Dataset entries must be 0/1. *)
@@ -36,9 +33,6 @@ val laplace : Prob.Rng.t -> scale:float -> int array -> t
 (** Laplace-mechanism answers with per-query scale (unbounded error tails,
     bounded expectation). *)
 
-val with_limit : int -> t -> t
-(** Same oracle, refusing to answer more than [limit] further queries. *)
-
 val true_answer : t -> int array -> float
-(** The noiseless answer — for harness-side error measurement only; does not
-    count against the limit. *)
+(** The noiseless answer — for harness-side error measurement only; not
+    counted in {!asked}. *)

@@ -24,10 +24,6 @@ let conj = function
   | [] -> True
   | p :: rest -> List.fold_left (fun acc q -> And (acc, q)) p rest
 
-let disj = function
-  | [] -> False
-  | p :: rest -> List.fold_left (fun acc q -> Or (acc, q)) p rest
-
 let of_grow schema grow =
   let attrs = Schema.attributes schema in
   let cells =
@@ -192,8 +188,6 @@ type compiled = {
   c_code : int array;  (* postfix over the local atom ids *)
   c_stack_need : int;
 }
-
-let source c = c.c_source
 
 let compile schema t =
   let catom a =

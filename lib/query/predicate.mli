@@ -34,8 +34,6 @@ type t =
 val conj : t list -> t
 (** Conjunction of a list ([True] for the empty list). *)
 
-val disj : t list -> t
-
 val of_grow : Dataset.Schema.t -> Dataset.Gtable.grow -> t
 (** The predicate "this record falls under every cell of this generalized
     row" — the equivalence-class predicate of Theorem 2.10's proof. *)
@@ -85,9 +83,6 @@ val compile : Dataset.Schema.t -> t -> compiled
 (** Raises [Not_found] if an atom names an attribute absent from the
     schema — eagerly, unlike the interpreter, which only faults when row
     evaluation actually reaches the atom. *)
-
-val source : compiled -> t
-(** The predicate this was compiled from. *)
 
 val count_compiled : ?cache:bool -> compiled -> Dataset.Table.t -> int
 (** The compiled count of one predicate: {!count_many} on a batch of one.

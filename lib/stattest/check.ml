@@ -36,11 +36,5 @@ let check_p ~alpha msg (r : Htest.result) =
 let uniform ?(alpha = default_alpha) msg observed =
   check_p ~alpha msg (Htest.chi_square_uniform observed)
 
-let gof ?(alpha = default_alpha) ~expected msg observed =
-  check_p ~alpha msg (Htest.chi_square_gof ~expected observed)
-
 let ks_cdf ?(alpha = default_alpha) ~cdf msg xs =
   check_p ~alpha msg (Htest.ks_one_sample ~cdf xs)
-
-let ks_same ?(alpha = default_alpha) msg xs ys =
-  check_p ~alpha msg (Htest.ks_two_sample xs ys)

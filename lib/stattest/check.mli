@@ -31,11 +31,5 @@ val proportion_within :
 val uniform : ?alpha:float -> string -> int array -> unit
 (** Chi-square test of uniformity over the cells. *)
 
-val gof : ?alpha:float -> expected:float array -> string -> int array -> unit
-(** Chi-square goodness of fit against expected cell counts. *)
-
 val ks_cdf : ?alpha:float -> cdf:(float -> float) -> string -> float array -> unit
 (** One-sample Kolmogorov–Smirnov against a continuous CDF. *)
-
-val ks_same : ?alpha:float -> string -> float array -> float array -> unit
-(** Two-sample Kolmogorov–Smirnov: both samples from one distribution. *)

@@ -43,5 +43,3 @@ let all =
       summary = "randomized response biased as if eps were doubled";
     };
   ]
-
-let find name = List.find_opt (fun s -> s.name = name) all

@@ -33,5 +33,3 @@ type spec = {
 
 val all : spec list
 (** The four controls, in the order the auditor registers them. *)
-
-val find : string -> spec option

@@ -81,11 +81,6 @@ val standard : unit -> case list
     geometric, exponential, randomized_response, noisy_max, sparse_vector,
     histogram, tree. All are expected to pass. *)
 
-val case_of_control : Controls.spec -> case
-(** The sampling case realizing a shared negative-control spec: the spec's
-    defect kind selects the miscalibrated sampler and its [actual_epsilon]
-    drives it, while the case still {e claims} [claimed_epsilon]. *)
-
 val broken : unit -> case list
 (** [List.map case_of_control Controls.all] — the four deliberately
     miscalibrated variants the auditor must flag: half-scale Laplace

@@ -5,16 +5,10 @@
     {!Prob.Rng.t} seeded from the generator, so shrunk counterexamples
     replay deterministically. *)
 
-val attribute_name : int -> string
-(** ["a0"], ["a1"], ... — the attribute naming scheme every generator
-    uses. *)
-
-val schema : Dataset.Schema.t QCheck.Gen.t
-(** 1–5 attributes of int/string/bool kinds with mixed privacy roles. *)
-
 val model : Dataset.Model.t QCheck.Gen.t
-(** A product model over a random {!schema}: per-attribute supports of
-    2–5 values with random positive weights. *)
+(** A product model over a random schema of 1–5 attributes ["a0"],
+    ["a1"], ... of int/string/bool kinds with mixed privacy roles:
+    per-attribute supports of 2–5 values with random positive weights. *)
 
 val model_table : (Dataset.Model.t * Dataset.Table.t) QCheck.Gen.t
 (** A model and a table of 0–60 rows sampled i.i.d. from it. *)

@@ -2,37 +2,39 @@
 # Tier-1 gate plus end-to-end smoke tests:
 #   1. dune build && dune runtest (includes the golden-table diff and the
 #      stattest/property/CLI suites)
-#   2. quick-scale E2 tables from pso_audit run must be byte-identical at
+#   2. examples: each of the six examples/*.exe (the documented entry
+#      points to the library) must run to completion with exit 0
+#   3. quick-scale E2 tables from pso_audit run must be byte-identical at
 #      --jobs 1 and --jobs 2 (the per-trial RNG fan-out guarantee, checked
 #      end to end)
-#   3. golden-table regression: the committed test/golden/*.txt snapshots
+#   4. golden-table regression: the committed test/golden/*.txt snapshots
 #      must match a fresh render (test/test_golden.exe check mode, whose
 #      jobs = 4 pass and theorem battery run with telemetry and the audit
 #      ledger on)
-#   4. negative-auditor smoke: the ε-DP auditor must flag the deliberately
+#   5. negative-auditor smoke: the ε-DP auditor must flag the deliberately
 #      broken Laplace variant (exit 1), proving the audit has power
-#   5. observability smoke: one quick experiment with --trace + --timeline
+#   6. observability smoke: one quick experiment with --trace + --timeline
 #      + --metrics, the trace must parse and the obs-timeline/v3 document
 #      (whose final snapshot is the run's metrics record) must validate,
 #      and the table on stdout must still match the committed golden
 #      byte-for-byte (telemetry must not perturb results); then E5 at
 #      --jobs 4 with --timeline, whose mechanisms journal their first runs
 #      from several domains at once, must match its golden too
-#   6. audit-ledger smoke: a quick E2 run with --ledger must produce a
+#   7. audit-ledger smoke: a quick E2 run with --ledger must produce a
 #      ledger/v1 file that passes pso_audit ledger-verify and validate-json,
 #      renders a ledger-report, and is byte-identical at --jobs 1 and 2
-#   7. certificate gate: pso_audit certify must verify every production
+#   8. certificate gate: pso_audit certify must verify every production
 #      eps-DP coupling certificate exactly and reject every negative
 #      control (nonzero exit otherwise), and the tampered-certificate
 #      smoke (certify --tamper) must reject every corrupted witness
-#   8. live-telemetry smoke: a quick E2 run with --prom + --timeline +
+#   9. live-telemetry smoke: a quick E2 run with --prom + --timeline +
 #      --watch (plus --ledger) must leave the golden table untouched, its
 #      stderr must end the --watch heartbeat with the "(final)" line, both
 #      artifacts must pass validate-json (prometheus-text and
 #      obs-timeline/v3), and report-html must fuse the timeline
 #      (sparklines and the final metric tables) and the ledger into a
 #      self-contained page with every section present
-#   9. census-scale smoke: the E14 table must be byte-identical at --jobs 1
+#  10. census-scale smoke: the E14 table must be byte-identical at --jobs 1
 #      and --jobs 2 and must match the committed golden, and the census
 #      subcommand's stats for one seed must be byte-identical at --jobs 1
 #      and --jobs 4, both under threshold-3 suppression and under exact
@@ -40,7 +42,7 @@
 #      solver health: every box least-squares solve of quick E1 and E14
 #      must converge before its iteration cap (--metrics reads
 #      linalg.lsq_unconverged 0)
-#  10. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
+#  11. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
 #      interleaved and fails when a gate's whole 95% interval is on the
 #      wrong side of its bound: SpMV sparse >= 10x dense (cross-checked
 #      bitwise), the ledger and 10 Hz timeline overheads <= 10% on the
@@ -54,6 +56,14 @@ dune runtest
 
 tmp1=$(mktemp) tmp2=$(mktemp) trace=$(mktemp) metrics=$(mktemp)
 trap 'rm -f "$tmp1" "$tmp2" "$trace" "$metrics"' EXIT
+
+for ex in quickstart gdpr_audit census_story netflix_linkage reconstruction_story erasure_story; do
+  if ! dune exec "examples/$ex.exe" > "$tmp1" 2>&1; then
+    echo "ci: example $ex exited nonzero" >&2
+    cat "$tmp1" >&2
+    exit 1
+  fi
+done
 
 dune exec bin/pso_audit.exe -- run E2 --quick --jobs 1 > "$tmp1"
 dune exec bin/pso_audit.exe -- run E2 --quick --jobs 2 > "$tmp2"
@@ -214,4 +224,4 @@ done
 # wrong way, so host load reads as unresolved, not as a regression.
 dune exec bench/main.exe
 
-echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + audit ledger + certificates + live telemetry + census scale + solver health + perf gates)"
+echo "ci: ok (build + tests + examples + jobs-determinism + golden tables + negative auditor + obs smoke + audit ledger + certificates + live telemetry + census scale + solver health + perf gates)"

@@ -227,13 +227,13 @@ let test_sparse_rare_movies_weigh_more () =
 
 let test_sparse_deanonymize_planted () =
   let r = rng () in
-  let ratings = Dataset.Synth.ratings r ~users:200 ~movies:100 ~ratings_per_user:10 () in
+  let ratings = Dataset.Synth.ratings r ~users:200 ~movies:100 ~ratings_per_user:10 in
   let by_user = Dataset.Synth.ratings_by_user ratings ~users:200 in
   let support = Attacks.Sparse_linkage.movie_support ratings ~movies:100 in
   let hits = ref 0 in
   for _ = 1 to 20 do
     let target = Prob.Rng.int r 200 in
-    let aux = Attacks.Sparse_linkage.make_aux r by_user.(target) ~items:5 () in
+    let aux = Attacks.Sparse_linkage.make_aux r by_user.(target) ~items:5 in
     let v = Attacks.Sparse_linkage.deanonymize ~support ~threshold:1.5 aux by_user in
     if v.Attacks.Sparse_linkage.matched = Some target then incr hits
   done;
@@ -241,7 +241,7 @@ let test_sparse_deanonymize_planted () =
 
 let test_sparse_abstains_on_garbage () =
   let r = rng () in
-  let ratings = Dataset.Synth.ratings r ~users:100 ~movies:50 ~ratings_per_user:8 () in
+  let ratings = Dataset.Synth.ratings r ~users:100 ~movies:50 ~ratings_per_user:8 in
   let by_user = Dataset.Synth.ratings_by_user ratings ~users:100 in
   let support = Attacks.Sparse_linkage.movie_support ratings ~movies:50 in
   (* Auxiliary information about movies nobody matches on: day offsets far

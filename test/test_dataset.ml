@@ -427,7 +427,7 @@ let test_synth_voter_list_coverage () =
 
 let test_synth_ratings () =
   let ratings =
-    Dataset.Synth.ratings (rng ()) ~users:50 ~movies:30 ~ratings_per_user:5 ()
+    Dataset.Synth.ratings (rng ()) ~users:50 ~movies:30 ~ratings_per_user:5
   in
   Array.iter
     (fun r ->

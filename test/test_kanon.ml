@@ -301,16 +301,6 @@ let test_metrics_average_class_size () =
   let avg = Kanon.Metrics.average_class_size ~qis release in
   Alcotest.(check bool) "at least k" true (avg >= 5.)
 
-let test_metrics_ncp_bounds () =
-  let t = sample 60 in
-  let release = Kanon.Mondrian.anonymize ~k:5 t in
-  let domains = List.map (fun qi -> (qi, 16.)) qis in
-  let ncp = Kanon.Metrics.ncp ~domains release in
-  Alcotest.(check bool) "in [0,1]" true (ncp >= 0. && ncp <= 1.);
-  (* k=2 retains more information than k=20. *)
-  let ncp2 = Kanon.Metrics.ncp ~domains (Kanon.Mondrian.anonymize ~k:2 t) in
-  Alcotest.(check bool) "less generalization at k=2" true (ncp2 <= ncp +. 1e-9)
-
 let test_metrics_suppressed_rows () =
   let t = sample 10 in
   let release = Kanon.Mondrian.anonymize ~k:2 t in
@@ -430,8 +420,13 @@ let test_enforce_l_diversity () =
 
 let test_anonymizer_mechanism () =
   let config =
-    { (Kanon.Anonymizer.default ~k:4 ~scheme:int_scheme) with
-      Kanon.Anonymizer.algorithm = Kanon.Anonymizer.Datafly }
+    {
+      Kanon.Anonymizer.algorithm = Kanon.Anonymizer.Datafly;
+      k = 4;
+      scheme = int_scheme;
+      max_suppression = 0.05;
+      recoding = Kanon.Mondrian.Member_level;
+    }
   in
   let m = Kanon.Anonymizer.mechanism config in
   match Query.Mechanism.run m (rng ()) (sample 60) with
@@ -537,7 +532,6 @@ let () =
           Alcotest.test_case "discernibility monotone" `Quick
             test_metrics_discernibility_monotone_in_k;
           Alcotest.test_case "average class size" `Quick test_metrics_average_class_size;
-          Alcotest.test_case "ncp bounds" `Quick test_metrics_ncp_bounds;
           Alcotest.test_case "suppressed rows" `Quick test_metrics_suppressed_rows;
           Alcotest.test_case "generalization intensity" `Quick
             test_metrics_generalization_intensity;

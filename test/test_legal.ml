@@ -181,7 +181,7 @@ let test_report_structure () =
   (* 1 anchor + 3 variants x 2 + dp + count caveat = 9 theorems. *)
   Alcotest.(check int) "nine legal theorems" 9 (List.length report.Legal.Report.theorems);
   Alcotest.(check int) "four comparison rows" 4 (List.length report.Legal.Report.comparison);
-  let text = Legal.Report.to_string report in
+  let text = Format.asprintf "%a" Legal.Report.pp report in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "report mentions %s" needle) true
@@ -305,8 +305,7 @@ let test_technology_family () =
   Alcotest.(check bool) "t-closeness in family" true
     (Legal.Technology.kanon_family Legal.Technology.T_closeness);
   Alcotest.(check bool) "dp not in family" false
-    (Legal.Technology.kanon_family Legal.Technology.Differential_privacy);
-  Alcotest.(check int) "seven technologies" 7 (List.length Legal.Technology.all)
+    (Legal.Technology.kanon_family Legal.Technology.Differential_privacy)
 
 let () =
   Alcotest.run "legal"

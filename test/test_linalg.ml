@@ -1,5 +1,5 @@
-(* Tests for the linear-algebra substrate: vector/matrix algebra, conjugate
-   gradient, box-constrained least squares, and the simplex LP solver. *)
+(* Tests for the linear-algebra substrate: vector/matrix algebra, interval
+   propagation, box-constrained least squares, and the simplex LP solver. *)
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -17,6 +17,19 @@ let bits_eq a b =
        !ok
      end
 
+(* [Aᵀ y] into a fresh vector, through the in-place kernels. *)
+let dense_tmul m y =
+  let out = Array.make (Linalg.Matrix.cols m) Float.nan in
+  Linalg.Matrix.tmul_vec_into m y out;
+  out
+
+let sparse_tmul s y =
+  let out = Array.make (Linalg.Sparse.cols s) Float.nan in
+  Linalg.Sparse.tmul_vec_into s y out;
+  out
+
+let nnz s = Array.length s.Linalg.Sparse.col_idx
+
 (* --- Vector --- *)
 
 let test_vector_dot () =
@@ -28,16 +41,11 @@ let test_vector_dot_mismatch () =
       ignore (Linalg.Vector.dot [| 1. |] [| 1.; 2. |]))
 
 let test_vector_norms () =
-  check_float "norm2" 5. (Linalg.Vector.norm2 [| 3.; 4. |]);
-  check_float "norm_inf" 4. (Linalg.Vector.norm_inf [| 3.; -4. |])
+  check_float "norm2" 5. (Linalg.Vector.norm2 [| 3.; 4. |])
 
 let test_vector_arith () =
-  Alcotest.(check (array (float 1e-9))) "add" [| 5.; 7. |]
-    (Linalg.Vector.add [| 1.; 2. |] [| 4.; 5. |]);
   Alcotest.(check (array (float 1e-9))) "sub" [| -3.; -3. |]
-    (Linalg.Vector.sub [| 1.; 2. |] [| 4.; 5. |]);
-  Alcotest.(check (array (float 1e-9))) "scale" [| 2.; 4. |]
-    (Linalg.Vector.scale 2. [| 1.; 2. |])
+    (Linalg.Vector.sub [| 1.; 2. |] [| 4.; 5. |])
 
 let test_vector_axpy () =
   let y = [| 1.; 1. |] in
@@ -61,7 +69,7 @@ let test_matrix_mul_vec () =
   Alcotest.(check (array (float 1e-9))) "Ax" [| 5.; 11. |]
     (Linalg.Matrix.mul_vec m [| 1.; 2. |]);
   Alcotest.(check (array (float 1e-9))) "A'y" [| 7.; 10. |]
-    (Linalg.Matrix.tmul_vec m [| 1.; 2. |])
+    (dense_tmul m [| 1.; 2. |])
 
 let test_matrix_mul () =
   let a = Linalg.Matrix.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
@@ -81,8 +89,9 @@ let test_matrix_ragged_rejected () =
 
 let test_matrix_of_subset_queries () =
   let m = Linalg.Matrix.of_subset_queries ~query:[| [| 0; 2 |]; [| 1 |] |] ~n:3 in
-  Alcotest.(check (array (float 1e-9))) "row 0" [| 1.; 0.; 1. |] (Linalg.Matrix.row m 0);
-  Alcotest.(check (array (float 1e-9))) "row 1" [| 0.; 1.; 0. |] (Linalg.Matrix.row m 1)
+  let row i = Array.init 3 (Linalg.Matrix.get m i) in
+  Alcotest.(check (array (float 1e-9))) "row 0" [| 1.; 0.; 1. |] (row 0);
+  Alcotest.(check (array (float 1e-9))) "row 1" [| 0.; 1.; 0. |] (row 1)
 
 (* --- Sparse --- *)
 
@@ -91,7 +100,7 @@ let test_sparse_of_subset_queries () =
   let s = Linalg.Sparse.of_subset_queries ~query:q ~n:3 in
   Alcotest.(check int) "rows" 3 (Linalg.Sparse.rows s);
   Alcotest.(check int) "cols" 3 (Linalg.Sparse.cols s);
-  Alcotest.(check int) "nnz" 3 (Linalg.Sparse.nnz s);
+  Alcotest.(check int) "nnz" 3 (nnz s);
   Alcotest.(check int) "empty row" 0 (Linalg.Sparse.row_nnz s 2);
   Alcotest.(check (array (float 1e-9))) "Ax" [| 4.; 2.; 0. |]
     (Linalg.Sparse.mul_vec s [| 1.; 2.; 3. |])
@@ -99,7 +108,7 @@ let test_sparse_of_subset_queries () =
 let test_sparse_duplicate_indices_collapse () =
   let q = [| [| 1; 1; 0 |]; [| 2; 0 |]; [| 0; 1; 2 |] |] in
   let s = Linalg.Sparse.of_subset_queries ~query:q ~n:3 in
-  Alcotest.(check int) "deduped" 7 (Linalg.Sparse.nnz s);
+  Alcotest.(check int) "deduped" 7 (nnz s);
   Alcotest.(check (array (float 1e-9))) "Ax" [| 3.; 4.; 6. |]
     (Linalg.Sparse.mul_vec s [| 1.; 2.; 3. |]);
   Alcotest.(check (array int)) "columns ascending" [| 0; 1; 0; 2; 0; 1; 2 |]
@@ -112,7 +121,7 @@ let test_sparse_duplicate_indices_collapse () =
 let test_sparse_roundtrip () =
   let m = Linalg.Matrix.of_rows [| [| 0.; 2.; 0. |]; [| 1.; 0.; -3. |] |] in
   let s = Linalg.Sparse.of_matrix m in
-  Alcotest.(check int) "nnz" 3 (Linalg.Sparse.nnz s);
+  Alcotest.(check int) "nnz" 3 (nnz s);
   let back = Linalg.Sparse.to_matrix s in
   for i = 0 to 1 do
     for j = 0 to 2 do
@@ -131,7 +140,7 @@ let test_sparse_restrict_cols () =
   Alcotest.(check (array (float 1e-9))) "Ax" [| 6.; 4.; 0. |]
     (Linalg.Sparse.mul_vec r [| 1.; 2. |]);
   Alcotest.(check (array (float 1e-9))) "A'y" [| 2.; 3. |]
-    (Linalg.Sparse.tmul_vec r [| 1.; 0.5; 9. |])
+    (sparse_tmul r [| 1.; 0.5; 9. |])
 
 (* --- Intervals --- *)
 
@@ -167,14 +176,7 @@ let test_intervals_shave_tightens () =
     Alcotest.(check (float 0.)) "pinned hi" 1. shaved.Linalg.Intervals.hi.(j)
   done
 
-(* --- CG / LSQ --- *)
-
-let test_cg_solves_spd () =
-  (* M = [[4,1],[1,3]], b = [1,2] -> x = [1/11, 7/11] *)
-  let m = Linalg.Matrix.of_rows [| [| 4.; 1. |]; [| 1.; 3. |] |] in
-  let x = Linalg.Lsq.conjugate_gradient (Linalg.Matrix.mul_vec m) [| 1.; 2. |] in
-  Alcotest.(check (float 1e-6)) "x0" (1. /. 11.) x.(0);
-  Alcotest.(check (float 1e-6)) "x1" (7. /. 11.) x.(1)
+(* --- LSQ --- *)
 
 let test_solve_box_recovers_planted () =
   let r = rng () in
@@ -194,25 +196,6 @@ let test_solve_box_respects_bounds () =
   let a = Linalg.Matrix.of_rows [| [| 1. |] |] in
   let z = Linalg.Lsq.solve_box a [| 100. |] ~lo:0. ~hi:1. in
   Alcotest.(check (float 1e-9)) "clamped at hi" 1. z.(0)
-
-let test_residual () =
-  let a = Linalg.Matrix.of_rows [| [| 1.; 0. |] |] in
-  check_float "residual" 4. (Linalg.Lsq.residual a [| 1.; 0. |] [| 3. |])
-
-let test_cg_warm_start_matches_cold () =
-  let m = Linalg.Matrix.of_rows [| [| 4.; 1. |]; [| 1.; 3. |] |] in
-  let apply = Linalg.Matrix.mul_vec m in
-  let b = [| 1.; 2. |] in
-  let cold = Linalg.Lsq.cg apply b in
-  let warm = Linalg.Lsq.cg ~x0:[| 5.; -3. |] apply b in
-  Alcotest.(check bool) "both converged" true
-    (cold.Linalg.Lsq.converged && warm.Linalg.Lsq.converged);
-  Alcotest.(check (array (float 1e-6))) "same solution" cold.Linalg.Lsq.x
-    warm.Linalg.Lsq.x;
-  (* warm-starting at the solution costs (at most) one touch-up iteration *)
-  let again = Linalg.Lsq.cg ~x0:cold.Linalg.Lsq.x apply b in
-  Alcotest.(check bool) "no work at optimum" true
-    (again.Linalg.Lsq.iterations <= 1)
 
 let test_box_warm_start_matches_cold () =
   let r = rng () in
@@ -265,7 +248,7 @@ let test_box_kkt_dinur_nissim () =
     true sol.Linalg.Lsq.converged;
   let x = sol.Linalg.Lsq.x in
   let g =
-    Linalg.Sparse.tmul_vec a (Linalg.Vector.sub (Linalg.Sparse.mul_vec a x) b)
+    sparse_tmul a (Linalg.Vector.sub (Linalg.Sparse.mul_vec a x) b)
   in
   let eps = 1e-6 in
   Array.iteri
@@ -297,6 +280,10 @@ let test_box_scalar_wrappers_agree () =
    can require the in-place code to give the same bits. *)
 
 type ref_op = { r_apply : float array -> float array; r_tapply : float array -> float array }
+
+let ref_add x y = Array.mapi (fun i v -> v +. y.(i)) x
+
+let ref_scale a x = Array.map (fun v -> a *. v) x
 
 let ref_dense_mul m x =
   Array.init (Linalg.Matrix.rows m) (fun i ->
@@ -330,7 +317,7 @@ let ref_lipschitz o n =
     let norm = V.norm2 w in
     if norm > 0. then begin
       lambda := norm;
-      v := V.scale (1. /. norm) w
+      v := ref_scale (1. /. norm) w
     end
   done;
   Float.max !lambda 1e-12
@@ -353,7 +340,7 @@ let ref_box ~max_iter ~tolerance ?x0 o n b ~lo ~hi =
   let iter = ref 0 and converged = ref false and continue_ = ref true in
   while !continue_ && !iter < max_iter do
     let grad = o.r_tapply (V.sub (o.r_apply !y) b) in
-    let next = ref_clamp ~lo ~hi (V.sub !y (V.scale step grad)) in
+    let next = ref_clamp ~lo ~hi (V.sub !y (ref_scale step grad)) in
     if V.norm2 (V.sub next !y) < tolerance then begin
       x := next;
       converged := true;
@@ -362,7 +349,7 @@ let ref_box ~max_iter ~tolerance ?x0 o n b ~lo ~hi =
     else begin
       if V.dot (V.sub !y next) (V.sub next !x) > 0. then t := 1.;
       let t' = (1. +. Float.sqrt (1. +. (4. *. !t *. !t))) /. 2. in
-      y := V.add next (V.scale ((!t -. 1.) /. t') (V.sub next !x));
+      y := ref_add next (ref_scale ((!t -. 1.) /. t') (V.sub next !x));
       x := next;
       t := t'
     end;
@@ -370,10 +357,10 @@ let ref_box ~max_iter ~tolerance ?x0 o n b ~lo ~hi =
   done;
   (!x, !iter, !converged)
 
-let ref_propagate ~integral ~max_passes a ~row_lo ~row_hi (box : Linalg.Intervals.t) =
-  let eps = 1e-9 in
-  let round_lo v = if integral then Float.ceil (v -. eps) else v in
-  let round_hi v = if integral then Float.floor (v +. eps) else v in
+let ref_propagate a ~row_lo ~row_hi (box : Linalg.Intervals.t) =
+  let eps = 1e-9 and max_passes = 50 in
+  let round_lo v = Float.ceil (v -. eps) in
+  let round_hi v = Float.floor (v +. eps) in
   let m = Linalg.Sparse.rows a and n = Linalg.Sparse.cols a in
   let lo = Array.map round_lo box.Linalg.Intervals.lo
   and hi = Array.map round_hi box.Linalg.Intervals.hi in
@@ -409,6 +396,31 @@ let ref_propagate ~integral ~max_passes a ~row_lo ~row_hi (box : Linalg.Interval
     done
   done;
   if !empty >= 0 then `Empty !empty else `Bounded (lo, hi)
+
+(* x_k + x_{k+1} = 1 for k < 59 and x_59 = 1, rows in that order: each
+   pass pins one more link of the chain, from the far end back, so the
+   50-pass cap stops propagation with x_0 .. x_9 still free. *)
+let test_intervals_pass_cap () =
+  let n = 60 in
+  let a =
+    Linalg.Sparse.of_rows ~cols:n
+      (Array.init n (fun k -> if k < n - 1 then [ (k, 1.); (k + 1, 1.) ] else [ (k, 1.) ]))
+  in
+  let ones = Array.make n 1. in
+  let box = Linalg.Intervals.make ~n ~lo:0. ~hi:1. in
+  match
+    ( Linalg.Intervals.propagate a ~row_lo:ones ~row_hi:ones box,
+      ref_propagate a ~row_lo:ones ~row_hi:ones box )
+  with
+  | `Bounded b, `Bounded (lo, hi) ->
+    Alcotest.(check bool) "same bounds as the reference" true
+      (bits_eq b.Linalg.Intervals.lo lo && bits_eq b.Linalg.Intervals.hi hi);
+    Alcotest.(check int) "50 links pinned" 50 (Linalg.Intervals.fixed_count b);
+    Alcotest.(check bool) "x_10 pinned" true (Linalg.Intervals.is_fixed b 10);
+    Alcotest.(check bool) "x_9 still free" false (Linalg.Intervals.is_fixed b 9);
+    Alcotest.(check (float 0.)) "x_0 lo" 0. b.Linalg.Intervals.lo.(0);
+    Alcotest.(check (float 0.)) "x_0 hi" 1. b.Linalg.Intervals.hi.(0)
+  | _ -> Alcotest.fail "expected bounded"
 
 (* --- Allocation and telemetry of the box solver --- *)
 
@@ -465,22 +477,21 @@ let test_unconverged_counter () =
   (* A solve stopped by its iteration cap bumps linalg.lsq_unconverged;
      a converged one does not. *)
   let op, b, lo, hi = census_system () in
-  let m = Linalg.Matrix.of_rows [| [| 4.; 1. |]; [| 1.; 3. |] |] in
   let count () = counter "linalg.lsq_unconverged" in
   let capped = { Linalg.Lsq.max_iter = 1; tolerance = 0. } in
   Obs.reset ();
   Obs.enable ();
   Fun.protect ~finally:Obs.disable (fun () ->
       let before = count () in
-      let sol = Linalg.Lsq.cg (Linalg.Matrix.mul_vec m) [| 1.; 2. |] in
-      Alcotest.(check bool) "cg converges uncapped" true sol.Linalg.Lsq.converged;
-      Alcotest.(check int) "converged cg not counted" 0 (count () - before);
-      let sol = Linalg.Lsq.cg ~options:capped (Linalg.Matrix.mul_vec m) [| 1.; 2. |] in
-      Alcotest.(check bool) "capped cg" false sol.Linalg.Lsq.converged;
-      Alcotest.(check int) "capped cg counted" 1 (count () - before);
+      let m = Linalg.Matrix.of_rows [| [| 1.; 0. |]; [| 0.; 1. |] |] in
+      let sol =
+        Linalg.Lsq.solve_box m [| 0.25; 0.75 |] ~lo:0. ~hi:1.
+      in
+      Alcotest.(check (array (float 1e-6))) "uncapped box solves" [| 0.25; 0.75 |] sol;
+      Alcotest.(check int) "converged box not counted" 0 (count () - before);
       let sol = Linalg.Lsq.box ~options:capped op b ~lo ~hi in
       Alcotest.(check bool) "capped box" false sol.Linalg.Lsq.converged;
-      Alcotest.(check int) "capped box counted" 2 (count () - before))
+      Alcotest.(check int) "capped box counted" 1 (count () - before))
 
 (* --- Simplex --- *)
 
@@ -491,10 +502,11 @@ let solve_expect_optimal problem =
   | Linalg.Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
 
 let test_simplex_basic_max () =
-  (* max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 -> optimum 36 at (2,6). *)
+  (* max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 -> optimum 36 at (2,6),
+     solved as min -3x - 5y. *)
   let problem =
     {
-      Linalg.Simplex.objective = [| 3.; 5. |];
+      Linalg.Simplex.objective = [| -3.; -5. |];
       constraints =
         [
           ([| 1.; 0. |], Linalg.Simplex.Le, 4.);
@@ -503,9 +515,9 @@ let test_simplex_basic_max () =
         ];
     }
   in
-  match Linalg.Simplex.maximize problem with
+  match Linalg.Simplex.solve problem with
   | Linalg.Simplex.Optimal { x; objective } ->
-    Alcotest.(check (float 1e-6)) "objective" 36. objective;
+    Alcotest.(check (float 1e-6)) "objective" (-36.) objective;
     Alcotest.(check (float 1e-6)) "x" 2. x.(0);
     Alcotest.(check (float 1e-6)) "y" 6. x.(1)
   | _ -> Alcotest.fail "expected optimal"
@@ -635,10 +647,9 @@ let qcheck =
          let m = Linalg.Matrix.of_rows rows in
          let s = Linalg.Sparse.of_matrix m in
          bits_eq (Linalg.Sparse.mul_vec s x) (Linalg.Matrix.mul_vec m x)
-         && bits_eq (Linalg.Sparse.tmul_vec s y) (Linalg.Matrix.tmul_vec m y)
+         && bits_eq (sparse_tmul s y) (dense_tmul m y)
          && bits_eq (Linalg.Sparse.mul_vec s x) (Linalg.Sparse.mul_vec_ml s x)
-         && bits_eq (Linalg.Sparse.tmul_vec s y)
-              (Linalg.Sparse.tmul_vec_ml s y)));
+         && bits_eq (sparse_tmul s y) (Linalg.Sparse.tmul_vec_ml s y)));
     (let gen =
        Gen.(
          pair (int_range 1 6) (int_range 1 6) >>= fun (r, c) ->
@@ -656,7 +667,6 @@ let qcheck =
          Linalg.Matrix.mul_vec_into m x ax;
          Linalg.Matrix.tmul_vec_into m y aty;
          bits_eq ax (Linalg.Matrix.mul_vec m x)
-         && bits_eq aty (Linalg.Matrix.tmul_vec m y)
          && bits_eq ax (ref_dense_mul m x)
          && bits_eq aty (ref_dense_tmul m y)));
     (* The in-place box solver against the allocating reference: the
@@ -696,7 +706,7 @@ let qcheck =
          let s = Linalg.Sparse.of_matrix m in
          let dense = { r_apply = ref_dense_mul m; r_tapply = ref_dense_tmul m } in
          let sparse =
-           { r_apply = Linalg.Sparse.mul_vec s; r_tapply = Linalg.Sparse.tmul_vec s }
+           { r_apply = Linalg.Sparse.mul_vec s; r_tapply = sparse_tmul s }
          in
          same
            (ref_box ~max_iter ~tolerance ?x0 dense n b ~lo ~hi)
@@ -716,11 +726,11 @@ let qcheck =
               (array_repeat m
                  (array_repeat n (oneofl [ None; None; Some 0.; Some 1.; Some 2.; Some 0.5 ])))
               (array_repeat m (pair (int_range (-1) 8) (int_range 0 3))))
-           (triple (oneofl [ 1.; 2.; 3.5; 4. ]) bool (int_range 1 50)))
+           (oneofl [ 1.; 2.; 3.5; 4. ]))
      in
      Test.make ~name:"Intervals.propagate = closure reference (bitwise)"
        ~count:500 (make gen)
-       (fun ((entries, row_specs), (box_hi, integral, max_passes)) ->
+       (fun ((entries, row_specs), box_hi) ->
          let n = Array.length entries.(0) in
          let rows =
            Array.map
@@ -736,8 +746,8 @@ let qcheck =
          let row_hi = Array.map (fun (l, w) -> float_of_int (l + w)) row_specs in
          let box = Linalg.Intervals.make ~n ~lo:0. ~hi:box_hi in
          match
-           ( Linalg.Intervals.propagate ~integral ~max_passes a ~row_lo ~row_hi box,
-             ref_propagate ~integral ~max_passes a ~row_lo ~row_hi box )
+           ( Linalg.Intervals.propagate a ~row_lo ~row_hi box,
+             ref_propagate a ~row_lo ~row_hi box )
          with
          | `Empty j, `Empty j' -> j = j'
          | `Bounded b, `Bounded (lo, hi) ->
@@ -842,17 +852,14 @@ let () =
           Alcotest.test_case "propagate" `Quick test_intervals_propagate_basic;
           Alcotest.test_case "shave tightens" `Quick
             test_intervals_shave_tightens;
+          Alcotest.test_case "pass cap" `Quick test_intervals_pass_cap;
         ] );
       ( "lsq",
         [
-          Alcotest.test_case "cg solves SPD" `Quick test_cg_solves_spd;
           Alcotest.test_case "box lsq recovers planted" `Quick
             test_solve_box_recovers_planted;
           Alcotest.test_case "box lsq respects bounds" `Quick
             test_solve_box_respects_bounds;
-          Alcotest.test_case "residual" `Quick test_residual;
-          Alcotest.test_case "warm-started cg matches cold" `Quick
-            test_cg_warm_start_matches_cold;
           Alcotest.test_case "warm-started box matches cold" `Quick
             test_box_warm_start_matches_cold;
           Alcotest.test_case "box solution is KKT" `Quick test_box_kkt_dinur_nissim;

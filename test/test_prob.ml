@@ -109,7 +109,7 @@ let test_dist_normalizes () =
 
 let test_dist_merges_duplicates () =
   let d = Prob.Distribution.of_weights [ ("a", 1.); ("a", 1.); ("b", 2.) ] in
-  Alcotest.(check int) "merged support" 2 (Prob.Distribution.size d);
+  Alcotest.(check int) "merged support" 2 (Array.length (Prob.Distribution.support d));
   check_float "merged mass" 0.5 (Prob.Distribution.prob d "a")
 
 let test_dist_off_support () =
@@ -259,8 +259,8 @@ let test_stats_summary () =
   close ~tol:1e-9 "variance" (5. /. 3.) s.Prob.Stats.variance
 
 let test_stats_median_quantile () =
-  check_float "median odd" 2. (Prob.Stats.median [| 3.; 1.; 2. |]);
-  check_float "median even" 2.5 (Prob.Stats.median [| 4.; 1.; 2.; 3. |]);
+  check_float "median odd" 2. (Prob.Stats.quantile [| 3.; 1.; 2. |] 0.5);
+  check_float "median even" 2.5 (Prob.Stats.quantile [| 4.; 1.; 2.; 3. |] 0.5);
   check_float "q0" 1. (Prob.Stats.quantile [| 1.; 2.; 3. |] 0.);
   check_float "q1" 3. (Prob.Stats.quantile [| 1.; 2.; 3. |] 1.)
 

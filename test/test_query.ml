@@ -46,8 +46,7 @@ let test_eval_unknown_attr () =
      with Not_found -> true)
 
 let test_conj_disj () =
-  Alcotest.(check bool) "empty conj is true" true (P.conj [] = P.True);
-  Alcotest.(check bool) "empty disj is false" true (P.disj [] = P.False)
+  Alcotest.(check bool) "empty conj is true" true (P.conj [] = P.True)
 
 let test_encode_row_injective () =
   (* Rows differing in content encode differently, including tricky
@@ -169,8 +168,9 @@ let test_mechanism_exact_count () =
 let test_mechanism_exact_counts () =
   let t = table [ row 0 0 0; row 1 1 1 ] in
   let m =
-    Query.Mechanism.exact_counts
-      [| P.Atom (P.Eq ("a0", V.Int 0)); P.Atom (P.Eq ("a0", V.Int 1)); P.True |]
+    Query.Mechanism.exact_counts_batch
+      (Query.Mechanism.batch
+         [| P.Atom (P.Eq ("a0", V.Int 0)); P.Atom (P.Eq ("a0", V.Int 1)); P.True |])
   in
   match Query.Mechanism.run m (rng ()) t with
   | Query.Mechanism.Vector v ->
@@ -229,13 +229,6 @@ let test_oracle_bounded_noise () =
     if Float.abs (a -. 4.) > 3. then Alcotest.failf "noise out of bounds: %f" a
   done
 
-let test_oracle_limit () =
-  let o = Query.Oracle.with_limit 2 (Query.Oracle.exact [| 1; 0 |]) in
-  ignore (Query.Oracle.ask o [| 0 |]);
-  ignore (Query.Oracle.ask o [| 1 |]);
-  Alcotest.check_raises "limit" Query.Oracle.Query_limit_exceeded (fun () ->
-      ignore (Query.Oracle.ask o [| 0 |]))
-
 let test_oracle_out_of_range () =
   let o = Query.Oracle.exact [| 1; 0 |] in
   Alcotest.(check bool) "index range" true
@@ -245,7 +238,7 @@ let test_oracle_out_of_range () =
      with Invalid_argument _ -> true)
 
 let test_oracle_true_answer_free () =
-  let o = Query.Oracle.with_limit 1 (Query.Oracle.exact [| 1; 1 |]) in
+  let o = Query.Oracle.exact [| 1; 1 |] in
   ignore (Query.Oracle.true_answer o [| 0; 1 |]);
   Alcotest.(check int) "true_answer not counted" 0 (Query.Oracle.asked o)
 
@@ -675,7 +668,11 @@ let test_checked_engine_full_stack () =
   let t = table [ row 0 0 0; row 1 1 1 ] in
   let qs = [| P.Atom (P.Eq ("a0", V.Int 0)); P.Atom (P.Eq ("a0", V.Int 1)); P.True |] in
   let interp = Array.map (fun q -> float_of_int (P.count_interpreted schema q t)) qs in
-  (match Query.Mechanism.run (Query.Mechanism.exact_counts qs) (rng ()) t with
+  (match
+     Query.Mechanism.run
+       (Query.Mechanism.exact_counts_batch (Query.Mechanism.batch qs))
+       (rng ()) t
+   with
   | Query.Mechanism.Vector v -> Alcotest.(check (array (float 0.))) "mechanism counts" interp v
   | _ -> Alcotest.fail "expected vector");
   Array.iteri
@@ -754,9 +751,6 @@ let test_engine_counts_dispatch () =
     Array.map (fun p -> P.count_interpreted schema p t) batch_preds
   in
   Alcotest.(check (array int)) "counts" expected (Query.Engine.counts t batch_preds);
-  Alcotest.(check (array bool)) "isolations"
-    (Array.map (fun n -> n = 1) expected)
-    (Query.Engine.isolations t batch_preds);
   (* Reusing a caller-held compilation must not change answers. *)
   let cs = Array.map (fun p -> P.compile schema p) batch_preds in
   Alcotest.(check (array int)) "counts with ?compiled" expected
@@ -788,15 +782,13 @@ let test_engine_counts_pool_deterministic () =
 let test_mechanism_batch () =
   let t = Lazy.force batch_table in
   let b = Query.Mechanism.batch batch_preds in
-  Alcotest.(check int) "batch_queries" (Array.length batch_preds)
-    (Array.length (Query.Mechanism.batch_queries b));
-  let plain = Query.Mechanism.exact_counts batch_preds in
   let batched = Query.Mechanism.exact_counts_batch b in
-  Alcotest.(check string) "exact name preserved"
-    plain.Query.Mechanism.name batched.Query.Mechanism.name;
-  Alcotest.(check bool) "exact outputs equal" true
-    (Query.Mechanism.run plain (rng ()) t
-    = Query.Mechanism.run batched (rng ()) t);
+  Alcotest.(check bool) "exact outputs match the interpreter" true
+    (Query.Mechanism.run batched (rng ()) t
+    = Query.Mechanism.Vector
+        (Array.map
+           (fun p -> float_of_int (P.count_interpreted schema p t))
+           batch_preds));
   (* Reusing one batch across runs (the composition game's pattern) must
      keep returning the same answers. *)
   Alcotest.(check bool) "batch reuse stable" true
@@ -1070,7 +1062,6 @@ let () =
           Alcotest.test_case "exact" `Quick test_oracle_exact;
           Alcotest.test_case "rejects non-binary" `Quick test_oracle_rejects_nonbinary;
           Alcotest.test_case "bounded noise" `Quick test_oracle_bounded_noise;
-          Alcotest.test_case "query limit" `Quick test_oracle_limit;
           Alcotest.test_case "out of range" `Quick test_oracle_out_of_range;
           Alcotest.test_case "true_answer free" `Quick test_oracle_true_answer_free;
         ] );
