@@ -680,13 +680,9 @@ let certify_cmd =
                       Printf.sprintf "e^eps = %s (%s)"
                         (Cert.Q.to_string r.entry.Cert.Catalog.model.Cert.Model.bound)
                         r.entry.Cert.Catalog.spec.Dp.Finite.epsilon_label;
-                    witness =
-                      (match r.entry.Cert.Catalog.witness with
-                      | Cert.Catalog.Handwritten _ -> "handwritten alignment"
-                      | Cert.Catalog.Derived -> "search-derived alignment");
                     certified =
                       (match r.verdict with
-                      | Cert.Registry.Certified _ -> true
+                      | Cert.Search.Certified _ -> true
                       | _ -> false);
                   })
             rows

@@ -1,112 +1,34 @@
 module F = Dp.Finite
 
-type witness_source =
-  | Handwritten of Witness.t * Witness.t
-  | Derived
-
 type entry = {
   name : string;
   spec : F.spec;
   model : Model.t;
-  witness : witness_source;
   negative : bool;
   note : string;
 }
 
-let entry ?(negative = false) ~witness ~note spec =
-  {
-    name = spec.F.name;
-    spec;
-    model = Model.of_spec_exn spec;
-    witness;
-    negative;
-    note;
-  }
-
-(* The shift coupling for a cyclic counting pair: A's outputs sit one
-   step ahead of B's, so aligning atom i with i+1 (mod m) preserves the
-   output event, and the cyclic wrap keeps every mass ratio within
-   den/num. The reverse direction shifts back. *)
-let shift_pair atoms =
-  ( { Witness.direction = A_to_b; map = Array.init atoms (fun i -> (i + 1) mod atoms) },
-    { Witness.direction = B_to_a; map = Array.init atoms (fun i -> (i - 1 + atoms) mod atoms) } )
-
-let identity_pair atoms =
-  ( { Witness.direction = A_to_b; map = Array.init atoms (fun i -> i) },
-    { Witness.direction = B_to_a; map = Array.init atoms (fun i -> i) } )
-
-(* Randomized response: the neighbors hold opposite bits, so aligning
-   truth-telling with lying (and vice versa) matches the outputs; the
-   mass ratio is exactly lambda = e^eps. *)
-let swap_pair =
-  ( { Witness.direction = A_to_b; map = [| 1; 0 |] },
-    { Witness.direction = B_to_a; map = [| 1; 0 |] } )
-
-(* Histogram: only cell 0's coordinate shifts, so the alignment shifts
-   that coordinate and fixes the rest. Atom encoding is cell-0-major. *)
-let histogram_pair_witness spec =
-  let mc = 5 in
-  let block = spec.F.atoms / mc in
-  let shift delta i =
-    let d0 = i / block and rest = i mod block in
-    (((d0 + delta + mc) mod mc) * block) + rest
-  in
-  ( { Witness.direction = A_to_b; map = Array.init spec.F.atoms (shift 1) },
-    { Witness.direction = B_to_a; map = Array.init spec.F.atoms (shift (-1)) } )
-
-(* Sparse vector: the extra record moves every query by +1, so shifting
-   the threshold noise rho (the most-significant atom coordinate) down by
-   one realigns every query position exactly, preserving the whole
-   transcript. *)
-let sparse_vector_witness spec =
-  let m = 7 in
-  let block = spec.F.atoms / m in
-  let shift delta i =
-    let rho = i / block and rest = i mod block in
-    (((rho + delta + m) mod m) * block) + rest
-  in
-  ( { Witness.direction = A_to_b; map = Array.init spec.F.atoms (shift (-1)) },
-    { Witness.direction = B_to_a; map = Array.init spec.F.atoms (shift 1) } )
+let entry ?(negative = false) ~note spec =
+  { name = spec.F.name; spec; model = Model.of_spec_exn spec; negative; note }
 
 let production () =
-  let counting spec note =
-    let w_ab, w_ba = shift_pair spec.F.atoms in
-    entry ~witness:(Handwritten (w_ab, w_ba)) ~note spec
-  in
-  let identity spec note =
-    let w_ab, w_ba = identity_pair spec.F.atoms in
-    entry ~witness:(Handwritten (w_ab, w_ba)) ~note spec
-  in
-  let histogram =
-    let spec = F.histogram_pair () in
-    let w_ab, w_ba = histogram_pair_witness spec in
-    entry ~witness:(Handwritten (w_ab, w_ba))
-      ~note:"3 cells x cyclic geometric alpha 1/2 span 2; record in cell 0" spec
-  in
   [
-    counting (F.laplace_pair ())
-      "cyclic geometric alpha 1/2 span 6 (discretized Laplace count)";
-    counting (F.geometric_pair ())
-      "cyclic geometric alpha 1/3 span 5";
-    (let w_ab, w_ba = swap_pair in
-     entry
-       ~witness:(Handwritten (w_ab, w_ba))
-       ~note:"two atoms, truth weight 3 vs lie weight 1, opposite true bits"
-       (F.randomized_response_spec ()));
-    histogram;
-    entry ~witness:Derived
-      ~note:"2-candidate difference model, cyclic geometric alpha 1/2 span 4"
+    entry ~note:"cyclic geometric alpha 1/2 span 6 (discretized Laplace count)"
+      (F.laplace_pair ());
+    entry ~note:"cyclic geometric alpha 1/3 span 5" (F.geometric_pair ());
+    entry ~note:"two atoms, truth weight 3 vs lie weight 1, opposite true bits"
+      (F.randomized_response_spec ());
+    entry ~note:"3 cells x cyclic geometric alpha 1/2 span 2; record in cell 0"
+      (F.histogram_pair ());
+    entry ~note:"2-candidate difference model, cyclic geometric alpha 1/2 span 4"
       (F.noisy_max_pair ());
-    (let spec = F.sparse_vector_pair () in
-     let w_ab, w_ba = sparse_vector_witness spec in
-     entry
-       ~witness:(Handwritten (w_ab, w_ba))
-       ~note:"AboveThreshold transcript, 3 queries, threshold-shift alignment"
-       spec);
-    identity (F.exponential_spec ())
-      "weights 2^u, sensitivity-1 utilities, identity alignment";
-    identity (F.subsample_pair ())
-      "q=1/2 subsampling of cyclic geometric alpha 1/2 span 4, keep-bit marginalized";
+    entry ~note:"AboveThreshold transcript, 3 queries, threshold-shift alignment"
+      (F.sparse_vector_pair ());
+    entry ~note:"weights 2^u, sensitivity-1 utilities, identity alignment"
+      (F.exponential_spec ());
+    entry
+      ~note:"q=1/2 subsampling of cyclic geometric alpha 1/2 span 4, keep-bit marginalized"
+      (F.subsample_pair ());
   ]
 
 (* Negative controls: the weights realize each defect's ACTUAL privacy
@@ -131,7 +53,7 @@ let control_spec (c : Stattest.Controls.spec) =
 let controls () =
   List.map
     (fun (c : Stattest.Controls.spec) ->
-      entry ~negative:true ~witness:Derived ~note:c.summary (control_spec c))
+      entry ~negative:true ~note:c.summary (control_spec c))
     Stattest.Controls.all
 
 let all () = production () @ controls ()

@@ -1,25 +1,19 @@
 (** The registered certificates: every production mechanism's finite
-    restriction with its witness source, plus the four shared negative
-    controls from {!Stattest.Controls} with deliberately false claims.
+    restriction, plus the four shared negative controls from
+    {!Stattest.Controls} with deliberately false claims.
 
-    Production entries either carry a {e handwritten} witness pair (the
-    explicit shift coupling, stated in code so a reader can audit the
-    proof idea) or are marked {e derived}, meaning the complete matching
-    search produces the witness at verification time. Either way the
-    trusted checker has the last word. Negative entries are always
-    derived: the point is that the complete search must {e fail} (or the
-    exact refuter must exhibit a violating event) on each of them. *)
-
-type witness_source =
-  | Handwritten of Witness.t * Witness.t
-      (** explicit alignment pair, [A_to_b] then [B_to_a] *)
-  | Derived  (** produced by {!Search.certify} at verification time *)
+    No entry carries a witness: {!Search.certify} derives every alignment
+    at verification time, and the trusted checker has the last word.
+    Because the search is complete, it finds an alignment whenever one
+    exists, so a production entry certifies without help and a negative
+    control must make it {e fail} (or the exact refuter must exhibit a
+    violating event). The proof idea behind each production alignment is
+    stated with its restriction in {!Dp.Finite}. *)
 
 type entry = {
   name : string;
   spec : Dp.Finite.spec;
   model : Model.t;
-  witness : witness_source;
   negative : bool;
       (** negative control: verification must {e reject} this entry *)
   note : string;  (** one-line description of the finite restriction *)

@@ -1,50 +1,26 @@
-type verdict =
-  | Certified of Witness.t * Witness.t
-  | Refuted of Search.counterexample
-  | No_alignment of string
-  | Invalid_witness of Witness.failure list
+type row = { entry : Catalog.entry; verdict : Search.outcome }
 
-type row = { entry : Catalog.entry; verdict : verdict }
-
-let verify (e : Catalog.entry) =
-  match e.witness with
-  | Catalog.Handwritten (w_ab, w_ba) -> (
-    match Witness.check_pair e.model w_ab w_ba with
-    | Ok () -> Certified (w_ab, w_ba)
-    | Error fs -> Invalid_witness fs)
-  | Catalog.Derived -> (
-    match Search.certify e.model with
-    | Search.Certified (w_ab, w_ba) -> Certified (w_ab, w_ba)
-    | Search.Refuted c -> Refuted c
-    | Search.No_witness reason -> No_alignment reason)
+let verify (e : Catalog.entry) = Search.certify e.model
 
 let verify_all () =
   List.map (fun entry -> { entry; verdict = verify entry }) (Catalog.all ())
 
 let row_ok { entry; verdict } =
   match verdict with
-  | Certified _ -> not entry.negative
-  | Refuted _ | No_alignment _ -> entry.negative
-  | Invalid_witness _ -> false
+  | Search.Certified _ -> not entry.negative
+  | Search.Refuted _ | Search.No_witness _ -> entry.negative
 
 let all_ok rows = List.for_all row_ok rows
 
 let verdict_text { entry; verdict } =
   match verdict with
-  | Certified _ ->
-    let provenance =
-      match entry.witness with
-      | Catalog.Handwritten _ -> "handwritten alignment"
-      | Catalog.Derived -> "search-derived alignment"
-    in
-    Printf.sprintf "CERTIFIED  %s verified both directions" provenance
-  | Refuted c ->
+  | Search.Certified _ ->
+    "CERTIFIED  search-derived alignment verified both directions"
+  | Search.Refuted c ->
     Format.asprintf "REJECTED   refuted: %a"
       (Search.pp_counterexample ~label:entry.spec.Dp.Finite.out_label)
       c
-  | No_alignment reason -> Printf.sprintf "REJECTED   %s" reason
-  | Invalid_witness fs ->
-    Format.asprintf "INVALID    %a" Witness.pp_failure (List.hd fs)
+  | Search.No_witness reason -> Printf.sprintf "REJECTED   %s" reason
 
 let render_table rows =
   let buf = Buffer.create 2048 in
@@ -137,7 +113,7 @@ let tamper_suite () =
   List.concat_map
     (fun (e : Catalog.entry) ->
       match verify e with
-      | Certified (w_ab, _) ->
+      | Search.Certified (w_ab, _) ->
         List.map
           (fun (tamper, bad) ->
             {

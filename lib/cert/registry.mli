@@ -2,7 +2,10 @@
     table behind [pso_audit certify], and the tampered-certificate
     suite.
 
-    A row is {e ok} when the entry met its expectation: a production
+    Every verdict is the {!Search.outcome} of the complete alignment
+    search on the entry's model: the search is the only witness producer,
+    and {!Witness.check_pair} re-verifies whatever it finds. A row is
+    {e ok} when the entry met its expectation: a production
     mechanism verified CERTIFIED, a negative control REJECTED (refuted
     by the exact output-distribution check, or shown to admit no
     injective alignment by the complete search). The rendered table is
@@ -10,20 +13,10 @@
     it is registered as a golden snapshot alongside the experiment
     tables. *)
 
-type verdict =
-  | Certified of Witness.t * Witness.t
-      (** checker-verified alignment pair; for handwritten entries the
-          shipped pair, for derived entries the one the search found *)
-  | Refuted of Search.counterexample
-      (** exact pointwise violation of the claimed bound *)
-  | No_alignment of string
-      (** complete search exhausted without an injective alignment *)
-  | Invalid_witness of Witness.failure list
-      (** a handwritten witness failed the checker *)
+type row = { entry : Catalog.entry; verdict : Search.outcome }
 
-type row = { entry : Catalog.entry; verdict : verdict }
-
-val verify : Catalog.entry -> verdict
+val verify : Catalog.entry -> Search.outcome
+(** [Search.certify] on the entry's model. *)
 
 val verify_all : unit -> row list
 (** {!Catalog.all} in catalog order. *)

@@ -35,36 +35,60 @@ let align (m : Model.t) direction =
     | Witness.A_to_b -> (Model.A, Model.B)
     | Witness.B_to_a -> (Model.B, Model.A)
   in
-  let mass_src = Model.mass m src and mass_dst = Model.mass m dst in
+  let mass_src = Model.mass m src in
   let out_src = Model.out m src and out_dst = Model.out m dst in
-  let ok source target =
-    out_src.(source) = out_dst.(target)
-    && Q.leq mass_src.(source) (Q.mul m.bound mass_dst.(target))
-  in
-  (* Kuhn's augmenting paths over the support atoms. matched.(t) is the
-     source currently aligned to destination atom t, or -1. *)
+  (* A source may only align to a destination atom of its own output
+     class, so each source's candidates are that class's atoms, in
+     ascending order; the cap Λ·mass_dst(t) is computed once per atom. *)
+  let cap = Array.map (Q.mul m.bound) (Model.mass m dst) in
+  let class_atoms = Array.make m.outputs [] in
+  for t = m.atoms - 1 downto 0 do
+    class_atoms.(out_dst.(t)) <- t :: class_atoms.(out_dst.(t))
+  done;
+  let class_atoms = Array.map Array.of_list class_atoms in
+  let candidates source = class_atoms.(out_src.(source)) in
+  let fits source target = Q.leq mass_src.(source) cap.(target) in
+  (* matched.(t) is the source currently aligned to destination atom t,
+     or -1. A greedy pass gives each support source its first free
+     candidate; Kuhn's augmenting paths then place the sources it left
+     over. Starting Kuhn from any matching keeps it complete (Berge): if
+     a left-over source has no augmenting path, no injective alignment
+     of the whole support exists. *)
   let matched = Array.make m.atoms (-1) in
   let visited = Array.make m.atoms false in
-  let rec augment source target =
-    if target >= m.atoms then false
-    else if (not visited.(target)) && ok source target then begin
-      visited.(target) <- true;
-      if matched.(target) < 0 || try_from matched.(target) then begin
-        matched.(target) <- source;
-        true
-      end
-      else augment source (target + 1)
-    end
-    else augment source (target + 1)
-  and try_from source = augment source 0 in
-  let complete = ref true in
-  for source = 0 to m.atoms - 1 do
-    if !complete && Q.sign mass_src.(source) > 0 then begin
-      Array.fill visited 0 m.atoms false;
-      if not (try_from source) then complete := false
-    end
-  done;
-  if not !complete then None
+  let greedy source =
+    match
+      Array.find_opt (fun t -> matched.(t) < 0 && fits source t) (candidates source)
+    with
+    | Some t ->
+      matched.(t) <- source;
+      true
+    | None -> false
+  in
+  let rec augment source =
+    Array.exists
+      (fun t ->
+        (not visited.(t)) && fits source t
+        && begin
+          visited.(t) <- true;
+          (matched.(t) < 0 || augment matched.(t))
+          && begin
+            matched.(t) <- source;
+            true
+          end
+        end)
+      (candidates source)
+  in
+  let support = List.filter (fun i -> Q.sign mass_src.(i) > 0) (List.init m.atoms Fun.id) in
+  let left_over = List.filter (fun source -> not (greedy source)) support in
+  let complete =
+    List.for_all
+      (fun source ->
+        Array.fill visited 0 m.atoms false;
+        augment source)
+      left_over
+  in
+  if not complete then None
   else begin
     let map = Array.init m.atoms (fun i -> i) in
     Array.iteri (fun target source -> if source >= 0 then map.(source) <- target) matched;

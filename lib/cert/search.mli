@@ -4,10 +4,13 @@
     {!certify} looks for an alignment by bipartite maximum matching inside
     each output class: source atom ω may align to destination atom t iff
     they induce the same output event and the atomwise mass bound
-    [mass_src(ω) ≤ Λ·mass_dst(t)] holds. Kuhn's augmenting-path matching
-    is {e complete} here (König/Hall): if any valid injective alignment
-    exists for the model, the search finds one — so a search failure on a
-    negative control is meaningful, not a heuristic giving up.
+    [mass_src(ω) ≤ Λ·mass_dst(t)] holds. A greedy pass matches each
+    source to its first free candidate, and Kuhn's augmenting paths place
+    the rest; the matching is {e complete} (König/Hall, Berge): if any
+    valid injective alignment exists for the model, the search finds
+    one — so a search failure on a negative control is meaningful, not a
+    heuristic giving up. It is the only producer of the witnesses the
+    certificate catalog verifies.
 
     {!refute} is stronger than a failed search when it applies: it
     computes both exact output distributions and exhibits an output event

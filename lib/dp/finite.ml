@@ -11,7 +11,6 @@ type spec = {
   bound_num : int;
   bound_den : int;
   epsilon_label : string;
-  atom_label : int -> string;
   out_label : int -> string;
 }
 
@@ -48,7 +47,6 @@ let counting_pair ~name ~alpha ~span ~bound:(bound_num, bound_den)
     bound_num;
     bound_den;
     epsilon_label;
-    atom_label = (fun i -> Printf.sprintf "noise %+d" (i - span));
     out_label = (fun o -> Printf.sprintf "count c%+d (mod %d)" (o - span) m);
   }
 
@@ -67,7 +65,6 @@ let randomized_response_pair ~name ~lambda ~bound:(bound_num, bound_den)
     bound_num;
     bound_den;
     epsilon_label;
-    atom_label = (fun i -> if i = 0 then "truth" else "lie");
     out_label = (fun o -> if o = 0 then "reply false" else "reply true");
   }
 
@@ -87,7 +84,6 @@ let exponential_pair ~name ~base ~utilities_a ~utilities_b
     bound_num;
     bound_den;
     epsilon_label;
-    atom_label = (fun i -> Printf.sprintf "candidate %d" i);
     out_label = (fun o -> Printf.sprintf "candidate %d" o);
   }
 
@@ -129,11 +125,6 @@ let histogram_pair () =
     t.(0) <- (t.(0) + shift) mod mc;
     encode t
   in
-  let tuple_label kind i =
-    let t = decode ~radix:mc ~coords:cells i in
-    Printf.sprintf "%s(%+d,%+d,%+d)" kind (t.(0) - span) (t.(1) - span)
-      (t.(2) - span)
-  in
   {
     name = "histogram";
     atoms;
@@ -145,8 +136,11 @@ let histogram_pair () =
     bound_num = 2;
     bound_den = 1;
     epsilon_label = "eps = ln 2";
-    atom_label = tuple_label "noise";
-    out_label = tuple_label "cells";
+    out_label =
+      (fun i ->
+        let t = decode ~radix:mc ~coords:cells i in
+        Printf.sprintf "cells(%+d,%+d,%+d)" (t.(0) - span) (t.(1) - span)
+          (t.(2) - span));
   }
 
 let noisy_max_pair () =
@@ -174,7 +168,6 @@ let noisy_max_pair () =
     bound_num = 4;
     bound_den = 1;
     epsilon_label = "eps = 2 ln 2";
-    atom_label = (fun i -> Printf.sprintf "delta %+d" (i - span));
     out_label = (fun o -> Printf.sprintf "argmax %d" o);
   }
 
@@ -230,11 +223,6 @@ let sparse_vector_pair () =
     bound_num = 2;
     bound_den = 1;
     epsilon_label = "eps = ln 2";
-    atom_label =
-      (fun i ->
-        let t = decode ~radix:m ~coords i in
-        Printf.sprintf "noise(rho=%+d;%+d,%+d,%+d)" (t.(0) - span)
-          (t.(1) - span) (t.(2) - span) (t.(3) - span));
     out_label =
       (fun o -> if o = nq then "no hit" else Printf.sprintf "first hit %d" o);
   }
@@ -258,7 +246,6 @@ let subsample_pair () =
     bound_num = 3;
     bound_den = 2;
     epsilon_label = "eps = ln(3/2)";
-    atom_label = (fun i -> Printf.sprintf "shift %+d" (i - span));
     out_label = (fun o -> Printf.sprintf "count c%+d (mod %d)" (o - span) m);
   }
 

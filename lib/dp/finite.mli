@@ -34,7 +34,6 @@ type spec = {
   bound_den : int;
       (** the claimed bound [e^ε = bound_num/bound_den ≥ 1], exact *)
   epsilon_label : string;  (** human rendering of ε, e.g. ["eps = ln 2"] *)
-  atom_label : int -> string;
   out_label : int -> string;
 }
 

@@ -3,7 +3,6 @@ type standing = Fails_standard | Necessary_condition_met | Undetermined
 type certificate = {
   mechanism : string;
   claim : string;
-  witness : string;
   certified : bool;
 }
 
@@ -171,7 +170,7 @@ let pp fmt t =
       | Machine_checked c ->
         Format.fprintf fmt "  premise (machine-checked): %s, %s [%s]@."
           c.mechanism c.claim
-          (if c.certified then "certified: " ^ c.witness
+          (if c.certified then "certified: search-derived alignment"
            else "NOT certified — audited only"))
     t.premises;
   Format.fprintf fmt "  falsifiable by: %s@." t.falsifiable_by

@@ -19,14 +19,15 @@ type standing =
 type certificate = {
   mechanism : string;  (** e.g. ["laplace"] *)
   claim : string;  (** the certified bound, e.g. ["e^eps = 2 (eps = ln 2)"] *)
-  witness : string;  (** provenance, e.g. ["handwritten alignment, 13 atoms"] *)
   certified : bool;
       (** [true] when the mechanical checker verified the certificate;
           [false] demotes the premise to "audited only" *)
 }
 (** A machine-checked ε-DP premise: the summary of a [Cert.Registry]
     verdict, carried as plain data so the legal layer stays independent of
-    the certificate checker's types. *)
+    the certificate checker's types. Every certified premise rests on an
+    alignment found by the complete search and re-verified by the trusted
+    checker, so it is printed as [certified: search-derived alignment]. *)
 
 type premise =
   | Technical of Pso.Theorems.verdict

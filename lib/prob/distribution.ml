@@ -93,6 +93,6 @@ let total_variation ta tb =
   in
   sum /. 2.
 
-let zipf ?(skew = 1.0) k =
+let zipf k =
   if k <= 0 then invalid_arg "Distribution.zipf";
-  of_weights (List.init k (fun i -> (i, 1. /. Float.pow (float_of_int (i + 1)) skew)))
+  of_weights (List.init k (fun i -> (i, 1. /. float_of_int (i + 1))))

@@ -49,7 +49,6 @@ val min_entropy : 'a t -> float
 val total_variation : 'a t -> 'a t -> float
 (** Total-variation distance (used by the t-closeness check). *)
 
-val zipf : ?skew:float -> int -> int t
-(** [zipf ~skew k] is the Zipf distribution on ranks [0..k-1] with exponent
-    [skew] (default [1.0]); used to model movie-popularity and ZIP-code
-    population skew. *)
+val zipf : int -> int t
+(** [zipf k] is the Zipf distribution on ranks [0..k-1] with exponent 1
+    (rank [i] has weight [1/(i+1)]); used to model movie-popularity skew. *)

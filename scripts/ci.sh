@@ -23,10 +23,12 @@
 #   7. audit-ledger smoke: a quick E2 run with --ledger must produce a
 #      ledger/v1 file that passes pso_audit ledger-verify and validate-json,
 #      renders a ledger-report, and is byte-identical at --jobs 1 and 2
-#   8. certificate gate: pso_audit certify must verify every production
-#      eps-DP coupling certificate exactly and reject every negative
-#      control (nonzero exit otherwise), and the tampered-certificate
-#      smoke (certify --tamper) must reject every corrupted witness
+#   8. certificate gate: pso_audit certify must find (by complete
+#      alignment search) and verify exactly an eps-DP coupling
+#      certificate for every production mechanism and reject every
+#      negative control (nonzero exit otherwise), and the
+#      tampered-certificate smoke (certify --tamper) must reject every
+#      corrupted witness
 #   9. live-telemetry smoke: a quick E2 run with --prom + --timeline +
 #      --watch (plus --ledger) must leave the golden table untouched, its
 #      stderr must end the --watch heartbeat with the "(final)" line, both

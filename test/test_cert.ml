@@ -1,9 +1,9 @@
 (* Tests for the machine-checked certificate layer: exact rational
    arithmetic, the trusted witness checker's failure taxonomy, the
    complete alignment search (including the search-failure case no
-   catalog entry exercises), the catalog/registry verdicts, the tamper
-   suite, and QCheck properties tying exact certification back to the
-   sampling auditor. *)
+   catalog entry exercises, and its completeness against brute force),
+   the catalog/registry verdicts, the tamper suite, and QCheck
+   properties tying exact certification back to the sampling auditor. *)
 
 module Q = Cert.Q
 module Model = Cert.Model
@@ -69,7 +69,6 @@ let mk ?(name = "tiny") ~atoms ~outputs ~wa ~wb ~oa ~ob ~bound () =
     bound_num;
     bound_den;
     epsilon_label = "test";
-    atom_label = (fun i -> Printf.sprintf "atom %d" i);
     out_label = (fun o -> Printf.sprintf "out %d" o);
   }
 
@@ -256,7 +255,7 @@ let test_registry_verdicts () =
   List.iter
     (fun (r : Registry.row) ->
       match r.verdict with
-      | Registry.Certified (w_ab, w_ba) ->
+      | Search.Certified (w_ab, w_ba) ->
         (* The registry's verdict must survive independent re-checking. *)
         expect_ok
           (r.entry.Catalog.name ^ " re-checked")
@@ -266,12 +265,9 @@ let test_registry_verdicts () =
   List.iter
     (fun (r : Registry.row) ->
       match r.verdict with
-      | Registry.Refuted _ | Registry.No_alignment _ -> ()
-      | Registry.Certified _ ->
-        Alcotest.failf "negative control %s certified" r.entry.Catalog.name
-      | Registry.Invalid_witness _ ->
-        Alcotest.failf "control %s shipped a handwritten witness"
-          r.entry.Catalog.name)
+      | Search.Refuted _ | Search.No_witness _ -> ()
+      | Search.Certified _ ->
+        Alcotest.failf "negative control %s certified" r.entry.Catalog.name)
     controls
 
 let test_registry_table_stable () =
@@ -373,6 +369,38 @@ let prop_certified_passes_audit =
         in
         Audit.passed (Audit.run ~trials:4000 (rng ()) case))
 
+(* Every map of the atoms into the atoms (at most 5^5), tried in order
+   until one passes the trusted checker. *)
+let some_witness_exists (m : Model.t) direction =
+  let n = m.Model.atoms in
+  let map = Array.make n 0 in
+  let rec fill i =
+    if i = n then Result.is_ok (Witness.check m { Witness.direction; map })
+    else
+      List.exists
+        (fun t ->
+          map.(i) <- t;
+          fill (i + 1))
+        (List.init n Fun.id)
+  in
+  fill 0
+
+(* The search is complete: it certifies exactly when the refuter finds
+   nothing and brute force finds a witness in each direction. *)
+let prop_search_complete =
+  QCheck.Test.make ~name:"certified <=> brute force finds both witnesses"
+    ~count:200 spec_arb (fun spec ->
+      let m = Model.of_spec_exn spec in
+      let certified =
+        match Search.certify m with
+        | Search.Certified _ -> true
+        | Search.Refuted _ | Search.No_witness _ -> false
+      in
+      certified
+      = (Search.refute m = None
+        && some_witness_exists m Witness.A_to_b
+        && some_witness_exists m Witness.B_to_a))
+
 (* Tampering a verified witness in a way that is invalid by construction
    (out-of-range target, or two support atoms collided) must always be
    rejected by the checker. *)
@@ -440,6 +468,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_certified_implies_pointwise_bound;
+            prop_search_complete;
             prop_certified_passes_audit;
             prop_tampered_rejected;
           ] );

@@ -173,8 +173,11 @@ let test_pso_audit_certify_tamper () =
 let test_pso_audit_certify_legal () =
   let r = run (pso_audit [ "certify"; "--legal" ]) in
   Alcotest.(check int) "legal rendering exits 0" 0 r.code;
-  Alcotest.(check bool) "certified premises cited" true
-    (contains r.stdout "premise (machine-checked)")
+  let lines = String.split_on_char '\n' r.stdout in
+  let count needle = List.length (List.filter (fun l -> contains l needle) lines) in
+  Alcotest.(check int) "eight certified premises" 8
+    (count "[certified: search-derived alignment]");
+  Alcotest.(check int) "no uncertified premise" 0 (count "NOT certified")
 
 (* --- run + observability flags --- *)
 

@@ -434,24 +434,27 @@ let census_system () =
   (Linalg.Lsq.of_sparse a, b, Array.make n 0., Array.make n 30.)
 
 (* A step allocates nothing: 594 extra iterations on the 133×2400 census
-   system must cost less than 1 KiB over the 6-iteration run. With
-   [tolerance = 0.] neither run can stop early. *)
+   system allocate exactly as many words as the 6-iteration run. The
+   count is minor + major - promoted words from [Gc.counters], read
+   between two forced minor collections, so it includes arrays allocated
+   straight into the major heap and no collection landing inside the
+   window can move it. With [tolerance = 0.] neither run can stop
+   early. *)
 let test_box_allocation_free () =
   let op, b, lo, hi = census_system () in
   let allocated max_iter =
     let options = { Linalg.Lsq.max_iter; tolerance = 0. } in
-    let before = Gc.allocated_bytes () in
+    Gc.minor ();
+    let minor0, promoted0, major0 = Gc.counters () in
     let sol = Linalg.Lsq.box ~options op b ~lo ~hi in
-    let bytes = Gc.allocated_bytes () -. before in
+    Gc.minor ();
+    let minor1, promoted1, major1 = Gc.counters () in
     Alcotest.(check int) "ran to the cap" max_iter sol.Linalg.Lsq.iterations;
-    bytes
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
   in
   let long = allocated 600 in
   let short = allocated 6 in
-  Alcotest.(check bool)
-    (Printf.sprintf "594 extra steps allocate %.0f bytes" (long -. short))
-    true
-    (long -. short < 1024.)
+  Alcotest.(check (float 0.)) "words allocated at 600 and 6 iterations" short long
 
 let counter name =
   List.fold_left

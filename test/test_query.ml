@@ -640,8 +640,8 @@ let test_compile_unknown_attr_raises () =
      with Not_found -> true)
 
 let test_engine_cache_invalidation () =
-  (* Derived tables get fresh generation ids, so a bitset cached for the
-     parent can never be served for the child. *)
+  (* A table derived from another gets a fresh generation id, so a
+     bitset cached for the parent can never be served for the child. *)
   let t = table [ row 1 0 0; row 1 1 0; row 2 2 2 ] in
   let p = P.Atom (P.Eq ("a0", V.Int 1)) in
   let c = P.compile schema p in
