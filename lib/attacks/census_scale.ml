@@ -239,20 +239,67 @@ let largest_remainder ~mass ~lo ~hi ~target =
    noised tables reach it. *)
 let c_empty = Obs.Counter.make "attacks.census_empty_propagations"
 
-let solve_block ?x0 ?(shave = false) sup =
-  let a = constraint_matrix () in
+(* The published rows' propagated per-cell bounds within the whole box
+   [\[0, s_total\]]. Rows that propagation proves inconsistent are
+   counted and leave the whole box. *)
+let propagate sup =
   let row_lo, row_hi = row_bounds sup in
-  let box0 =
-    Intervals.make ~n:n_cells ~lo:0. ~hi:(float_of_int sup.s_total)
+  let box0 = Intervals.make ~n:n_cells ~lo:0. ~hi:(float_of_int sup.s_total) in
+  match Intervals.propagate matrix ~row_lo ~row_hi box0 with
+  | `Bounded b -> b
+  | `Empty _ ->
+    Obs.Counter.incr c_empty;
+    box0
+
+let shave_bounds ~shave sup bounds =
+  if not shave then bounds
+  else
+    let row_lo, row_hi = row_bounds sup in
+    Intervals.shave matrix ~row_lo ~row_hi bounds
+
+(* The least-squares system over the cells [bounds] leaves free: the
+   free cells in ascending order, each row's weight, and the restricted,
+   row-weighted matrix.
+
+   Row equilibration: the total row touches all 2400 cells while a
+   single-year age row touches 24, so unweighted the total row owns the
+   Lipschitz constant and the 1/L gradient step barely moves the iterate
+   along any other direction. Weighting each row by 1/√nnz levels the
+   spectrum and makes the iteration count meaningful. *)
+let free_system bounds =
+  let free = Array.make (n_cells - Intervals.fixed_count bounds) 0 in
+  let k = ref 0 in
+  for j = 0 to n_cells - 1 do
+    if not (Intervals.is_fixed bounds j) then begin
+      free.(!k) <- j;
+      incr k
+    end
+  done;
+  let af = Sparse.restrict_cols matrix ~keep:free in
+  let w =
+    Array.init n_rows (fun r ->
+        let c = Sparse.row_nnz af r in
+        if c = 0 then 0. else 1. /. sqrt (float_of_int c))
   in
-  let bounds =
-    match Intervals.propagate a ~row_lo ~row_hi box0 with
-    | `Bounded b -> b
-    | `Empty _ ->
-      Obs.Counter.incr c_empty;
-      box0
-  in
-  let bounds = if shave then Intervals.shave a ~row_lo ~row_hi bounds else bounds in
+  (free, w, Sparse.scale_rows af ~w)
+
+let free_operator ?(shave = false) sup =
+  let _, _, af = free_system (shave_bounds ~shave sup (propagate sup)) in
+  Lsq.of_sparse af
+
+(* ‖A‖² of every [free_system] matrix A is exactly 4, so the solve skips
+   the power-iteration estimate. Its rows come in four families: the
+   total, the 100 ages, the 20 sex×decade rows and the 12
+   race×ethnicity rows. Each family partitions the free cells, so its
+   rows, scaled by 1/√nnz, are orthonormal (or zero, where a row has no
+   free cell), and their Gram sum is the orthogonal projector onto the
+   functions constant on each part. AᵀA is the sum of those four
+   projectors: its norm is at most 4, and the all-ones vector, constant
+   on every part of every family, lies in the range of each one, so
+   AᵀA 1 = 4·1. *)
+let lipschitz = 4.
+
+let solve_bounds ?x0 sup bounds =
   let fixed_cells = Intervals.fixed_count bounds in
   let relaxed = Array.make n_cells 0. in
   for j = 0 to n_cells - 1 do
@@ -261,33 +308,14 @@ let solve_block ?x0 ?(shave = false) sup =
   let iterations, converged =
     if fixed_cells = n_cells then (0, true)
     else begin
-      let free = Array.make (n_cells - fixed_cells) 0 in
-      let k = ref 0 in
-      for j = 0 to n_cells - 1 do
-        if not (Intervals.is_fixed bounds j) then begin
-          free.(!k) <- j;
-          incr k
-        end
-      done;
-      let af = Sparse.restrict_cols a ~keep:free in
-      (* Row equilibration: the total row touches all 2400 cells while a
-         single-year age row touches 24, so unweighted the total row owns
-         the Lipschitz constant and the 1/L gradient step barely moves the
-         iterate along any other direction. Weighting each row by 1/√nnz
-         levels the spectrum and makes the iteration count meaningful. *)
-      let w =
-        Array.init n_rows (fun r ->
-            let c = Sparse.row_nnz af r in
-            if c = 0 then 0. else 1. /. sqrt (float_of_int c))
-      in
-      let af = Sparse.scale_rows af ~w in
+      let free, w, af = free_system bounds in
       (* Aim each row at its consistent target, with the pinned cells'
          contribution moved to the right-hand side. *)
       let targets = row_targets sup in
       let b = Array.make n_rows 0. in
       for r = 0 to n_rows - 1 do
         let fixed_contrib =
-          Sparse.fold_row a r ~init:0. ~f:(fun acc j v ->
+          Sparse.fold_row matrix r ~init:0. ~f:(fun acc j v ->
               if Intervals.is_fixed bounds j then
                 acc +. (v *. bounds.Intervals.lo.(j))
               else acc)
@@ -300,8 +328,8 @@ let solve_block ?x0 ?(shave = false) sup =
         Option.map (fun x0 -> Array.map (fun j -> x0.(j)) free) x0
       in
       let sol =
-        Lsq.box ~options:solver_options ?x0:x0_f (Lsq.of_sparse af) b ~lo:lo_f
-          ~hi:hi_f
+        Lsq.box ~options:solver_options ~lipschitz ?x0:x0_f (Lsq.of_sparse af)
+          b ~lo:lo_f ~hi:hi_f
       in
       Array.iteri (fun i j -> relaxed.(j) <- sol.Lsq.x.(i)) free;
       (sol.Lsq.iterations, sol.Lsq.converged)
@@ -347,6 +375,9 @@ let solve_block ?x0 ?(shave = false) sup =
   done;
   { counts; relaxed; iterations; converged; fixed_cells }
 
+let solve_block ?x0 ?(shave = false) sup =
+  solve_bounds ?x0 sup (shave_bounds ~shave sup (propagate sup))
+
 (* Per-cell group indices for the three raked row families, built eagerly
    for the same domain-safety reason as [matrix]. *)
 let age_group = Array.init n_cells (fun j -> j / (n_race * n_eth) mod n_age)
@@ -364,23 +395,13 @@ let race_eth_group = Array.init n_cells (fun j -> j mod (n_race * n_eth))
    total. Neighboring blocks differ in exactly those marginals — carrying
    the neighbor's joint structure while conforming its marginals is what
    makes the seed a genuine warm start instead of a misleading one. *)
-let warm_seed sup relaxed =
-  if Array.length relaxed <> n_cells then
-    invalid_arg "Census_scale.warm_seed: relaxed length";
+let rake_seed sup bounds relaxed =
   let targets = row_targets sup in
-  let a = constraint_matrix () in
-  let row_lo, row_hi = row_bounds sup in
-  (* The same propagated per-cell bounds the solver will clamp the seed
-     into: raking must respect them, or the clamp undoes the raked
-     marginals and the "warm" start lands farther out than the cold one.
-     A capped proportional rescale is water-filling; iterating the sweeps
-     redistributes the capped excess onto the remaining cells. *)
-  let box0 = Intervals.make ~n:n_cells ~lo:0. ~hi:(float_of_int sup.s_total) in
-  let bounds =
-    match Intervals.propagate a ~row_lo ~row_hi box0 with
-    | `Bounded b -> b
-    | `Empty _ -> box0
-  in
+  (* [bounds] are the propagated per-cell bounds the solver will clamp
+     the seed into: raking must respect them, or the clamp undoes the
+     raked marginals and the "warm" start lands farther out than the cold
+     one. A capped proportional rescale is water-filling; iterating the
+     sweeps redistributes the capped excess onto the remaining cells. *)
   let lo = bounds.Intervals.lo and hi = bounds.Intervals.hi in
   let x = Array.make n_cells 0. in
   for j = 0 to n_cells - 1 do
@@ -421,6 +442,11 @@ let warm_seed sup relaxed =
     end
   done;
   x
+
+let warm_seed sup relaxed =
+  if Array.length relaxed <> n_cells then
+    invalid_arg "Census_scale.warm_seed: relaxed length";
+  rake_seed sup (propagate sup) relaxed
 
 type config = {
   blocks : int;
@@ -534,16 +560,23 @@ let sex_age_marginal counts =
 
 (* Solve one block given its truth microdata and published tables, updating
    the running shard stats. [warm] carries the previous block's relaxed
-   solution and total within the shard. *)
+   solution within the shard. The block is propagated once: the raking
+   and the solve share its bounds. [census.block_solve_ns] times the
+   propagation and the solve, not the raking between them. *)
 let solve_one cfg ~warm ~people ~pub acc =
   let sup = suppress ~threshold:cfg.threshold pub in
+  let t0 = Obs.now_ns () in
+  let bounds = propagate sup in
+  let t1 = Obs.now_ns () in
   let x0 =
     if not cfg.warm_start then None
-    else Option.map (warm_seed sup) !warm
+    else Option.map (rake_seed sup bounds) !warm
   in
-  let t0 = Obs.now_ns () in
-  let sol = solve_block ?x0 ~shave:cfg.shave sup in
-  Obs.Sketchm.observe sk_solve (Int64.to_float (Int64.sub (Obs.now_ns ()) t0));
+  let t2 = Obs.now_ns () in
+  let sol = solve_bounds ?x0 sup (shave_bounds ~shave:cfg.shave sup bounds) in
+  let t3 = Obs.now_ns () in
+  Obs.Sketchm.observe sk_solve
+    (Int64.to_float (Int64.add (Int64.sub t1 t0) (Int64.sub t3 t2)));
   warm := Some sol.relaxed;
   let truth = truth_counts people in
   let records = Array.fold_left ( + ) 0 sol.counts in

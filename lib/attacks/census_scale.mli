@@ -73,7 +73,9 @@ val warm_seed : suppressed -> float array -> float array
     then the exact total, within the propagated per-cell bounds),
     producing the [?x0] seed {!run} passes to {!solve_block}. The
     neighbor's joint structure is kept; its marginals are replaced by
-    this block's. [relaxed] must have length {!n_cells}. *)
+    this block's. [relaxed] must have length {!n_cells}. It propagates
+    [sup]'s rows as {!solve_block} does, and inconsistent rows bump the
+    same counter. *)
 
 val solve_block :
   ?x0:float array -> ?shave:bool -> suppressed -> block_solution
@@ -87,7 +89,18 @@ val solve_block :
     inconsistent (impossible for a truthful tabulation) bump the
     [attacks.census_empty_propagations] counter and leave the solve the
     whole box [\[0, s_total\]]; age rows that cannot sum to [s_total]
-    give way to the exact total in the rounding. *)
+    give way to the exact total in the rounding.
+
+    The least-squares step is closed-form, not estimated: each free-cell
+    row is weighted by 1/√nnz, the total, age, sex×decade and
+    race×ethnicity families each partition the free cells, so [AᵀA] is a
+    sum of four projectors that all fix the all-ones vector, and
+    [‖A‖² = 4] exactly for every block. *)
+
+val free_operator : ?shave:bool -> suppressed -> Linalg.Lsq.op
+(** The row-weighted free-cell operator {!solve_block} hands
+    {!Linalg.Lsq.box} for [sup] (the same propagation, [?shave] and
+    elimination), whose [‖A‖²] the solve takes to be 4. *)
 
 type config = {
   blocks : int;
@@ -120,4 +133,6 @@ val sex_age_rate : stats -> float
 val run : ?pool:Parallel.Pool.t -> config -> Prob.Rng.t -> stats
 (** Run the full scenario: each shard generates, tabulates, solves and
     drops one block at a time, so peak memory is independent of the
-    population size. *)
+    population size. Each block's rows are propagated once, and the
+    bounds serve both the raking of {!warm_seed} and the solve of
+    {!solve_block}: the results are those of calling the two in turn. *)

@@ -5,30 +5,30 @@ type entry = {
   spec : F.spec;
   model : Model.t;
   negative : bool;
-  note : string;
 }
 
-let entry ?(negative = false) ~note spec =
-  { name = spec.F.name; spec; model = Model.of_spec_exn spec; negative; note }
+let entry ?(negative = false) spec =
+  { name = spec.F.name; spec; model = Model.of_spec_exn spec; negative }
 
 let production () =
   [
-    entry ~note:"cyclic geometric alpha 1/2 span 6 (discretized Laplace count)"
-      (F.laplace_pair ());
-    entry ~note:"cyclic geometric alpha 1/3 span 5" (F.geometric_pair ());
-    entry ~note:"two atoms, truth weight 3 vs lie weight 1, opposite true bits"
-      (F.randomized_response_spec ());
-    entry ~note:"3 cells x cyclic geometric alpha 1/2 span 2; record in cell 0"
-      (F.histogram_pair ());
-    entry ~note:"2-candidate difference model, cyclic geometric alpha 1/2 span 4"
-      (F.noisy_max_pair ());
-    entry ~note:"AboveThreshold transcript, 3 queries, threshold-shift alignment"
-      (F.sparse_vector_pair ());
-    entry ~note:"weights 2^u, sensitivity-1 utilities, identity alignment"
-      (F.exponential_spec ());
-    entry
-      ~note:"q=1/2 subsampling of cyclic geometric alpha 1/2 span 4, keep-bit marginalized"
-      (F.subsample_pair ());
+    (* cyclic geometric alpha 1/2 span 6 (discretized Laplace count) *)
+    entry (F.laplace_pair ());
+    (* cyclic geometric alpha 1/3 span 5 *)
+    entry (F.geometric_pair ());
+    (* two atoms, truth weight 3 vs lie weight 1, opposite true bits *)
+    entry (F.randomized_response_spec ());
+    (* 3 cells x cyclic geometric alpha 1/2 span 2; record in cell 0 *)
+    entry (F.histogram_pair ());
+    (* 2-candidate difference model, cyclic geometric alpha 1/2 span 4 *)
+    entry (F.noisy_max_pair ());
+    (* AboveThreshold transcript, 3 queries, threshold-shift alignment *)
+    entry (F.sparse_vector_pair ());
+    (* weights 2^u, sensitivity-1 utilities, identity alignment *)
+    entry (F.exponential_spec ());
+    (* q=1/2 subsampling of cyclic geometric alpha 1/2 span 4, keep-bit
+       marginalized *)
+    entry (F.subsample_pair ());
   ]
 
 (* Negative controls: the weights realize each defect's ACTUAL privacy
@@ -52,8 +52,7 @@ let control_spec (c : Stattest.Controls.spec) =
 
 let controls () =
   List.map
-    (fun (c : Stattest.Controls.spec) ->
-      entry ~negative:true ~note:c.summary (control_spec c))
+    (fun c -> entry ~negative:true (control_spec c))
     Stattest.Controls.all
 
 let all () = production () @ controls ()

@@ -16,7 +16,6 @@ type entry = {
   model : Model.t;
   negative : bool;
       (** negative control: verification must {e reject} this entry *)
-  note : string;  (** one-line description of the finite restriction *)
 }
 
 val production : unit -> entry list

@@ -49,27 +49,35 @@ let record_iters ~warm ~converged iters =
   end
   else Obs.Counter.add c_cold_iters iters
 
-(* Largest singular value of A, squared, via power iteration on AᵀA. The
-   iterate, A v and AᵀA v live in three buffers allocated once per call. *)
+(* Largest singular value of A, squared, via power iteration on AᵀA. For
+   a PSD AᵀA the estimate ‖AᵀA v‖ rises monotonically toward λ_max, so
+   the loop stops once an iteration moves it by at most 1e-6 of itself,
+   or after 50 iterations. A zero AᵀA v is a fixed point and stops it too.
+   The iterate, A v and AᵀA v live in three buffers allocated once per
+   call. *)
 let lipschitz_op o =
   let n = o.op_cols in
   let v = Array.init n (fun i -> 1. /. Float.sqrt (float_of_int (max n 1)) +. (0.001 *. float_of_int i)) in
   let av = Array.make o.op_rows 0. and w = Array.make n 0. in
-  let lambda = ref 1. in
-  for _ = 1 to 50 do
+  let lambda = ref 0. in
+  let k = ref 0 and settled = ref false in
+  while (not !settled) && !k < 50 do
+    incr k;
     Obs.Counter.incr c_power_iters;
     o.apply v av;
     o.tapply av w;
     let norm = Vector.norm2 w in
     if norm > 0. then begin
+      settled := Float.abs (norm -. !lambda) <= 1e-6 *. norm;
       lambda := norm;
       let s = 1. /. norm in
       for i = 0 to n - 1 do
         v.(i) <- s *. w.(i)
       done
     end
+    else settled := true
   done;
-  Float.max !lambda 1e-12
+  if !lambda = 0. then 1. else Float.max !lambda 1e-12
 
 let clamp_into ~lo ~hi (v : Vector.t) =
   let n = Array.length v in
@@ -82,14 +90,16 @@ let clamp_into ~lo ~hi (v : Vector.t) =
    extrapolated point [y], [r = A y − b] and the gradient are allocated
    once per call; the projected step [x⁺] is written over the gradient,
    which it no longer needs, so each iteration allocates nothing. *)
-let box ?(options = default_options) ?x0 o b ~lo ~hi =
+let box ?(options = default_options) ?lipschitz ?x0 o b ~lo ~hi =
   let n = o.op_cols in
   if Vector.dim lo <> n || Vector.dim hi <> n then
     invalid_arg "Lsq.box: bound dimension mismatch";
   for i = 0 to n - 1 do
     if hi.(i) < lo.(i) then invalid_arg "Lsq.box: empty box"
   done;
-  let step = 1. /. lipschitz_op o in
+  let step =
+    1. /. (match lipschitz with Some l -> l | None -> lipschitz_op o)
+  in
   let x =
     match x0 with
     | Some z0 ->

@@ -47,6 +47,7 @@ type solution = {
 
 val box :
   ?options:options ->
+  ?lipschitz:float ->
   ?x0:Vector.t ->
   op ->
   Vector.t ->
@@ -56,9 +57,13 @@ val box :
 (** [box o b ~lo ~hi] approximately minimizes [‖A z − b‖²] over the
     per-coordinate box [∏ \[lo.(i), hi.(i)\]] by accelerated projected
     gradient (FISTA, Beck–Teboulle 2009) with gradient restart
-    (O'Donoghue–Candès 2015), at the step [1/L] with [L], the largest
-    singular value of [A] squared, estimated by 50 power iterations (each
-    bumps the [linalg.lsq_power_iterations] counter). Each iteration takes the projected gradient step
+    (O'Donoghue–Candès 2015), at the step [1/L] with [L = ‖A‖²], the
+    largest singular value of [A] squared. A caller that knows [‖A‖²]
+    passes it as [?lipschitz]. Otherwise power iteration on [AᵀA]
+    estimates it, stopping once an iteration moves the estimate by at
+    most 1e-6 of itself, or after 50 iterations; each bumps the
+    [linalg.lsq_power_iterations] counter. Each iteration takes the
+    projected gradient step
     [x⁺ = clamp (y − ∇f(y)/L)] from the extrapolated point [y] (one
     [A]/[Aᵀ] pair), stops when [‖x⁺ − y‖₂ < tolerance], resets the
     momentum to zero when [(y − x⁺)·(x⁺ − x) > 0], and otherwise

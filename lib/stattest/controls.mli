@@ -28,7 +28,6 @@ type spec = {
   claimed_epsilon : float;  (** The ε the mechanism advertises. *)
   actual_epsilon : float;
       (** The ε it actually satisfies (always > [claimed_epsilon]). *)
-  summary : string;  (** One-line description of the defect. *)
 }
 
 val all : spec list

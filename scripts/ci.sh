@@ -43,7 +43,9 @@
 #      publication (--suppress 0, where propagation pins most cells); then
 #      solver health: every box least-squares solve of quick E1 and E14
 #      must converge before its iteration cap (--metrics reads
-#      linalg.lsq_unconverged 0)
+#      linalg.lsq_unconverged 0), and E14's census solves must take their
+#      closed-form step instead of estimating it (--metrics reads
+#      linalg.lsq_power_iterations 0)
 #  11. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
 #      interleaved and fails when a gate's whole 95% interval is on the
 #      wrong side of its bound: SpMV sparse >= 10x dense (cross-checked
@@ -217,6 +219,11 @@ for exp in E1 E14; do
   if ! grep -Eq '^linalg\.lsq_unconverged +0$' "$tmp1"; then
     echo "ci: solver health: $exp has least-squares solves stopped at the iteration cap" >&2
     grep 'linalg\.lsq_unconverged' "$tmp1" >&2 || true
+    exit 1
+  fi
+  if [ "$exp" = E14 ] && ! grep -Eq '^linalg\.lsq_power_iterations +0$' "$tmp1"; then
+    echo "ci: solver health: E14's census solves estimate their step size (its closed form is 4)" >&2
+    grep 'linalg\.lsq_power_iterations' "$tmp1" >&2 || true
     exit 1
   fi
 done

@@ -542,8 +542,8 @@ let test_scale_warm_solve_bits_pinned () =
       Alcotest.(check int) (name "iterations") iterations
         second.Attacks.Census_scale.iterations)
     [
-      (0, "a8ba4875ae59b8659ff6f833c234b501", "c471c074e56096f70c0da921e2f6d1f5", 1);
-      (3, "5ad91f5834ab68ba7c7b6cd6215efea1", "76ddaba4b32ffe3b3865d7f647ddaf3f", 3);
+      (0, "d618e5438858ceff5040e44813bbb96e", "4ab66e781d0f0038763145f0b278f7de", 1);
+      (3, "52113b198a5f7258469c30a11881a894", "f8c8bf9cc16b0654bb3c3c4fc75c27a3", 3);
     ]
 
 let test_scale_suppressed_run_quality () =
@@ -659,20 +659,23 @@ let test_scale_solve_block_respects_published_bounds () =
    age a single free cell (sex 0, race 0, non-Hispanic), but the exact
    total is 3: no table satisfies the rows, propagation proves it, and
    the counter records it. The total still decides the record count. *)
-let test_scale_inconsistent_block_counted () =
+let inconsistent_block =
   let open Attacks.Census_scale in
   let total = 3 in
   let exact c = { b_lo = c; b_hi = c } and free = { b_lo = 0; b_hi = total } in
-  let sup =
-    {
-      s_block = 0;
-      s_total = total;
-      s_age = Array.init 100 (fun age -> exact (if age < 2 then 2 else 0));
-      s_sex_bucket = Array.init 20 (fun i -> if i < 10 then free else exact 0);
-      s_race_eth = Array.init 12 (fun i -> if i = 0 then free else exact 0);
-      s_suppressed = 0;
-    }
-  in
+  {
+    s_block = 0;
+    s_total = total;
+    s_age = Array.init 100 (fun age -> exact (if age < 2 then 2 else 0));
+    s_sex_bucket = Array.init 20 (fun i -> if i < 10 then free else exact 0);
+    s_race_eth = Array.init 12 (fun i -> if i = 0 then free else exact 0);
+    s_suppressed = 0;
+  }
+
+let test_scale_inconsistent_block_counted () =
+  let open Attacks.Census_scale in
+  let sup = inconsistent_block in
+  let total = sup.s_total in
   Obs.reset ();
   Obs.enable ();
   let sol = Fun.protect ~finally:Obs.disable (fun () -> solve_block sup) in
@@ -680,6 +683,48 @@ let test_scale_inconsistent_block_counted () =
     (obs_counter (Obs.Metric.values ()) "attacks.census_empty_propagations");
   Alcotest.(check int) "counts sum to the exact total" total
     (Array.fold_left ( + ) 0 sol.counts)
+
+(* [solve_block] takes ‖A‖² = 4 for its row-weighted free-cell operator
+   instead of estimating it (the proof is at [Census_scale.lipschitz]).
+   A 300-step power iteration from a random start on the operator itself
+   must read 4 on every kind of block: exact tables (most cells pinned),
+   threshold-3 suppression, with and without shaving, and the
+   inconsistent block whose propagation is empty (no cell pinned). *)
+let test_scale_free_operator_norm () =
+  let open Attacks.Census_scale in
+  let r = Prob.Rng.create ~seed:31L () in
+  let block threshold block =
+    let people = Dataset.Synth.census_block (Prob.Rng.split r) ~block ~mean_block_size:25 in
+    suppress ~threshold (Attacks.Census.tabulate_block ~block people)
+  in
+  let norm_sq (o : Linalg.Lsq.op) =
+    let v = Array.init o.op_cols (fun _ -> Prob.Rng.uniform r) in
+    let av = Array.make o.op_rows 0. and w = Array.make o.op_cols 0. in
+    let lambda = ref 0. in
+    for _ = 1 to 300 do
+      o.apply v av;
+      o.tapply av w;
+      lambda := Linalg.Vector.norm2 w;
+      Array.iteri (fun i wi -> v.(i) <- wi /. !lambda) w
+    done;
+    !lambda
+  in
+  let check name ?shave sup =
+    let o = free_operator ?shave sup in
+    Alcotest.(check bool) (name ^ ": some cell free") true (o.op_cols > 0);
+    Alcotest.(check (float 1e-9)) (name ^ ": ‖A‖²") 4. (norm_sq o);
+    o.op_cols
+  in
+  for b = 0 to 3 do
+    let free = check (Printf.sprintf "exact block %d" b) (block 0 b) in
+    Alcotest.(check bool)
+      (Printf.sprintf "exact block %d: most cells pinned" b)
+      true (free < n_cells / 4);
+    ignore (check (Printf.sprintf "suppressed block %d" b) (block 3 b))
+  done;
+  ignore (check "shaved suppressed block" ~shave:true (block 3 4));
+  Alcotest.(check int) "inconsistent block: no cell pinned" n_cells
+    (check "inconsistent block" inconsistent_block)
 
 (* --- QCheck properties --- *)
 
@@ -774,6 +819,8 @@ let () =
             test_scale_warm_start_saves_iterations;
           Alcotest.test_case "inconsistent block counted" `Quick
             test_scale_inconsistent_block_counted;
+          Alcotest.test_case "free operator norm is 4" `Quick
+            test_scale_free_operator_norm;
           Alcotest.test_case "solve_block respects bounds" `Quick
             test_scale_solve_block_respects_published_bounds;
         ] );

@@ -311,16 +311,19 @@ let ref_lipschitz o n =
       (Array.init n (fun i ->
            1. /. Float.sqrt (float_of_int (max n 1)) +. (0.001 *. float_of_int i)))
   in
-  let lambda = ref 1. in
-  for _ = 1 to 50 do
+  let lambda = ref 0. and k = ref 0 and settled = ref false in
+  while (not !settled) && !k < 50 do
+    incr k;
     let w = o.r_tapply (o.r_apply !v) in
     let norm = V.norm2 w in
     if norm > 0. then begin
+      settled := Float.abs (norm -. !lambda) <= 1e-6 *. norm;
       lambda := norm;
       v := ref_scale (1. /. norm) w
     end
+    else settled := true
   done;
-  Float.max !lambda 1e-12
+  if !lambda = 0. then 1. else Float.max !lambda 1e-12
 
 let ref_clamp ~lo ~hi v =
   Array.init (Array.length v) (fun i ->
@@ -463,6 +466,8 @@ let counter name =
     0
     (Obs.Metric.values ()).Obs.Metric.v_counters
 
+(* On the unweighted census system the step estimate settles (moves by
+   at most 1e-6 of itself) at its 4th power iteration; each is counted. *)
 let test_power_iteration_counter () =
   let op, b, lo, hi = census_system () in
   let count () = counter "linalg.lsq_power_iterations" in
@@ -472,9 +477,9 @@ let test_power_iteration_counter () =
       let options = { Linalg.Lsq.max_iter = 3; tolerance = 0. } in
       let before = count () in
       ignore (Linalg.Lsq.box ~options op b ~lo ~hi);
-      Alcotest.(check int) "one box call" 50 (count () - before);
+      Alcotest.(check int) "one box call" 4 (count () - before);
       ignore (Linalg.Lsq.box ~options op b ~lo ~hi);
-      Alcotest.(check int) "two box calls" 100 (count () - before))
+      Alcotest.(check int) "two box calls" 8 (count () - before))
 
 let test_unconverged_counter () =
   (* A solve stopped by its iteration cap bumps linalg.lsq_unconverged;
