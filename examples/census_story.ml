@@ -26,37 +26,37 @@ let () =
     (List.length sample.Core.Attacks.Census.sex_by_bucket)
     (List.length sample.Core.Attacks.Census.race_eth);
 
-  (* Reconstruction. *)
-  let recon = Core.Attacks.Census.reconstruct tables in
-  let eval = Core.Attacks.Census.evaluate ~truth recon in
+  (* Reconstruction: one box least-squares solve per block. *)
+  let recon = Core.Attacks.Census_scale.reconstruct tables in
+  let eval = Core.Attacks.Census_scale.evaluate ~truth recon in
   Format.fprintf fmt
     "@.reconstruction: %d records; exact for %.1f%%, age within +/-1 for \
      %.1f%% of the population@."
-    eval.Core.Attacks.Census.records
-    (100. *. eval.Core.Attacks.Census.exact_rate)
-    (100. *. eval.Core.Attacks.Census.age_within_one_rate);
+    eval.Core.Attacks.Census_scale.records
+    (100. *. eval.Core.Attacks.Census_scale.exact_rate)
+    (100. *. eval.Core.Attacks.Census_scale.age_within_one_rate);
 
   (* Re-identification against a commercial database. *)
   let commercial =
     Core.Attacks.Census.commercial_db rng truth ~coverage:0.6 ~age_error_rate:0.1
   in
-  let reid = Core.Attacks.Census.reidentify recon commercial ~truth in
+  let reid = Core.Attacks.Census_scale.reidentify recon commercial ~truth in
   Format.fprintf fmt
     "@.linkage against commercial data (%d records, 60%% coverage):@."
     (Array.length commercial);
   Format.fprintf fmt "  putative re-identifications: %d (%.1f%% of population)@."
-    reid.Core.Attacks.Census.putative
-    (100. *. reid.Core.Attacks.Census.putative_rate);
+    reid.Core.Attacks.Census_scale.putative
+    (100. *. reid.Core.Attacks.Census_scale.putative_rate);
   Format.fprintf fmt "  confirmed re-identifications: %d (%.1f%% of population)@."
-    reid.Core.Attacks.Census.confirmed
-    (100. *. reid.Core.Attacks.Census.confirmed_rate);
+    reid.Core.Attacks.Census_scale.confirmed
+    (100. *. reid.Core.Attacks.Census_scale.confirmed_rate);
 
   let prior = 0.00003 in
   Format.fprintf fmt
     "@.The 2010-era prior risk estimate was %.3f%%; measured risk exceeds it \
      by a factor of ~%.0f.@."
     (100. *. prior)
-    (reid.Core.Attacks.Census.confirmed_rate /. prior);
+    (reid.Core.Attacks.Census_scale.confirmed_rate /. prior);
   Format.fprintf fmt
     "(The paper: exact reconstruction for 46%%/71%% of the population, 17%% \
      re-identified, a 4500x gap — and Title 13 prohibits publications \

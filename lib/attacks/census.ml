@@ -79,136 +79,6 @@ let protect rng ~epsilon tables =
       })
     tables
 
-type record = { r_block : int; r_sex : int; r_age : int; r_race : int; r_eth : int }
-
-let reconstruct tables =
-  let out = ref [] in
-  Array.iter
-    (fun t ->
-      (* Ages, exactly, sorted ascending. *)
-      let ages =
-        List.concat_map (fun (age, c) -> List.init c (fun _ -> age)) t.age_histogram
-      in
-      (* Within each decade bucket, hand out the published number of males to
-         the oldest ages first (an arbitrary but table-consistent rule). *)
-      let males_in_bucket = Hashtbl.create 16 in
-      List.iter
-        (fun ((sex, bucket), c) ->
-          if sex = 1 then Hashtbl.replace males_in_bucket bucket c)
-        t.sex_by_bucket;
-      let with_sex =
-        List.rev ages
-        |> List.map (fun age ->
-               let bucket = age / 10 in
-               let males =
-                 Option.value ~default:0 (Hashtbl.find_opt males_in_bucket bucket)
-               in
-               if males > 0 then begin
-                 Hashtbl.replace males_in_bucket bucket (males - 1);
-                 (age, 1)
-               end
-               else (age, 0))
-      in
-      (* Distribute (race, ethnicity) pairs most-common-first. Published
-         tables may be inconsistent (noisy variants): pad with the modal
-         pair or truncate so the zip below always succeeds. *)
-      let pairs =
-        List.sort (fun (_, a) (_, b) -> Int.compare b a) t.race_eth
-        |> List.concat_map (fun ((race, eth), c) ->
-               List.init (max 0 c) (fun _ -> (race, eth)))
-      in
-      let modal = match pairs with p :: _ -> p | [] -> (0, 0) in
-      let rec zip people pairs =
-        match (people, pairs) with
-        | [], _ -> ()
-        | (age, sex) :: rest, [] ->
-          out :=
-            {
-              r_block = t.block;
-              r_sex = sex;
-              r_age = age;
-              r_race = fst modal;
-              r_eth = snd modal;
-            }
-            :: !out;
-          zip rest []
-        | (age, sex) :: rest, (race, eth) :: prest ->
-          out :=
-            { r_block = t.block; r_sex = sex; r_age = age; r_race = race; r_eth = eth }
-            :: !out;
-          zip rest prest
-      in
-      zip with_sex pairs)
-    tables;
-  Array.of_list (List.rev !out)
-
-type reconstruction_eval = {
-  records : int;
-  exact : int;
-  age_within_one : int;
-  exact_rate : float;
-  age_within_one_rate : float;
-}
-
-let evaluate ~truth records =
-  (* Per block, greedily match truth records to unused reconstructions. *)
-  let by_block : (int, record list ref) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun r ->
-      match Hashtbl.find_opt by_block r.r_block with
-      | Some l -> l := r :: !l
-      | None -> Hashtbl.replace by_block r.r_block (ref [ r ]))
-    records;
-  let take block pred =
-    match Hashtbl.find_opt by_block block with
-    | None -> false
-    | Some l -> (
-      let rec remove acc = function
-        | [] -> None
-        | r :: rest when pred r -> Some (List.rev_append acc rest)
-        | r :: rest -> remove (r :: acc) rest
-      in
-      match remove [] !l with
-      | Some rest ->
-        l := rest;
-        true
-      | None -> false)
-  in
-  let snapshot () =
-    Hashtbl.fold (fun k l acc -> (k, !l) :: acc) by_block []
-  in
-  let restore saved =
-    List.iter (fun (k, l) -> Hashtbl.replace by_block k (ref l)) saved
-  in
-  let count pred =
-    let saved = snapshot () in
-    let n =
-      Array.fold_left
-        (fun acc (p : Synth.census_person) ->
-          if take p.Synth.block (pred p) then acc + 1 else acc)
-        0 truth
-    in
-    restore saved;
-    n
-  in
-  let exact =
-    count (fun p r ->
-        r.r_sex = p.Synth.sex && r.r_age = p.Synth.age && r.r_race = p.Synth.race
-        && r.r_eth = p.Synth.ethnicity)
-  in
-  let age_within_one =
-    count (fun p r -> r.r_sex = p.Synth.sex && abs (r.r_age - p.Synth.age) <= 1)
-  in
-  let n = Array.length truth in
-  {
-    records = Array.length records;
-    exact;
-    age_within_one;
-    exact_rate = (if n = 0 then 0. else float_of_int exact /. float_of_int n);
-    age_within_one_rate =
-      (if n = 0 then 0. else float_of_int age_within_one /. float_of_int n);
-  }
-
 type commercial = { c_name : string; c_block : int; c_sex : int; c_age : int }
 
 let commercial_db rng people ~coverage ~age_error_rate =
@@ -223,44 +93,3 @@ let commercial_db rng people ~coverage ~age_error_rate =
          in
          { c_name = p.Synth.person_name; c_block = p.Synth.block; c_sex = p.Synth.sex; c_age = age })
   |> Array.of_list
-
-type reid_stats = {
-  population : int;
-  putative : int;
-  confirmed : int;
-  putative_rate : float;
-  confirmed_rate : float;
-}
-
-let reidentify records commercial ~truth =
-  let by_name = Hashtbl.create (Array.length truth) in
-  Array.iter (fun (p : Synth.census_person) -> Hashtbl.replace by_name p.Synth.person_name p) truth;
-  let putative = ref 0 and confirmed = ref 0 in
-  Array.iter
-    (fun c ->
-      let matches =
-        Array.to_list records
-        |> List.filter (fun r ->
-               r.r_block = c.c_block && r.r_sex = c.c_sex
-               && abs (r.r_age - c.c_age) <= 1)
-      in
-      match matches with
-      | [ r ] -> (
-        incr putative;
-        match Hashtbl.find_opt by_name c.c_name with
-        | Some p
-          when p.Synth.block = r.r_block && p.Synth.sex = r.r_sex
-               && abs (p.Synth.age - r.r_age) <= 1
-               && p.Synth.race = r.r_race ->
-          incr confirmed
-        | Some _ | None -> ())
-      | _ -> ())
-    commercial;
-  let n = Array.length truth in
-  {
-    population = n;
-    putative = !putative;
-    confirmed = !confirmed;
-    putative_rate = (if n = 0 then 0. else float_of_int !putative /. float_of_int n);
-    confirmed_rate = (if n = 0 then 0. else float_of_int !confirmed /. float_of_int n);
-  }

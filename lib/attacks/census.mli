@@ -1,15 +1,18 @@
-(** Reconstruction-abetted re-identification of census tabulations
+(** Census tabulations and the identified data an attacker links them to
     (Garfinkel–Abowd–Martindale 2018; Abowd 2019 — the paper's account of
     the 2010 Decennial Census reconstruction, Section 1).
 
-    Pipeline: (1) publish block-level marginal tables from confidential
-    microdata; (2) reconstruct block microdata consistent with the tables;
-    (3) link the reconstruction to an identified "commercial" database to
-    attach names; (4) confirm putative re-identifications against ground
-    truth. The absolute rates depend on the synthetic population; the shape
-    — most records reconstructed nearly exactly, a large minority of the
-    population re-identified, orders of magnitude above the agency's prior
-    risk estimate — is the claim being reproduced. *)
+    This module is the publication side of the pipeline: (1) block-level
+    marginal tables from confidential microdata, optionally republished
+    with differential-privacy noise, and (3) an identified "commercial"
+    database. The attack itself — (2) reconstructing each block's
+    microdata from its tables and (4) re-identifying and confirming
+    against the truth — lives in {!Census_scale}, whose box solver serves
+    both E10's whole-population run and E14's streamed one. The absolute
+    rates depend on the synthetic population; the shape — most records
+    reconstructed nearly exactly, a large minority of the population
+    re-identified, orders of magnitude above the agency's prior risk
+    estimate — is the claim being reproduced. *)
 
 (** {1 Publication} *)
 
@@ -39,27 +42,6 @@ val protect : Prob.Rng.t -> epsilon:float -> published array -> published array
     the noisy tables unchanged — and E10's ablation shows what happens to
     its accuracy. *)
 
-(** {1 Reconstruction} *)
-
-type record = { r_block : int; r_sex : int; r_age : int; r_race : int; r_eth : int }
-
-val reconstruct : published array -> record array
-(** Solve each block: ages are read off the single-year histogram; sexes are
-    assigned within each 10-year bucket to match the sex-by-bucket counts;
-    (race, ethnicity) pairs are distributed by frequency. Exactly consistent
-    with all published tables; errors relative to the truth arise only where
-    the tables underdetermine the joint distribution. *)
-
-type reconstruction_eval = {
-  records : int;
-  exact : int;  (** truth records matched by an unused reconstructed record on all attributes *)
-  age_within_one : int;  (** matched allowing age ±1 and free race/ethnicity *)
-  exact_rate : float;
-  age_within_one_rate : float;
-}
-
-val evaluate : truth:Dataset.Synth.census_person array -> record array -> reconstruction_eval
-
 (** {1 Re-identification} *)
 
 type commercial = { c_name : string; c_block : int; c_sex : int; c_age : int }
@@ -73,20 +55,3 @@ val commercial_db :
 (** An identified database covering a [coverage] fraction of the population,
     with ages off by ±1 for an [age_error_rate] fraction — modelling 2010-era
     commercial data quality. *)
-
-type reid_stats = {
-  population : int;
-  putative : int;  (** commercial records matched to exactly one reconstructed record *)
-  confirmed : int;  (** putative matches agreeing with the confidential truth *)
-  putative_rate : float;
-  confirmed_rate : float;  (** confirmed / population — the paper's 17%-shaped number *)
-}
-
-val reidentify :
-  record array ->
-  commercial array ->
-  truth:Dataset.Synth.census_person array ->
-  reid_stats
-(** Match each commercial record to reconstructed records in its block with
-    equal sex and age within ±1; unique matches become putative
-    re-identifications, confirmed against the named person's true record. *)

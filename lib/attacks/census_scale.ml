@@ -501,13 +501,11 @@ let add_stats a b =
     converged_blocks = a.converged_blocks + b.converged_blocks;
   }
 
-let match_rate s =
-  if s.population = 0 then 0.
-  else float_of_int s.cells_matched /. float_of_int s.population
+let rate k n = if n = 0 then 0. else float_of_int k /. float_of_int n
 
-let sex_age_rate s =
-  if s.population = 0 then 0.
-  else float_of_int s.sex_age_matched /. float_of_int s.population
+let match_rate s = rate s.cells_matched s.population
+
+let sex_age_rate s = rate s.sex_age_matched s.population
 
 let c_blocks = Obs.Counter.make "census.blocks_solved"
 
@@ -557,6 +555,126 @@ let sex_age_marginal counts =
     done
   done;
   out
+
+let reconstruct tables =
+  Array.map (fun pub -> (solve_block (suppress ~threshold:0 pub)).counts) tables
+
+type reconstruction_eval = {
+  records : int;
+  exact : int;
+  age_within_one : int;
+  exact_rate : float;
+  age_within_one_rate : float;
+}
+
+(* The most truth records of each sex that reconstructed records of the
+   same sex within one year of age can cover, one to one, from the two
+   (sex, age) marginals. Truth ages ascend and each takes the leftover
+   reconstructed records at a−1 first, then a, then a+1: every window
+   ends no later than the next one's, so this greedy is a maximum
+   matching. *)
+let age_within_one_matches truth recon =
+  let left = Array.copy recon and matched = ref 0 in
+  for sex = 0 to n_sex - 1 do
+    for age = 0 to n_age - 1 do
+      let need = ref truth.((sex * n_age) + age) in
+      for a = max 0 (age - 1) to min (n_age - 1) (age + 1) do
+        let i = (sex * n_age) + a in
+        let k = min !need left.(i) in
+        left.(i) <- left.(i) - k;
+        need := !need - k;
+        matched := !matched + k
+      done
+    done
+  done;
+  !matched
+
+let members_by_block ~blocks truth =
+  let buckets = Array.make blocks [] in
+  Array.iter
+    (fun (p : Synth.census_person) ->
+      buckets.(p.Synth.block) <- p :: buckets.(p.Synth.block))
+    truth;
+  Array.map Array.of_list buckets
+
+let evaluate ~truth recon =
+  let members = members_by_block ~blocks:(Array.length recon) truth in
+  let records = ref 0 and exact = ref 0 and age_within_one = ref 0 in
+  Array.iteri
+    (fun b counts ->
+      let t = truth_counts members.(b) in
+      records := !records + Array.fold_left ( + ) 0 counts;
+      exact := !exact + min_overlap t counts;
+      age_within_one :=
+        !age_within_one
+        + age_within_one_matches (sex_age_marginal t) (sex_age_marginal counts))
+    recon;
+  let n = Array.length truth in
+  {
+    records = !records;
+    exact = !exact;
+    age_within_one = !age_within_one;
+    exact_rate = rate !exact n;
+    age_within_one_rate = rate !age_within_one n;
+  }
+
+type reid_stats = {
+  population : int;
+  putative : int;
+  confirmed : int;
+  putative_rate : float;
+  confirmed_rate : float;
+}
+
+(* Age and race of the only record in [counts] with this sex and an age
+   in [lo, hi]. *)
+let only_record counts ~sex ~lo ~hi =
+  let found = ref None in
+  for age = lo to hi do
+    for race = 0 to n_race - 1 do
+      for eth = 0 to n_eth - 1 do
+        if counts.(cell ~sex ~age ~race ~eth) > 0 then found := Some (age, race)
+      done
+    done
+  done;
+  Option.get !found
+
+let reidentify recon commercial ~truth =
+  let by_name = Hashtbl.create (Array.length truth) in
+  Array.iter
+    (fun (p : Synth.census_person) -> Hashtbl.replace by_name p.Synth.person_name p)
+    truth;
+  let marginals = Array.map sex_age_marginal recon in
+  let putative = ref 0 and confirmed = ref 0 in
+  Array.iter
+    (fun (c : Census.commercial) ->
+      let sex = c.Census.c_sex and block = c.Census.c_block in
+      let lo = max 0 (c.Census.c_age - 1)
+      and hi = min (n_age - 1) (c.Census.c_age + 1) in
+      let matches = ref 0 in
+      for a = lo to hi do
+        matches := !matches + marginals.(block).((sex * n_age) + a)
+      done;
+      if !matches = 1 then begin
+        incr putative;
+        let age, race = only_record recon.(block) ~sex ~lo ~hi in
+        match Hashtbl.find_opt by_name c.Census.c_name with
+        | Some (p : Synth.census_person)
+          when p.Synth.block = block && p.Synth.sex = sex
+               && abs (p.Synth.age - age) <= 1
+               && p.Synth.race = race ->
+          incr confirmed
+        | Some _ | None -> ()
+      end)
+    commercial;
+  let n = Array.length truth in
+  {
+    population = n;
+    putative = !putative;
+    confirmed = !confirmed;
+    putative_rate = rate !putative n;
+    confirmed_rate = rate !confirmed n;
+  }
 
 (* Solve one block given its truth microdata and published tables, updating
    the running shard stats. [warm] carries the previous block's relaxed

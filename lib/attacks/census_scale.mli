@@ -1,11 +1,16 @@
-(** Census-scale sharded reconstruction.
+(** Census reconstruction: the one block solver, run sharded at scale
+    and over a whole population.
 
     The paper's 2010 exhibit reconstructs 308.7M people from block-level
-    marginal tables. {!Census} runs that pipeline at block-toy scale; this
-    module is the scale-out: a synthetic population of millions of people
-    across ~10⁴ blocks is generated, tabulated and solved {e block by
-    block} — the full population is never materialized — with the blocks
-    sharded over the {!Parallel.Pool} domain pool.
+    marginal tables. {!Census} publishes those tables; this module solves
+    them. {!run} is the scale-out (E14, [census]): a synthetic population
+    of millions of people across ~10⁴ blocks is generated, tabulated and
+    solved {e block by block} — the full population is never
+    materialized — with the blocks sharded over the {!Parallel.Pool}
+    domain pool. {!reconstruct}, {!evaluate} and {!reidentify} are E10's
+    whole-population attack: the same {!solve_block} on every block of a
+    materialized population, scored against the truth and linked to an
+    identified database.
 
     Per block the attacker solves a constraint system over the 2×100×6×2 =
     2400 joint cells [(sex, age, race, ethnicity)]: 133 rows (total, 100
@@ -136,3 +141,53 @@ val run : ?pool:Parallel.Pool.t -> config -> Prob.Rng.t -> stats
     population size. Each block's rows are propagated once, and the
     bounds serve both the raking of {!warm_seed} and the solve of
     {!solve_block}: the results are those of calling the two in turn. *)
+
+(** {1 Whole-population attack}
+
+    E10's pipeline: every block of a materialized population is solved
+    cold, then scored against the truth and linked to an identified
+    database. A reconstruction is one {!n_cells} count array per block,
+    indexed by block id. *)
+
+val reconstruct : Census.published array -> int array array
+(** [reconstruct tables] is [(solve_block (suppress ~threshold:0 t)).counts]
+    for each block's tables [t]: every count published exactly, one cold
+    solve per block. Each block emits its published total in records,
+    matching every published age row. It does not always match the
+    sex×decade and race×ethnicity rows, which the rounding does not
+    enforce. *)
+
+type reconstruction_eval = {
+  records : int;  (** records emitted: the sum of every block's counts *)
+  exact : int;
+      (** truth records matched one to one by a reconstructed record on
+          every attribute: [Σ_cells min(truth, reconstruction)] per block *)
+  age_within_one : int;
+      (** matched allowing age ±1 and free race/ethnicity: the maximum
+          one-to-one matching per block and sex *)
+  exact_rate : float;
+  age_within_one_rate : float;
+}
+
+val evaluate :
+  truth:Dataset.Synth.census_person array -> int array array -> reconstruction_eval
+(** Score a reconstruction against the confidential population. Every
+    truth block must index into the reconstruction. *)
+
+type reid_stats = {
+  population : int;
+  putative : int;  (** commercial records matched to exactly one reconstructed record *)
+  confirmed : int;  (** putative matches agreeing with the confidential truth *)
+  putative_rate : float;
+  confirmed_rate : float;  (** confirmed / population — the paper's 17%-shaped number *)
+}
+
+val reidentify :
+  int array array ->
+  Census.commercial array ->
+  truth:Dataset.Synth.census_person array ->
+  reid_stats
+(** Match each commercial record to reconstructed records in its block with
+    equal sex and age within ±1; unique matches become putative
+    re-identifications, confirmed against the named person's true record
+    (same block and sex, age within ±1, same race). *)

@@ -22,27 +22,27 @@ let measure rng ?dp_epsilon ~blocks ~mean_block_size ~coverage () =
     | None -> tables
     | Some epsilon -> Attacks.Census.protect rng ~epsilon tables
   in
-  let recon = Attacks.Census.reconstruct tables in
-  let eval = Attacks.Census.evaluate ~truth recon in
+  let recon = Attacks.Census_scale.reconstruct tables in
+  let eval = Attacks.Census_scale.evaluate ~truth recon in
   let commercial =
     Attacks.Census.commercial_db rng truth ~coverage ~age_error_rate:0.1
   in
-  let reid = Attacks.Census.reidentify recon commercial ~truth in
+  let reid = Attacks.Census_scale.reidentify recon commercial ~truth in
   {
     population = Array.length truth;
-    records = eval.Attacks.Census.records;
+    records = eval.Attacks.Census_scale.records;
     blocks;
     protection =
       (match dp_epsilon with
       | None -> "none"
       | Some e -> Printf.sprintf "DP eps=%g" e);
     commercial_coverage = coverage;
-    exact_reconstruction = eval.Attacks.Census.exact_rate;
-    age_within_one = eval.Attacks.Census.age_within_one_rate;
-    putative = reid.Attacks.Census.putative_rate;
-    confirmed = reid.Attacks.Census.confirmed_rate;
+    exact_reconstruction = eval.Attacks.Census_scale.exact_rate;
+    age_within_one = eval.Attacks.Census_scale.age_within_one_rate;
+    putative = reid.Attacks.Census_scale.putative_rate;
+    confirmed = reid.Attacks.Census_scale.confirmed_rate;
     prior_estimate;
-    gap_factor = reid.Attacks.Census.confirmed_rate /. prior_estimate;
+    gap_factor = reid.Attacks.Census_scale.confirmed_rate /. prior_estimate;
   }
 
 let run ?pool ~scale rng =

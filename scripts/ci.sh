@@ -41,11 +41,11 @@
 #      subcommand's stats for one seed must be byte-identical at --jobs 1
 #      and --jobs 4, both under threshold-3 suppression and under exact
 #      publication (--suppress 0, where propagation pins most cells); then
-#      solver health: every box least-squares solve of quick E1 and E14
-#      must converge before its iteration cap (--metrics reads
-#      linalg.lsq_unconverged 0), and E14's census solves must take their
-#      closed-form step instead of estimating it (--metrics reads
-#      linalg.lsq_power_iterations 0)
+#      solver health: every box least-squares solve of quick E1, E10 and
+#      E14 must converge before its iteration cap (--metrics reads
+#      linalg.lsq_unconverged 0), and E10's and E14's census solves must
+#      take their closed-form step instead of estimating it (--metrics
+#      reads linalg.lsq_power_iterations 0)
 #  11. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
 #      interleaved and fails when a gate's whole 95% interval is on the
 #      wrong side of its bound: SpMV sparse >= 10x dense (cross-checked
@@ -189,8 +189,8 @@ fi
 # be byte-identical across --jobs and match the committed golden, and the
 # census subcommand, run end to end, must print the same stats at every
 # --jobs (its wall-clock rows/sec goes to stderr), with and without
-# suppression. Then solver health: no box solve of quick E1 or E14 may stop
-# at its iteration cap.
+# suppression. Then solver health: no box solve of quick E1, E10 or E14 may
+# stop at its iteration cap, and no census solve may estimate its step.
 dune exec bin/pso_audit.exe -- run E14 --quick --seed 20210621 --jobs 1 \
   > "$tmp1" 2> /dev/null
 dune exec bin/pso_audit.exe -- run E14 --quick --seed 20210621 --jobs 2 \
@@ -213,7 +213,7 @@ for suppress in 3 0; do
     exit 1
   fi
 done
-for exp in E1 E14; do
+for exp in E1 E10 E14; do
   dune exec bin/pso_audit.exe -- run "$exp" --quick --seed 20210621 --metrics \
     > /dev/null 2> "$tmp1"
   if ! grep -Eq '^linalg\.lsq_unconverged +0$' "$tmp1"; then
@@ -221,8 +221,8 @@ for exp in E1 E14; do
     grep 'linalg\.lsq_unconverged' "$tmp1" >&2 || true
     exit 1
   fi
-  if [ "$exp" = E14 ] && ! grep -Eq '^linalg\.lsq_power_iterations +0$' "$tmp1"; then
-    echo "ci: solver health: E14's census solves estimate their step size (its closed form is 4)" >&2
+  if [ "$exp" != E1 ] && ! grep -Eq '^linalg\.lsq_power_iterations +0$' "$tmp1"; then
+    echo "ci: solver health: $exp's census solves estimate their step size (its closed form is 4)" >&2
     grep 'linalg\.lsq_power_iterations' "$tmp1" >&2 || true
     exit 1
   fi

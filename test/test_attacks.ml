@@ -307,61 +307,107 @@ let test_census_tables_consistent () =
       Alcotest.(check int) "race cells sum to total" t.Attacks.Census.total races)
     tables
 
+(* Re-tabulating the reconstruction reproduces each block's published
+   total and age histogram, the rows the rounding enforces. *)
 let test_census_reconstruction_consistent_with_tables () =
   let r = rng () in
   let truth = Dataset.Synth.census_population r ~blocks:30 ~mean_block_size:15 in
   let tables = Attacks.Census.tabulate truth in
-  let recon = Attacks.Census.reconstruct tables in
-  Alcotest.(check int) "record count preserved" (Array.length truth)
-    (Array.length recon);
-  (* Re-tabulating the reconstruction reproduces the published tables. *)
+  let recon = Attacks.Census_scale.reconstruct tables in
   let as_people =
-    Array.map
-      (fun (rr : Attacks.Census.record) ->
-        {
-          Dataset.Synth.block = rr.Attacks.Census.r_block;
-          sex = rr.Attacks.Census.r_sex;
-          age = rr.Attacks.Census.r_age;
-          race = rr.Attacks.Census.r_race;
-          ethnicity = rr.Attacks.Census.r_eth;
-          person_name = "";
-        })
-      recon
+    Array.to_list recon
+    |> List.mapi (fun block counts ->
+           let people = ref [] in
+           for sex = 0 to 1 do
+             for age = 0 to 99 do
+               for race = 0 to 5 do
+                 for ethnicity = 0 to 1 do
+                   let c = counts.(Attacks.Census_scale.cell ~sex ~age ~race ~eth:ethnicity) in
+                   for _ = 1 to c do
+                     people :=
+                       { Dataset.Synth.block; sex; age; race; ethnicity; person_name = "" }
+                       :: !people
+                   done
+                 done
+               done
+             done
+           done;
+           !people)
+    |> List.concat |> Array.of_list
   in
+  Alcotest.(check int) "record count preserved" (Array.length truth)
+    (Array.length as_people);
   let tables' = Attacks.Census.tabulate as_people in
   Array.iteri
     (fun b t ->
       let t' = tables'.(b) in
       Alcotest.(check int) "total" t.Attacks.Census.total t'.Attacks.Census.total;
       Alcotest.(check bool) "age histogram" true
-        (t.Attacks.Census.age_histogram = t'.Attacks.Census.age_histogram);
-      Alcotest.(check bool) "sex by bucket" true
-        (t.Attacks.Census.sex_by_bucket = t'.Attacks.Census.sex_by_bucket);
-      Alcotest.(check bool) "race/eth" true
-        (t.Attacks.Census.race_eth = t'.Attacks.Census.race_eth))
+        (t.Attacks.Census.age_histogram = t'.Attacks.Census.age_histogram))
     tables
 
 let test_census_reconstruction_quality () =
   let r = rng () in
   let truth = Dataset.Synth.census_population r ~blocks:100 ~mean_block_size:20 in
-  let recon = Attacks.Census.reconstruct (Attacks.Census.tabulate truth) in
-  let eval = Attacks.Census.evaluate ~truth recon in
+  let recon = Attacks.Census_scale.reconstruct (Attacks.Census.tabulate truth) in
+  let eval = Attacks.Census_scale.evaluate ~truth recon in
   Alcotest.(check bool) "ages nearly all within one" true
-    (eval.Attacks.Census.age_within_one_rate > 0.5);
+    (eval.Attacks.Census_scale.age_within_one_rate > 0.5);
   Alcotest.(check bool) "substantial exact fraction" true
-    (eval.Attacks.Census.exact_rate > 0.2)
+    (eval.Attacks.Census_scale.exact_rate > 0.2)
 
 let test_census_reidentification () =
   let r = rng () in
   let truth = Dataset.Synth.census_population r ~blocks:100 ~mean_block_size:20 in
-  let recon = Attacks.Census.reconstruct (Attacks.Census.tabulate truth) in
+  let recon = Attacks.Census_scale.reconstruct (Attacks.Census.tabulate truth) in
   let commercial =
     Attacks.Census.commercial_db r truth ~coverage:0.6 ~age_error_rate:0.1
   in
-  let reid = Attacks.Census.reidentify recon commercial ~truth in
-  Alcotest.(check bool) "some confirmed" true (reid.Attacks.Census.confirmed > 0);
+  let reid = Attacks.Census_scale.reidentify recon commercial ~truth in
+  Alcotest.(check bool) "some confirmed" true (reid.Attacks.Census_scale.confirmed > 0);
   Alcotest.(check bool) "confirmed <= putative" true
-    (reid.Attacks.Census.confirmed <= reid.Attacks.Census.putative)
+    (reid.Attacks.Census_scale.confirmed <= reid.Attacks.Census_scale.putative)
+
+(* One block, scored from hand-built counts. Truth (sex 0) ages 11 and 9
+   against reconstructed ages 10 and 12: taking truth in its own order,
+   age 11 would use up the age-10 record and leave age 9 unmatched; the
+   maximum matching pairs 9–10 and 11–12. The sex-1 record is exact. *)
+let test_census_evaluate_counts () =
+  let open Attacks.Census_scale in
+  let person ~sex ~age ~race name =
+    { Dataset.Synth.block = 0; sex; age; race; ethnicity = 0; person_name = name }
+  in
+  let truth =
+    [|
+      person ~sex:0 ~age:11 ~race:0 "a";
+      person ~sex:0 ~age:9 ~race:1 "b";
+      person ~sex:1 ~age:40 ~race:2 "c";
+    |]
+  in
+  let recon = Array.make n_cells 0 in
+  List.iter
+    (fun (sex, age, race) -> recon.(cell ~sex ~age ~race ~eth:0) <- 1)
+    [ (0, 10, 0); (0, 12, 1); (1, 40, 2) ];
+  let eval = evaluate ~truth [| recon |] in
+  Alcotest.(check int) "records" 3 eval.records;
+  Alcotest.(check int) "exact" 1 eval.exact;
+  Alcotest.(check int) "age within one: maximum matching" 3 eval.age_within_one;
+  (* "a" sees two records in ages 10..12; "b" one (age 10, wrong race);
+     "c" one, right race. *)
+  let commercial =
+    Array.map
+      (fun (p : Dataset.Synth.census_person) ->
+        {
+          Attacks.Census.c_name = p.Dataset.Synth.person_name;
+          c_block = 0;
+          c_sex = p.Dataset.Synth.sex;
+          c_age = p.Dataset.Synth.age;
+        })
+      truth
+  in
+  let reid = reidentify [| recon |] commercial ~truth in
+  Alcotest.(check int) "putative" 2 reid.putative;
+  Alcotest.(check int) "confirmed" 1 reid.confirmed
 
 let test_census_commercial_coverage () =
   let r = rng () in
@@ -626,34 +672,46 @@ let test_scale_warm_start_saves_iterations () =
     true
     (warm_iters < cold_iters)
 
+(* Under threshold-3 suppression every age row lands within its
+   published interval; under exact publication (threshold 0, E10's
+   reconstruction) every age row equals its published count. Either way
+   the counts are nonnegative and sum to the exact block total. *)
 let test_scale_solve_block_respects_published_bounds () =
   let r = rng () in
   let people = Dataset.Synth.census_block r ~block:0 ~mean_block_size:25 in
   let pub = Attacks.Census.tabulate_block ~block:0 people in
-  let sup = Attacks.Census_scale.suppress ~threshold:3 pub in
-  let sol = Attacks.Census_scale.solve_block sup in
-  Array.iter
-    (fun c -> Alcotest.(check bool) "count nonnegative" true (c >= 0))
-    sol.Attacks.Census_scale.counts;
-  for age = 0 to 99 do
-    let sum = ref 0 in
-    for sex = 0 to 1 do
-      for race = 0 to 5 do
-        for eth = 0 to 1 do
-          sum :=
-            !sum
-            + sol.Attacks.Census_scale.counts.(Attacks.Census_scale.cell ~sex
-                                                 ~age ~race ~eth)
-        done
-      done
-    done;
-    let b = sup.Attacks.Census_scale.s_age.(age) in
-    Alcotest.(check bool)
-      (Printf.sprintf "age %d row within published bounds" age)
-      true
-      (b.Attacks.Census_scale.b_lo <= !sum
-      && !sum <= b.Attacks.Census_scale.b_hi)
-  done
+  List.iter
+    (fun threshold ->
+      let sup = Attacks.Census_scale.suppress ~threshold pub in
+      let sol = Attacks.Census_scale.solve_block sup in
+      Array.iter
+        (fun c -> Alcotest.(check bool) "count nonnegative" true (c >= 0))
+        sol.Attacks.Census_scale.counts;
+      Alcotest.(check int)
+        (Printf.sprintf "threshold %d: counts sum to the total" threshold)
+        pub.Attacks.Census.total
+        (Array.fold_left ( + ) 0 sol.Attacks.Census_scale.counts);
+      for age = 0 to 99 do
+        let sum = ref 0 in
+        for sex = 0 to 1 do
+          for race = 0 to 5 do
+            for eth = 0 to 1 do
+              sum :=
+                !sum
+                + sol.Attacks.Census_scale.counts.(Attacks.Census_scale.cell
+                                                     ~sex ~age ~race ~eth)
+            done
+          done
+        done;
+        let b = sup.Attacks.Census_scale.s_age.(age) in
+        Alcotest.(check bool)
+          (Printf.sprintf "threshold %d: age %d row within published bounds"
+             threshold age)
+          true
+          (b.Attacks.Census_scale.b_lo <= !sum
+          && !sum <= b.Attacks.Census_scale.b_hi)
+      done)
+    [ 3; 0 ]
 
 (* Ages 0 and 1 publish exactly 2 each and every other row leaves each
    age a single free cell (sex 0, race 0, non-Hispanic), but the exact
@@ -737,13 +795,14 @@ let qcheck =
         assume (Array.length a = Array.length b);
         let x = Attacks.Reconstruction.agreement a b in
         x = Attacks.Reconstruction.agreement b a && 0. <= x && x <= 1.);
-    Test.make ~name:"census reconstruction always table-consistent" ~count:15
+    Test.make ~name:"census recon emits the population" ~count:15
       (int_range 1 10_000) (fun seed ->
         let r = Prob.Rng.create ~seed:(Int64.of_int seed) () in
         let truth = Dataset.Synth.census_population r ~blocks:10 ~mean_block_size:8 in
         let tables = Attacks.Census.tabulate truth in
-        let recon = Attacks.Census.reconstruct tables in
-        Array.length recon = Array.length truth);
+        let recon = Attacks.Census_scale.reconstruct tables in
+        (Attacks.Census_scale.evaluate ~truth recon).Attacks.Census_scale.records
+        = Array.length truth);
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
@@ -800,6 +859,7 @@ let () =
           Alcotest.test_case "reconstruction quality" `Quick
             test_census_reconstruction_quality;
           Alcotest.test_case "re-identification" `Quick test_census_reidentification;
+          Alcotest.test_case "evaluate on counts" `Quick test_census_evaluate_counts;
           Alcotest.test_case "commercial coverage" `Quick test_census_commercial_coverage;
         ] );
       ( "census-scale",

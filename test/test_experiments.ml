@@ -199,7 +199,31 @@ let test_e10_shape () =
         (r.Experiments.E10_census.confirmed <= r.Experiments.E10_census.putative +. 1e-9);
       Alcotest.(check bool) "orders of magnitude above the prior" true
         (r.Experiments.E10_census.gap_factor > 100.))
-    rows
+    rows;
+  (* The DP ablation: noised tables confirm fewer re-identifications than
+     any raw release, while raw tables reconstruct a large share of the
+     population exactly (the paper's 46%). *)
+  let raw, dp =
+    List.partition (fun r -> r.Experiments.E10_census.protection = "none") rows
+  in
+  Alcotest.(check bool) "a raw and a DP row" true (raw <> [] && dp <> []);
+  let raw_confirmed =
+    List.fold_left
+      (fun acc r -> Float.max acc r.Experiments.E10_census.confirmed)
+      0. raw
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "raw tables reconstruct >= 40% exactly" true
+        (r.Experiments.E10_census.exact_reconstruction >= 0.4))
+    raw;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (r.Experiments.E10_census.protection ^ " confirms fewer than raw")
+        true
+        (r.Experiments.E10_census.confirmed < raw_confirmed))
+    dp
 
 (* --- E11 --- *)
 

@@ -39,14 +39,14 @@ let test_pipeline_kanon_to_legal () =
 let test_pipeline_census () =
   let r = rng () in
   let truth = Dataset.Synth.census_population r ~blocks:60 ~mean_block_size:20 in
-  let recon = Attacks.Census.reconstruct (Attacks.Census.tabulate truth) in
-  let eval = Attacks.Census.evaluate ~truth recon in
+  let recon = Attacks.Census_scale.reconstruct (Attacks.Census.tabulate truth) in
+  let eval = Attacks.Census_scale.evaluate ~truth recon in
   let commercial = Attacks.Census.commercial_db r truth ~coverage:0.6 ~age_error_rate:0.1 in
-  let reid = Attacks.Census.reidentify recon commercial ~truth in
+  let reid = Attacks.Census_scale.reidentify recon commercial ~truth in
   Alcotest.(check bool) "reconstruction substantially correct" true
-    (eval.Attacks.Census.age_within_one_rate > 0.5);
+    (eval.Attacks.Census_scale.age_within_one_rate > 0.5);
   Alcotest.(check bool) "re-identification far above the prior estimate" true
-    (reid.Attacks.Census.confirmed_rate > 100. *. 0.00003)
+    (reid.Attacks.Census_scale.confirmed_rate > 100. *. 0.00003)
 
 (* Pipeline 3: DP release resists attackers that defeat the raw release. *)
 let test_pipeline_dp_vs_exact () =
