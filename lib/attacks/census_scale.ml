@@ -239,23 +239,28 @@ let largest_remainder ~mass ~lo ~hi ~target =
    noised tables reach it. *)
 let c_empty = Obs.Counter.make "attacks.census_empty_propagations"
 
+let whole_box sup = Intervals.make ~n:n_cells ~lo:0. ~hi:(float_of_int sup.s_total)
+
 (* The published rows' propagated per-cell bounds within the whole box
-   [\[0, s_total\]]. Rows that propagation proves inconsistent are
-   counted and leave the whole box. *)
-let propagate sup =
+   [\[0, s_total\]]; [None], counted, when propagation proves the rows
+   inconsistent. *)
+let propagated sup =
   let row_lo, row_hi = row_bounds sup in
-  let box0 = Intervals.make ~n:n_cells ~lo:0. ~hi:(float_of_int sup.s_total) in
-  match Intervals.propagate matrix ~row_lo ~row_hi box0 with
-  | `Bounded b -> b
+  match Intervals.propagate matrix ~row_lo ~row_hi (whole_box sup) with
+  | `Bounded b -> Some b
   | `Empty _ ->
     Obs.Counter.incr c_empty;
-    box0
+    None
 
-let shave_bounds ~shave sup bounds =
-  if not shave then bounds
-  else
+(* The bounds a block is solved in: the propagated box, optionally shaved
+   (shaving starts from it, so it does not propagate again). Inconsistent
+   rows leave the whole box, unshaved. *)
+let bounds ?(shave = false) sup = function
+  | None -> whole_box sup
+  | Some b when shave ->
     let row_lo, row_hi = row_bounds sup in
-    Intervals.shave matrix ~row_lo ~row_hi bounds
+    Intervals.shave matrix ~row_lo ~row_hi b
+  | Some b -> b
 
 (* The least-squares system over the cells [bounds] leaves free: the
    free cells in ascending order, each row's weight, and the restricted,
@@ -284,7 +289,7 @@ let free_system bounds =
   (free, w, Sparse.scale_rows af ~w)
 
 let free_operator ?(shave = false) sup =
-  let _, _, af = free_system (shave_bounds ~shave sup (propagate sup)) in
+  let _, _, af = free_system (bounds ~shave sup (propagated sup)) in
   Lsq.of_sparse af
 
 (* ‖A‖² of every [free_system] matrix A is exactly 4, so the solve skips
@@ -376,7 +381,7 @@ let solve_bounds ?x0 sup bounds =
   { counts; relaxed; iterations; converged; fixed_cells }
 
 let solve_block ?x0 ?(shave = false) sup =
-  solve_bounds ?x0 sup (shave_bounds ~shave sup (propagate sup))
+  solve_bounds ?x0 sup (bounds ~shave sup (propagated sup))
 
 (* Per-cell group indices for the three raked row families, built eagerly
    for the same domain-safety reason as [matrix]. *)
@@ -446,7 +451,7 @@ let rake_seed sup bounds relaxed =
 let warm_seed sup relaxed =
   if Array.length relaxed <> n_cells then
     invalid_arg "Census_scale.warm_seed: relaxed length";
-  rake_seed sup (propagate sup) relaxed
+  rake_seed sup (bounds sup (propagated sup)) relaxed
 
 type config = {
   blocks : int;
@@ -684,14 +689,14 @@ let reidentify recon commercial ~truth =
 let solve_one cfg ~warm ~people ~pub acc =
   let sup = suppress ~threshold:cfg.threshold pub in
   let t0 = Obs.now_ns () in
-  let bounds = propagate sup in
+  let propagation = propagated sup in
   let t1 = Obs.now_ns () in
   let x0 =
     if not cfg.warm_start then None
-    else Option.map (rake_seed sup bounds) !warm
+    else Option.map (rake_seed sup (bounds sup propagation)) !warm
   in
   let t2 = Obs.now_ns () in
-  let sol = solve_bounds ?x0 sup (shave_bounds ~shave:cfg.shave sup bounds) in
+  let sol = solve_bounds ?x0 sup (bounds ~shave:cfg.shave sup propagation) in
   let t3 = Obs.now_ns () in
   Obs.Sketchm.observe sk_solve
     (Int64.to_float (Int64.add (Int64.sub t1 t0) (Int64.sub t3 t2)));

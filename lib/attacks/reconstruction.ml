@@ -154,13 +154,14 @@ let lp_decode rng oracle ~queries ~truth =
     !acc
   in
   let problem = { Linalg.Simplex.objective; constraints } in
-  let estimate =
+  let round x = Array.init n (fun i -> if x.(i) >= 0.5 then 1 else 0) in
+  let estimate, converged =
     match Linalg.Simplex.solve problem with
-    | Linalg.Simplex.Optimal { x; _ } ->
-      Array.init n (fun i -> if x.(i) >= 0.5 then 1 else 0)
+    | Linalg.Simplex.Optimal { x; _ } -> (round x, true)
+    | Linalg.Simplex.Stalled { x; _ } -> (round x, false)
     | Linalg.Simplex.Infeasible | Linalg.Simplex.Unbounded ->
       (* Cannot happen for this formulation (s large enough is always
          feasible, objective bounded by 0) — fall back to all-zeros. *)
-      Array.make n 0
+      (Array.make n 0, false)
   in
-  finish ~truth ~queries_used:queries ~converged:true estimate
+  finish ~truth ~queries_used:queries ~converged estimate

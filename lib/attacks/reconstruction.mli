@@ -16,9 +16,9 @@ type result = {
   queries_used : int;
   converged : bool;
       (** whether the decode's solver met its stopping test: always true
-          for {!exhaustive}; {!least_squares}' box solve flag; true for
-          {!lp_decode}, where a simplex stall at its pivot cap is still
-          reported as optimal *)
+          for {!exhaustive}; {!least_squares}' box solve flag; for
+          {!lp_decode}, false when the simplex stalled at its pivot cap
+          ([Linalg.Simplex.Stalled], whose vertex is still rounded) *)
 }
 
 val blatant_non_privacy_threshold : float

@@ -17,7 +17,7 @@ type t = {
   schema : Schema.t;
   rows : row array;
   id : int;
-  mutable cols : column array option;
+  cols : column option array;  (* per attribute, built on first use *)
 }
 
 (* Every table (including derived ones: filter, select, append, ...) gets a
@@ -26,7 +26,12 @@ type t = {
 let next_id = Atomic.make 0
 
 let create schema rows =
-  { schema; rows; id = Atomic.fetch_and_add next_id 1; cols = None }
+  {
+    schema;
+    rows;
+    id = Atomic.fetch_and_add next_id 1;
+    cols = Array.make (Schema.arity schema) None;
+  }
 
 let validate schema rows =
   let arity = Schema.arity schema in
@@ -96,15 +101,15 @@ let build_column rows j =
     floats;
   }
 
-let columns t =
-  match t.cols with
+let column t j =
+  match t.cols.(j) with
   | Some c -> c
   | None ->
     (* Built from immutable rows, so a concurrent double-build is an
        idempotent race: both domains compute structurally identical columns
        and either write may win. Never mutated after publication. *)
-    let c = Array.init (Schema.arity t.schema) (fun j -> build_column t.rows j) in
-    t.cols <- Some c;
+    let c = build_column t.rows j in
+    t.cols.(j) <- Some c;
     c
 
 let code_of col v = Vmap.find_opt v col.code_index

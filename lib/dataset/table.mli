@@ -67,7 +67,9 @@ val pp : ?max_rows:int -> Format.formatter -> t -> unit
     Per-attribute dictionary-encoded columns for the compiled query engine:
     categorical scans compare int codes, numeric range scans read a flat
     float array, and per-value predicates need evaluating only once per
-    distinct value instead of once per row. *)
+    distinct value instead of once per row. Each column is built on its
+    own, the first time a query reads that attribute, so a query that
+    reads one attribute of a wide table pays for one column. *)
 
 type column = {
   codes : int array;  (** dictionary code per row (dense, first-appearance) *)
@@ -76,10 +78,11 @@ type column = {
   floats : float array;  (** [Value.to_float] per row; [nan] when absent *)
 }
 
-val columns : t -> column array
-(** The columnar view, one column per schema attribute in schema order.
-    Built lazily on first use and cached on the table; safe to call from
-    several domains (an idempotent race at worst). *)
+val column : t -> int -> column
+(** [column t j] is the columnar view of schema attribute [j]. Built
+    lazily on first use and cached on the table; safe to call from
+    several domains (an idempotent race at worst). Raises
+    [Invalid_argument] if [j] is not an attribute index. *)
 
 val code_of : column -> Value.t -> int option
 (** Dictionary lookup under {!Value.compare} equality — exactly the

@@ -121,24 +121,22 @@ let rec search budget a ~row_lo ~row_hi box =
   end
 
 let shave ?(budget = 2000) a ~row_lo ~row_hi box =
-  match propagate a ~row_lo ~row_hi box with
-  | `Empty _ -> copy box
-  | `Bounded b ->
-    let budget = ref budget in
-    let n = Array.length b.lo in
-    let refuted probe = not (search budget a ~row_lo ~row_hi probe) in
-    for j = 0 to n - 1 do
-      let continue_ = ref true in
-      while !continue_ && !budget > 0 && not (is_fixed b j) do
-        let probe = copy b in
-        probe.hi.(j) <- b.lo.(j);
-        if refuted probe then b.lo.(j) <- b.lo.(j) +. 1. else continue_ := false
-      done;
-      let continue_ = ref true in
-      while !continue_ && !budget > 0 && not (is_fixed b j) do
-        let probe = copy b in
-        probe.lo.(j) <- b.hi.(j);
-        if refuted probe then b.hi.(j) <- b.hi.(j) -. 1. else continue_ := false
-      done
+  let b = copy box in
+  let budget = ref budget in
+  let n = Array.length b.lo in
+  let refuted probe = not (search budget a ~row_lo ~row_hi probe) in
+  for j = 0 to n - 1 do
+    let continue_ = ref true in
+    while !continue_ && !budget > 0 && not (is_fixed b j) do
+      let probe = copy b in
+      probe.hi.(j) <- b.lo.(j);
+      if refuted probe then b.lo.(j) <- b.lo.(j) +. 1. else continue_ := false
     done;
-    b
+    let continue_ = ref true in
+    while !continue_ && !budget > 0 && not (is_fixed b j) do
+      let probe = copy b in
+      probe.lo.(j) <- b.hi.(j);
+      if refuted probe then b.hi.(j) <- b.hi.(j) -. 1. else continue_ := false
+    done
+  done;
+  b

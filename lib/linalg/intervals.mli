@@ -54,4 +54,10 @@ val shave :
     succeeds. The proof is a depth-first integer search with {!propagate}
     at every node; running out of [budget] counts as feasible, so an
     endpoint is only removed with an infeasibility proof. The [budget]
-    (default 2000 propagations) is shared across the whole shave. *)
+    (default 2000 propagations) is shared across the whole shave.
+
+    [box] should already be a {!propagate} result: shave starts from it
+    as given, without a propagation pass of its own, and returns a fresh
+    box (the input is not mutated). Shaving a box whose rows are
+    inconsistent is meaningless — every probe is refuted — so callers
+    stop at [`Empty] instead. *)

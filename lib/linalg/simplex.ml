@@ -7,6 +7,7 @@ type problem = {
 
 type outcome =
   | Optimal of { x : float array; objective : float }
+  | Stalled of { x : float array; objective : float }
   | Infeasible
   | Unbounded
 
@@ -24,6 +25,10 @@ type tableau = {
 }
 
 let c_pivots = Obs.Counter.make "linalg.simplex_pivots"
+
+(* Solves (either phase) that reached the pivot cap before proving
+   optimality. *)
+let c_stalls = Obs.Counter.make "linalg.simplex_stalls"
 
 let pivot t ~row ~col =
   Obs.Counter.incr c_pivots;
@@ -98,7 +103,10 @@ let iterate t ~allowed =
   let max_iter = 200 * (t.m + t.total) in
   let bland_after = 20 * (t.m + t.total) in
   let rec loop iter =
-    if iter > max_iter then `Optimal (* stalled: accept the current vertex *)
+    if iter > max_iter then begin
+      Obs.Counter.incr c_stalls;
+      `Stalled
+    end
     else begin
       let col = entering t ~allowed ~bland:(iter > bland_after) in
       if col < 0 then `Optimal
@@ -242,7 +250,7 @@ let solve problem =
   in
   match phase1 with
   | `Unbounded -> Infeasible (* phase-1 objective is bounded below by 0 *)
-  | `Optimal ->
+  | (`Optimal | `Stalled) as phase1 ->
     let phase1_value = if n_art = 0 then 0. else -.t.obj.(total) in
     if phase1_value > 1e-5 then Infeasible
     else begin
@@ -276,7 +284,7 @@ let solve problem =
       let allowed j = j < n + n_slack in
       match iterate t ~allowed with
       | `Unbounded -> Unbounded
-      | `Optimal ->
+      | (`Optimal | `Stalled) as phase2 ->
         let x = Array.make n 0. in
         for i = 0 to m - 1 do
           if t.basis.(i) < n then x.(t.basis.(i)) <- t.rows.(i).(total)
@@ -285,5 +293,7 @@ let solve problem =
         for i = 0 to n - 1 do
           objective := !objective +. (problem.objective.(i) *. x.(i))
         done;
-        Optimal { x; objective = !objective }
+        if phase1 = `Stalled || phase2 = `Stalled then
+          Stalled { x; objective = !objective }
+        else Optimal { x; objective = !objective }
     end

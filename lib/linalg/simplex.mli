@@ -17,6 +17,11 @@ type problem = {
 
 type outcome =
   | Optimal of { x : float array; objective : float }
+  | Stalled of { x : float array; objective : float }
+      (** a phase reached the pivot cap (200·(m+n) pivots) before proving
+          optimality: [x] is the last feasible vertex visited, not proven
+          optimal. A phase-1 stall short of feasibility reports
+          [Infeasible]. Every stall counts in [linalg.simplex_stalls]. *)
   | Infeasible
   | Unbounded
 

@@ -3,20 +3,23 @@ let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
 (* SplitMix64 finalizer, used to diffuse the salt through the FNV digest. *)
-let mix z =
+let[@inline] mix z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let hash64 ~salt s =
+(* A plain loop over a local accumulator, which the compiler keeps
+   unboxed: no allocation per byte. *)
+let hash64_prefix ~salt b len =
+  if len < 0 || len > Bytes.length b then invalid_arg "Hashing.hash64_prefix: len";
   let h = ref (Int64.logxor fnv_offset salt) in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)))) fnv_prime
+  done;
   mix (Int64.add !h salt)
+
+let hash64 ~salt s = hash64_prefix ~salt (Bytes.unsafe_of_string s) (String.length s)
 
 let bucket ~salt ~buckets s =
   if buckets <= 0 then invalid_arg "Hashing.bucket: buckets must be positive";

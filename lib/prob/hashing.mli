@@ -9,8 +9,15 @@
     the bucket indicator has weight ≈ [1/m]. *)
 
 val hash64 : salt:int64 -> string -> int64
-(** Salted FNV-1a-then-mixed 64-bit hash of a string. Deterministic across
-    runs. *)
+(** Salted FNV-1a-then-mixed 64-bit hash of a string: FNV-1a over the
+    bytes from the offset basis XOR [salt], then the SplitMix64 finalizer
+    of the state plus [salt]. Deterministic across runs; allocates nothing
+    per byte. *)
+
+val hash64_prefix : salt:int64 -> Bytes.t -> int -> int64
+(** [hash64_prefix ~salt b len] is [hash64 ~salt (Bytes.sub_string b 0 len)]
+    without the copy, for callers that write their input into a reused
+    buffer. Raises [Invalid_argument] unless [0 <= len <= Bytes.length b]. *)
 
 val bucket : salt:int64 -> buckets:int -> string -> int
 (** [bucket ~salt ~buckets s] maps [s] into [\[0, buckets)]. Raises

@@ -7,15 +7,15 @@ let digest_salt salt = Prob.Hashing.hash64 ~salt "pso-pad-digest"
 
 let pad_salt salt = Prob.Hashing.hash64 ~salt "pso-pad-mask"
 
-let digest ~salt row = Prob.Hashing.hash64 ~salt:(digest_salt salt) (Predicate.encode_row row)
+let digest ~salt row = Predicate.hash_row (Predicate.encoder ()) ~salt:(digest_salt salt) row
 
 let pad ~salt table =
+  let e = Predicate.encoder () in
+  let salt = pad_salt salt in
   let acc = ref 0L in
   let rows = Dataset.Table.rows table in
   for i = 1 to Array.length rows - 1 do
-    acc :=
-      Int64.logxor !acc
-        (Prob.Hashing.hash64 ~salt:(pad_salt salt) (Predicate.encode_row rows.(i)))
+    acc := Int64.logxor !acc (Predicate.hash_row e ~salt rows.(i))
   done;
   !acc
 

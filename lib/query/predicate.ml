@@ -37,19 +37,88 @@ let of_grow schema grow =
   in
   conj (List.filter (fun p -> p <> True) cells)
 
+(* --- The record digest's bytes --- *)
+
+(* One definition of the bytes the hash atoms read: per value, a one-letter
+   kind tag ('n' for [Null]), the decimal length of [Value.to_string]'s
+   text, ':', that text and ';'. They are written straight into a reusable
+   buffer, integers digit by digit, so hashing a record of integers,
+   strings and booleans allocates nothing per value. *)
+type encoder = { mutable buf : Bytes.t; mutable len : int }
+
+let encoder () = { buf = Bytes.create 256; len = 0 }
+
+let reserve e k =
+  if e.len + k > Bytes.length e.buf then begin
+    let buf = Bytes.create (max (2 * Bytes.length e.buf) (e.len + k)) in
+    Bytes.blit e.buf 0 buf 0 e.len;
+    e.buf <- buf
+  end
+
+let add_char e c =
+  reserve e 1;
+  Bytes.unsafe_set e.buf e.len c;
+  e.len <- e.len + 1
+
+let add_string e s =
+  let k = String.length s in
+  reserve e k;
+  Bytes.unsafe_blit_string s 0 e.buf e.len k;
+  e.len <- e.len + k
+
+(* The width of [string_of_int i]. Digits are taken from the non-positive
+   magnitude, so [min_int] needs no special case. *)
+let int_width i =
+  let rec digits m k = if m > -10 then k else digits (m / 10) (k + 1) in
+  if i < 0 then 1 + digits i 1 else digits (-i) 1
+
+let add_int e i =
+  let w = int_width i in
+  reserve e w;
+  let first_digit = if i < 0 then e.len + 1 else e.len in
+  let m = ref (if i < 0 then i else -i) in
+  for p = e.len + w - 1 downto first_digit do
+    Bytes.unsafe_set e.buf p (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  if i < 0 then Bytes.unsafe_set e.buf e.len '-';
+  e.len <- e.len + w
+
+let add_header e tag len =
+  add_char e tag;
+  add_int e len;
+  add_char e ':'
+
+let add_text e tag s =
+  add_header e tag (String.length s);
+  add_string e s
+
+let add_value e (v : Value.t) =
+  (match v with
+  | Int i ->
+    add_header e 'i' (int_width i);
+    add_int e i
+  | String s -> add_text e 's' s
+  | Bool b -> add_text e 'b' (string_of_bool b)
+  | Float _ -> add_text e 'f' (Value.to_string v)
+  | Date _ -> add_text e 'd' (Value.to_string v)
+  | Null -> add_header e 'n' 0);
+  add_char e ';'
+
+let encode_into e row =
+  e.len <- 0;
+  for j = 0 to Array.length row - 1 do
+    add_value e row.(j)
+  done
+
 let encode_row row =
-  let buf = Buffer.create 64 in
-  Array.iter
-    (fun v ->
-      let s = Value.to_string v in
-      let tag =
-        match Value.kind_of v with
-        | None -> "n"
-        | Some k -> String.sub (Value.kind_name k) 0 1
-      in
-      Buffer.add_string buf (Printf.sprintf "%s%d:%s;" tag (String.length s) s))
-    row;
-  Buffer.contents buf
+  let e = encoder () in
+  encode_into e row;
+  Bytes.sub_string e.buf 0 e.len
+
+let hash_row e ~salt row =
+  encode_into e row;
+  Prob.Hashing.hash64_prefix ~salt e.buf e.len
 
 let value_test = function
   | Eq (_, x) -> fun v -> Value.equal v x
@@ -76,11 +145,12 @@ let digest_slots = 8
 type digest_cache = {
   entries : (Table.row * int64 * int64) option array;
   mutable next : int;  (* round-robin replacement cursor *)
+  scratch : encoder;
 }
 
 let digest_cache : digest_cache Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { entries = Array.make digest_slots None; next = 0 })
+      { entries = Array.make digest_slots None; next = 0; scratch = encoder () })
 
 (* Hit/miss split of a domain-local cache depends on how trials were
    scheduled over domains, hence ~timing (excluded from cross-jobs
@@ -104,7 +174,7 @@ let row_digest row salt =
     d
   | None ->
     Obs.Counter.incr c_digest_misses;
-    let d = Prob.Hashing.hash64 ~salt (encode_row row) in
+    let d = hash_row c.scratch ~salt row in
     c.entries.(c.next) <- Some (row, salt, d);
     c.next <- (c.next + 1) mod digest_slots;
     d
@@ -316,26 +386,28 @@ let digest_column table tc salt =
   match Hashtbl.find_opt tc.digests salt with
   | Some d -> d
   | None ->
-    let d =
-      Array.map
-        (fun row -> Prob.Hashing.hash64 ~salt (encode_row row))
-        (Table.rows table)
-    in
+    (* One scratch buffer per column, local to this call: concurrent
+       domains never share it. *)
+    let e = encoder () in
+    let d = Array.map (hash_row e ~salt) (Table.rows table) in
     Hashtbl.add tc.digests salt d;
     d
 
-let materialize table cols tc ca =
+(* Each atom reads only its own attribute's column (hash atoms read none),
+   so a table's columnar view is built one column at a time, as atoms ask
+   for them. *)
+let materialize table tc ca =
   let n = Table.nrows table in
   match ca with
   | Ceq (j, v) -> (
-    let col = cols.(j) in
+    let col = Table.column table j in
     match Table.code_of col v with
     | None -> Bitset.create n
     | Some c ->
       let codes = col.Table.codes in
       Bitset.init n (fun i -> Array.unsafe_get codes i = c))
   | Cmember (j, vs) ->
-    let col = cols.(j) in
+    let col = Table.column table j in
     let marks = Array.make (max 1 (Array.length col.Table.dict)) false in
     List.iter
       (fun v ->
@@ -346,12 +418,12 @@ let materialize table cols tc ca =
     let codes = col.Table.codes in
     Bitset.init n (fun i -> Array.unsafe_get marks (Array.unsafe_get codes i))
   | Crange (j, lo, hi) ->
-    let fs = cols.(j).Table.floats in
+    let fs = (Table.column table j).Table.floats in
     Bitset.init n (fun i ->
         let f = Array.unsafe_get fs i in
         lo <= f && f < hi)
   | Cfits (j, g) ->
-    let col = cols.(j) in
+    let col = Table.column table j in
     (* The per-value test runs once per dictionary entry, not per row. *)
     let marks = Array.map (Gvalue.matches g) col.Table.dict in
     let codes = col.Table.codes in
@@ -369,14 +441,14 @@ let materialize table cols tc ca =
         Int64.logand (Int64.shift_right_logical (Array.unsafe_get d i) index) 1L
         = 1L)
 
-let atom_bits ~cache table cols tc ca =
+let atom_bits ~cache table tc ca =
   match Hashtbl.find_opt tc.atoms ca with
   | Some b ->
     Obs.Counter.incr c_bitset_hits;
     b
   | None ->
     Obs.Counter.incr c_bitset_misses;
-    let b = materialize table cols tc ca in
+    let b = materialize table tc ca in
     if cache then begin
       if Hashtbl.length tc.atoms < Atomic.get atom_capacity then
         Hashtbl.add tc.atoms ca b
@@ -387,7 +459,7 @@ let atom_bits ~cache table cols tc ca =
 (* --- The word machine --- *)
 
 (* A batch shares everything a query-at-a-time loop would rebuild per
-   call: the columnar view and dictionary codes are fetched once, each
+   call: each column the batch reads is built at most once, each
    distinct atom across the whole batch is hash-consed to one id and
    materialized exactly once (through the MRU cache above, with capacity
    reserved for the batch), and every distinct program is evaluated once.
@@ -529,11 +601,10 @@ let prep_for cs =
 let plan ~cache table prep =
   if cache then reserve_atom_capacity (Array.length prep.prep_atoms);
   let nrows = Table.nrows table in
-  let cols = Table.columns table in
   let tc = if cache then table_cache table else fresh_table_cache table in
   let atom_words =
     Array.map
-      (fun ca -> Bitset.unsafe_words (atom_bits ~cache table cols tc ca))
+      (fun ca -> Bitset.unsafe_words (atom_bits ~cache table tc ca))
       prep.prep_atoms
   in
   let nw = Bitset.word_count nrows in

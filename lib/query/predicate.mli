@@ -40,7 +40,21 @@ val of_grow : Dataset.Schema.t -> Dataset.Gtable.grow -> t
 
 val encode_row : Dataset.Table.row -> string
 (** Canonical serialization of a record, the input to the hash atoms.
-    Injective on rows of a fixed schema. *)
+    Per value: a one-letter kind tag (the first letter of
+    {!Dataset.Value.kind_name}, ['n'] for [Null]), the decimal byte length
+    of {!Dataset.Value.to_string}'s text, [':'], that text and [';'] —
+    e.g. [Int 42; Null] is ["i2:42;n0:;"]. Injective on rows of a fixed
+    schema. *)
+
+type encoder
+(** A reusable scratch buffer for {!hash_row}. Not safe to share between
+    domains: make one per loop. *)
+
+val encoder : unit -> encoder
+
+val hash_row : encoder -> salt:int64 -> Dataset.Table.row -> int64
+(** [hash_row e ~salt row] is [Prob.Hashing.hash64 ~salt (encode_row row)]:
+    the same bytes, written into [e] instead of a fresh string. *)
 
 val eval : Dataset.Schema.t -> t -> Dataset.Table.row -> bool
 (** Raises [Not_found] if an atom names an attribute absent from the
@@ -104,9 +118,9 @@ val count_interpreted : Dataset.Schema.t -> t -> Dataset.Table.t -> int
 
     The attacks never ask one query: reconstruction, the PSO composition
     game and the dpcheck audits each evaluate hundreds to thousands of
-    predicates against one table. A batch fetches the columnar view
-    once, hash-conses every distinct atom across the whole batch and
-    materializes it exactly once, and evaluates each distinct program
+    predicates against one table. A batch builds each column it reads
+    at most once, hash-conses every distinct atom across the whole batch
+    and materializes it exactly once, and evaluates each distinct program
     once, fanning its answer out to every slot that asked it. The
     table-independent half of that work is memoized per compiled array
     (by physical identity), since callers replay one array run after

@@ -45,7 +45,9 @@
 #      E14 must converge before its iteration cap (--metrics reads
 #      linalg.lsq_unconverged 0), and E10's and E14's census solves must
 #      take their closed-form step instead of estimating it (--metrics
-#      reads linalg.lsq_power_iterations 0)
+#      reads linalg.lsq_power_iterations 0), and quick E1's LP decodes
+#      must prove optimality before the simplex pivot cap (--metrics
+#      reads linalg.simplex_stalls 0)
 #  11. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
 #      interleaved and fails when a gate's whole 95% interval is on the
 #      wrong side of its bound: SpMV sparse >= 10x dense (cross-checked
@@ -224,6 +226,11 @@ for exp in E1 E10 E14; do
   if [ "$exp" != E1 ] && ! grep -Eq '^linalg\.lsq_power_iterations +0$' "$tmp1"; then
     echo "ci: solver health: $exp's census solves estimate their step size (its closed form is 4)" >&2
     grep 'linalg\.lsq_power_iterations' "$tmp1" >&2 || true
+    exit 1
+  fi
+  if [ "$exp" = E1 ] && ! grep -Eq '^linalg\.simplex_stalls +0$' "$tmp1"; then
+    echo "ci: solver health: E1 has LP decodes stopped at the simplex pivot cap" >&2
+    grep 'linalg\.simplex_stalls' "$tmp1" >&2 || true
     exit 1
   fi
 done

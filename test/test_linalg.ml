@@ -506,6 +506,7 @@ let test_unconverged_counter () =
 let solve_expect_optimal problem =
   match Linalg.Simplex.solve problem with
   | Linalg.Simplex.Optimal { x; objective } -> (x, objective)
+  | Linalg.Simplex.Stalled _ -> Alcotest.fail "unexpected stall"
   | Linalg.Simplex.Infeasible -> Alcotest.fail "unexpected infeasible"
   | Linalg.Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
 
@@ -607,6 +608,46 @@ let test_simplex_arity_mismatch () =
              Linalg.Simplex.objective = [| 1.; 2. |];
              constraints = [ ([| 1. |], Linalg.Simplex.Le, 1.) ];
            }))
+
+(* The Klee–Minty cube in [d] dimensions: max Σ_j 2^(d-1-j)·x_j subject
+   to Σ_{j<i} 2^(i-j+1)·x_j + x_i ≤ 5^(i+1), optimum 5^d. Its pivot paths
+   are exponential in [d]: at d = 16 the solver still proves the optimum,
+   at d = 19 it reaches its 200·(m+n) pivot cap first. *)
+let klee_minty d =
+  {
+    Linalg.Simplex.objective = Array.init d (fun j -> -.(2. ** float_of_int (d - 1 - j)));
+    constraints =
+      List.init d (fun i ->
+          let row =
+            Array.init d (fun j ->
+                if j < i then 2. ** float_of_int (i - j + 1)
+                else if j = i then 1.
+                else 0.)
+          in
+          (row, Linalg.Simplex.Le, 5. ** float_of_int (i + 1)));
+  }
+
+let test_simplex_stall_reported () =
+  let stalls () = counter "linalg.simplex_stalls" in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let _, objective = solve_expect_optimal (klee_minty 16) in
+      Alcotest.(check (float 1.)) "d = 16 optimum" (-.(5. ** 16.)) objective;
+      Alcotest.(check int) "no stall at d = 16" 0 (stalls ());
+      let problem = klee_minty 19 in
+      match Linalg.Simplex.solve problem with
+      | Linalg.Simplex.Stalled { x; objective } ->
+        Alcotest.(check int) "one stall counted" 1 (stalls ());
+        Alcotest.(check bool) "short of the optimum" true (objective > -.(5. ** 19.));
+        List.iter
+          (fun (row, _, b) ->
+            let lhs = ref 0. in
+            Array.iteri (fun j a -> lhs := !lhs +. (a *. x.(j))) row;
+            Alcotest.(check bool) "stalled vertex is feasible" true
+              (!lhs <= b *. (1. +. 1e-9)))
+          problem.Linalg.Simplex.constraints
+      | _ -> Alcotest.fail "expected a stall at d = 19")
 
 (* --- QCheck properties --- *)
 
@@ -889,6 +930,7 @@ let () =
           Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
           Alcotest.test_case "negative rhs" `Quick test_simplex_negative_rhs;
           Alcotest.test_case "arity mismatch" `Quick test_simplex_arity_mismatch;
+          Alcotest.test_case "stall reported" `Quick test_simplex_stall_reported;
         ] );
       ("properties", qcheck);
     ]

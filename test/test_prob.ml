@@ -311,6 +311,30 @@ let test_hash_bit_balance () =
   done;
   Ck.proportion ~expected:0.5 "bit balance" ~successes:!ones ~trials:10_000
 
+(* Words allocated by [f]: minor + major - promoted from [Gc.counters],
+   read between two forced minor collections. *)
+let words_allocated f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* The byte loop allocates nothing: hashing a 4 KiB string costs exactly
+   the words hashing the empty string does (the boxed result), and no
+   more than a boxed int64. *)
+let test_hash_allocation_free () =
+  let long = String.init 4096 (fun i -> Char.chr (i land 255)) in
+  let cost s = words_allocated (fun () -> ignore (Prob.Hashing.hash64 ~salt:7L s)) in
+  let empty = cost "" in
+  Alcotest.(check (float 0.)) "4 KiB costs what the empty string costs" empty (cost long);
+  Alcotest.(check (float 0.)) "at most one boxed int64" 0.
+    (Float.max 0. (empty -. words_allocated ignore -. 3.));
+  Alcotest.(check int64) "prefix hashes the same bytes"
+    (Prob.Hashing.hash64 ~salt:7L (String.sub long 0 100))
+    (Prob.Hashing.hash64_prefix ~salt:7L (Bytes.of_string long) 100)
+
 (* --- Decay --- *)
 
 let test_decay_plateau () =
@@ -435,6 +459,7 @@ let () =
           Alcotest.test_case "salt sensitivity" `Quick test_hash_salt_sensitivity;
           Alcotest.test_case "bucket uniform" `Quick test_hash_bucket_uniform;
           Alcotest.test_case "bit balance" `Quick test_hash_bit_balance;
+          Alcotest.test_case "allocation-free" `Quick test_hash_allocation_free;
         ] );
       ( "decay",
         [

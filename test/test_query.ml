@@ -55,6 +55,137 @@ let test_encode_row_injective () =
   let b = [| V.String "a"; V.String "bc" |] in
   Alcotest.(check bool) "injective" true (P.encode_row a <> P.encode_row b)
 
+(* --- The record digest --- *)
+
+(* The encoder the hash atoms hashed before it wrote into a reused buffer,
+   kept verbatim as the reference for the bytes. *)
+let reference_encode_row row =
+  let buf = Buffer.create 64 in
+  Array.iter
+    (fun v ->
+      let s = V.to_string v in
+      let tag =
+        match V.kind_of v with
+        | None -> "n"
+        | Some k -> String.sub (V.kind_name k) 0 1
+      in
+      Buffer.add_string buf (Printf.sprintf "%s%d:%s;" tag (String.length s) s))
+    row;
+  Buffer.contents buf
+
+let date year month day = V.Date { V.year; month; day }
+
+(* Every value kind, with the edge cases of each printer: negative ints
+   and [min_int], float specials, dates outside four digits, empty and
+   punctuated strings, [Null], and the empty row. Each row's bytes and
+   its salted digests are pinned to the values the [Printf] encoder
+   gave. *)
+let pinned_digests =
+  [
+    ( [| V.Int 0; V.Int (-17); V.Int min_int; V.Int max_int |],
+      "i1:0;i3:-17;i20:-4611686018427387904;i19:4611686018427387903;",
+      -8175599367532151297L,
+      -8670779490168367888L );
+    ( [| V.Float 3.5; V.Float (-0.); V.Float 1e-300; V.Float (1. /. 3.);
+         V.Float Float.infinity; V.Float Float.nan |],
+      "f3:3.5;f2:-0;f6:1e-300;f14:0.333333333333;f3:inf;f3:nan;",
+      -6997933266777316424L,
+      -3329844723063055300L );
+    ( [| date 2021 6 21; date 7 1 1; date 12345 12 31; date (-3) 2 9 |],
+      "d10:2021-06-21;d10:0007-01-01;d11:12345-12-31;d10:-003-02-09;",
+      1032180944292737296L,
+      -3266290714530583464L );
+    ( [| V.String ""; V.String "a;b:c"; V.String "h\195\169llo" |],
+      "s0:;s5:a;b:c;s6:h\195\169llo;",
+      -7742318595008366317L,
+      6875691518134477660L );
+    ( [| V.Bool true; V.Bool false; V.Null |],
+      "b4:true;b5:false;n0:;",
+      3841799891842911562L,
+      3125528578645231801L );
+    ([||], "", -780787492076525413L, -6875516158864582851L);
+    ( [| V.Int 42; V.Float 2.; V.String "x"; date 1999 12 31; V.Bool true; V.Null |],
+      "i2:42;f1:2;s1:x;d10:1999-12-31;b4:true;n0:;",
+      6690743778480383837L,
+      2520203915855069280L );
+  ]
+
+let test_digest_pinned () =
+  let e = P.encoder () in
+  List.iteri
+    (fun i (row, bytes, d0, d1) ->
+      let name what = Printf.sprintf "row %d %s" i what in
+      Alcotest.(check string) (name "bytes") bytes (P.encode_row row);
+      Alcotest.(check int64) (name "digest, salt 0") d0
+        (Prob.Hashing.hash64 ~salt:0L (P.encode_row row));
+      Alcotest.(check int64) (name "digest, salt 0x5EED") d1
+        (Prob.Hashing.hash64 ~salt:0x5EEDL (P.encode_row row));
+      Alcotest.(check int64) (name "hash_row, salt 0") d0 (P.hash_row e ~salt:0L row);
+      Alcotest.(check int64) (name "hash_row, salt 0x5EED") d1
+        (P.hash_row e ~salt:0x5EEDL row))
+    pinned_digests
+
+(* Four domains evaluate hash atoms over one table at once, each building
+   its own digest columns (no cache, so every count rebuilds them): any
+   encoder buffer shared between domains would garble a digest. *)
+let test_digest_concurrent () =
+  let t = Dataset.Model.sample_table (rng ()) model 400 in
+  let preds =
+    Array.init 48 (fun i ->
+        let salt = Int64.of_int (1000 + i) in
+        if i mod 4 = 3 then P.Atom (P.Hash_bit { index = i; salt })
+        else P.Atom (P.Hash_bucket { buckets = 5; bucket = i mod 5; salt }))
+  in
+  let cs = Array.map (P.compile schema) preds in
+  let serial = Array.map (fun p -> P.count_interpreted schema p t) preds in
+  let run k () =
+    Array.init (Array.length cs) (fun i ->
+        let i = (i + (k * 11)) mod Array.length cs in
+        (i, P.count_compiled ~cache:false cs.(i) t))
+  in
+  let domains = List.init 4 (fun k -> Domain.spawn (run k)) in
+  List.iteri
+    (fun k d ->
+      Array.iter
+        (fun (i, c) ->
+          Alcotest.(check int) (Printf.sprintf "domain %d, predicate %d" k i) serial.(i) c)
+        (Domain.join d))
+    domains
+
+(* Words allocated by [f]: minor + major - promoted from [Gc.counters],
+   read between two forced minor collections. *)
+let words_allocated f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* A count that reads one attribute of a fresh 48-attribute table builds
+   that attribute's column only: it allocates a small fraction of what
+   building all 48 columns does. *)
+let test_one_column_read () =
+  let wide = Dataset.Synth.kanon_pso_model ~qis:6 ~retained:42 ~domain:64 in
+  let wide_schema = Dataset.Model.schema wide in
+  let fresh () = Dataset.Model.sample_table (rng ()) wide 120 in
+  let t = fresh () in
+  let every_column =
+    words_allocated (fun () ->
+        for j = 0 to Dataset.Schema.arity wide_schema - 1 do
+          ignore (Dataset.Table.column t j)
+        done)
+  in
+  let t = fresh () in
+  let p = P.Atom (P.Range ("q0", 0., 32.)) in
+  let expected = P.count_interpreted wide_schema p t in
+  let got = ref 0 in
+  let one_count = words_allocated (fun () -> got := P.count wide_schema p t) in
+  Alcotest.(check int) "count" expected !got;
+  if one_count *. 8. > every_column then
+    Alcotest.failf "one-attribute count allocated %.0f words, all columns %.0f"
+      one_count every_column
+
 let test_count_isolates () =
   let t = table [ row 1 0 0; row 1 1 0; row 2 2 2 ] in
   let p = P.Atom (P.Eq ("a0", V.Int 1)) in
@@ -930,7 +1061,30 @@ let qcheck =
         go (min size 8))
   in
   let pred = make ~print:P.to_string pred_gen in
+  let value_gen =
+    Gen.oneof
+      [
+        Gen.map (fun i -> V.Int i) Gen.int;
+        Gen.oneofl [ V.Int min_int; V.Int max_int; V.Int 0; V.Int (-1); V.Null ];
+        Gen.map (fun f -> V.Float f) Gen.float;
+        Gen.map (fun s -> V.String s) Gen.string;
+        Gen.map (fun s -> V.String s) (Gen.string_size (Gen.int_range 200 1200));
+        Gen.map3 date (Gen.int_range (-20000) 20000) (Gen.int_range (-120) 120)
+          (Gen.int_range (-120) 120);
+        Gen.map (fun b -> V.Bool b) Gen.bool;
+      ]
+  in
+  let record =
+    make ~print:reference_encode_row Gen.(array_size (int_range 0 10) value_gen)
+  in
+  (* One encoder across every case, so its reuse and growth are exercised. *)
+  let e = P.encoder () in
   [
+    Test.make ~name:"encode_row matches the Printf reference" ~count:500 record
+      (fun row ->
+        let bytes = reference_encode_row row in
+        P.encode_row row = bytes
+        && P.hash_row e ~salt:0x5EEDL row = Prob.Hashing.hash64 ~salt:0x5EEDL bytes);
     Test.make ~name:"negation flips evaluation" ~count:300 pred (fun p ->
         let r = Dataset.Model.sample_row (rng ()) model in
         P.eval schema (P.Not p) r = not (P.eval schema p r));
@@ -985,6 +1139,12 @@ let () =
           Alcotest.test_case "encode_row injective" `Quick test_encode_row_injective;
           Alcotest.test_case "count/isolates" `Quick test_count_isolates;
           Alcotest.test_case "of_grow" `Quick test_of_grow;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "bytes and digests pinned" `Quick test_digest_pinned;
+          Alcotest.test_case "four domains agree" `Quick test_digest_concurrent;
+          Alcotest.test_case "one column read" `Quick test_one_column_read;
         ] );
       ( "weight",
         [
