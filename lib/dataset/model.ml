@@ -38,8 +38,10 @@ let marginal t name = t.dists.(Schema.index_of t.schema name)
 
 let sample_row rng t = Array.map (fun d -> Prob.Distribution.sample rng d) t.dists
 
+(* [make] checked every support value's kind, so the rows need no
+   re-validation. Rows are drawn in order, each left to right. *)
 let sample_table rng t n =
-  Table.make t.schema (Array.init n (fun _ -> sample_row rng t))
+  Table.make_unchecked t.schema (Array.init n (fun _ -> sample_row rng t))
 
 let row_prob t row =
   if Array.length row <> Array.length t.dists then

@@ -55,18 +55,19 @@ let zip_distribution count =
          (Value.String code, 1. /. Float.pow (float_of_int (i + 1)) 0.8))
        codes)
 
-let birth_date_values =
-  (* 1930-1999, 12 months, 28 days: 23 520 distinct dates. *)
-  List.concat_map
-    (fun y ->
-      List.concat_map
-        (fun m ->
-          List.init 28 (fun d ->
-              Value.make_date ~year:(1930 + y) ~month:(m + 1) ~day:(d + 1)))
-        (List.init 12 Fun.id))
-    (List.init 70 Fun.id)
-
-let birth_date_distribution = Prob.Distribution.uniform birth_date_values
+(* 1930-1999, 12 months, 28 days: 23 520 distinct dates. Built per model,
+   not at module initialisation: every process linking this library would
+   otherwise pay for it at start-up. *)
+let birth_date_distribution () =
+  Prob.Distribution.uniform
+    (List.concat_map
+       (fun y ->
+         List.concat_map
+           (fun m ->
+             List.init 28 (fun d ->
+                 Value.make_date ~year:(1930 + y) ~month:(m + 1) ~day:(d + 1)))
+           (List.init 12 Fun.id))
+       (List.init 70 Fun.id))
 
 let sex_distribution =
   Prob.Distribution.of_weights [ (Value.String "F", 0.51); (Value.String "M", 0.49) ]
@@ -92,7 +93,7 @@ let gic_model ?(zips = 50) () =
   Model.make schema
     [
       ("zip", zip_distribution zips);
-      ("birth_date", birth_date_distribution);
+      ("birth_date", birth_date_distribution ());
       ("sex", sex_distribution);
       ("disease", disease_distribution);
     ]

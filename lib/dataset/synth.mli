@@ -12,6 +12,12 @@
 
 val disease_hierarchy : Hierarchy.t
 
+val gic_model : ?zips:int -> unit -> Model.t
+(** The product model [population] draws each person's [zip],
+    [birth_date], [sex] and [disease] from (in that order): Zipf-like ZIP
+    sizes over [zips] codes (default 50), birth dates uniform over 23,520
+    dates in 1930–1999, and a skewed disease marginal. *)
+
 val population : Prob.Rng.t -> n:int -> ?zips:int -> unit -> Table.t
 (** An identified population of [n] people spread over [zips] ZIP codes with
     Zipf-like sizes, birth dates across 1930–1999, and diseases drawn from a

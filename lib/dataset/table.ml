@@ -1,6 +1,19 @@
 type row = Value.t array
 
-module Vmap = Map.Make (Value)
+(* Hashing that agrees with [Value.equal]: dates equal by ordinal hash by
+   it, and [Hashtbl.hash] already maps every [nan] to one hash and [-0.] to
+   [0.]'s, as [Float.compare] equates them. *)
+module Vtbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+
+  let hash = function
+    | Value.Date d -> Hashtbl.hash (Value.date_ordinal d)
+    | v -> Hashtbl.hash v
+end)
+
+type code_index = int Vtbl.t
 
 (* One attribute of the columnar view. [codes] dictionary-encodes the rows'
    values (codes dense, first-appearance order); [dict] maps a code back to
@@ -9,7 +22,7 @@ module Vmap = Map.Make (Value)
 type column = {
   codes : int array;
   dict : Value.t array;
-  code_index : int Vmap.t;
+  code_index : code_index;  (* read-only once built *)
   floats : float array;
 }
 
@@ -58,6 +71,8 @@ let make schema rows =
   validate schema rows;
   create schema rows
 
+let make_unchecked = create
+
 let schema t = t.schema
 
 let nrows t = Array.length t.rows
@@ -76,18 +91,16 @@ let build_column rows j =
   let n = Array.length rows in
   let codes = Array.make n 0 in
   let floats = Array.make n Float.nan in
-  let index = ref Vmap.empty in
+  let index = Vtbl.create (min n 64) in
   let dict = ref [] in
-  let next = ref 0 in
   for i = 0 to n - 1 do
     let v = rows.(i).(j) in
     let code =
-      match Vmap.find_opt v !index with
+      match Vtbl.find_opt index v with
       | Some c -> c
       | None ->
-        let c = !next in
-        incr next;
-        index := Vmap.add v c !index;
+        let c = Vtbl.length index in
+        Vtbl.add index v c;
         dict := v :: !dict;
         c
     in
@@ -97,7 +110,7 @@ let build_column rows j =
   {
     codes;
     dict = Array.of_list (List.rev !dict);
-    code_index = !index;
+    code_index = index;
     floats;
   }
 
@@ -112,7 +125,7 @@ let column t j =
     t.cols.(j) <- Some c;
     c
 
-let code_of col v = Vmap.find_opt v col.code_index
+let code_of col v = Vtbl.find_opt col.code_index v
 
 (* --- derived tables --- *)
 

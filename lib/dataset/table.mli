@@ -13,6 +13,14 @@ val make : Schema.t -> row array -> t
     its attribute's kind (or is [Null]). Rows are not copied; treat them as
     immutable after construction. Raises [Invalid_argument] on violations. *)
 
+val make_unchecked : Schema.t -> row array -> t
+(** [make] without its validation, for rows already known to be valid
+    (e.g. drawn from a {!Model}, whose constructor checked every support
+    value's kind). The caller guarantees every row has the schema's arity
+    and every value matches its attribute's kind or is [Null]; a violation
+    is not detected here, and the columnar view and predicates over such a
+    table are then unspecified. Rows are not copied. *)
+
 val schema : t -> Schema.t
 
 val nrows : t -> int
@@ -71,10 +79,15 @@ val pp : ?max_rows:int -> Format.formatter -> t -> unit
     own, the first time a query reads that attribute, so a query that
     reads one attribute of a wide table pays for one column. *)
 
+type code_index
+(** value -> code: a hash table under {!Value.equal} (dates hash by
+    ordinal; every [nan] and both zeros hash alike), read-only once the
+    column is built. Read it through {!code_of}. *)
+
 type column = {
   codes : int array;  (** dictionary code per row (dense, first-appearance) *)
   dict : Value.t array;  (** code -> value *)
-  code_index : int Map.Make(Value).t;  (** value -> code ({!Value.compare}) *)
+  code_index : code_index;
   floats : float array;  (** [Value.to_float] per row; [nan] when absent *)
 }
 
@@ -87,4 +100,4 @@ val column : t -> int -> column
 val code_of : column -> Value.t -> int option
 (** Dictionary lookup under {!Value.compare} equality — exactly the
     equality [Predicate] atoms use, so a value absent from the dictionary
-    matches no row. *)
+    matches no row. One hash lookup, O(1) expected. *)

@@ -2,8 +2,32 @@ type 'a t = {
   values : 'a array;
   probs : float array;  (* same length as values, strictly positive, sums to 1 *)
   cumulative : float array;  (* prefix sums of probs; last entry is 1. *)
+  guide : int array;  (* Chen–Asau guide table, see [guide_of] *)
   index : ('a, float) Hashtbl.t;  (* value -> probability *)
 }
+
+(* Chen–Asau indexed search. With [m] the least power of two >= n (so
+   [m < 2n], and [b /. m] and [u *. m] are exact), bucket [b] stores the
+   first index whose cumulative exceeds the bucket's lower edge [b/m]. A
+   draw [u] in bucket [b] has its answer — the first cumulative > u, the
+   binary search's — at or after that index, so a forward scan from it
+   finds exactly that answer, in O(1) expected steps. "cumulative > x" is
+   monotone in the index for every x < 1 (prefix sums, last pinned to 1),
+   so the scans below never pass the end. *)
+let guide_of cumulative =
+  let n = Array.length cumulative in
+  let m = ref 1 in
+  while !m < n do
+    m := 2 * !m
+  done;
+  let scale = float_of_int !m in
+  let j = ref 0 in
+  Array.init !m (fun b ->
+      let edge = float_of_int b /. scale in
+      while cumulative.(!j) <= edge do
+        incr j
+      done;
+      !j)
 
 let of_weights assoc =
   let assoc = List.filter (fun (_, w) -> w <> 0.) assoc in
@@ -37,7 +61,7 @@ let of_weights assoc =
       cumulative.(i) <- !acc)
     probs;
   cumulative.(Array.length cumulative - 1) <- 1.;
-  { values; probs; cumulative; index }
+  { values; probs; cumulative; guide = guide_of cumulative; index }
 
 let uniform values =
   of_weights (List.map (fun v -> (v, 1.)) values)
@@ -50,14 +74,12 @@ let prob t v = match Hashtbl.find_opt t.index v with Some p -> p | None -> 0.
 
 let sample rng t =
   let u = Rng.uniform rng in
-  (* Binary search for the first cumulative value > u. *)
-  let n = Array.length t.cumulative in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.cumulative.(mid) > u then hi := mid else lo := mid + 1
+  (* The first cumulative value > u, scanned from u's guide bucket. *)
+  let j = ref t.guide.(int_of_float (u *. float_of_int (Array.length t.guide))) in
+  while t.cumulative.(!j) <= u do
+    incr j
   done;
-  t.values.(!lo)
+  t.values.(!j)
 
 let to_assoc t =
   Array.to_list (Array.mapi (fun i v -> (v, t.probs.(i))) t.values)

@@ -27,7 +27,11 @@ val prob : 'a t -> 'a -> float
 (** Point mass of a value ([0.] off-support). Uses structural equality. *)
 
 val sample : Rng.t -> 'a t -> 'a
-(** Draw one value (inverse-CDF over the stored cumulative table, O(log n)). *)
+(** Draw one value: inverse CDF over the stored cumulative table, through a
+    guide table built once by [of_weights] (Chen–Asau indexed search, at
+    most [2n] words), so a draw costs O(1) expected steps. It consumes one
+    {!Rng.uniform} and maps it to exactly the value a binary search of the
+    cumulative table would: the first whose cumulative mass exceeds it. *)
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 (** Pushforward; masses of values that collide under [f] are merged. *)

@@ -1,25 +1,31 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer, read and written in place,
+   so advancing it boxes nothing; [bits64] is inlined into every draw below,
+   so [uniform], [int] and [bool] allocate nothing beyond their own result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let default_seed = 0x5DEECE66DL
 
-let create ?(seed = default_seed) () = { state = seed }
+let of_state seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let create ?(seed = default_seed) () = of_state seed
+
+let copy = Bytes.copy
 
 (* SplitMix64 output function: advance by the golden gamma, then mix. *)
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  t.state <- add t.state golden_gamma;
-  let z = t.state in
+  let z = add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+let split t = of_state (bits64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -27,11 +33,11 @@ let int t bound =
      multiple of [bound] that fits in 63 bits. *)
   let bound64 = Int64.of_int bound in
   let limit = Int64.sub Int64.max_int (Int64.rem Int64.max_int bound64) in
-  let rec loop () =
-    let r = Int64.shift_right_logical (bits64 t) 1 in
-    if r >= limit then loop () else Int64.to_int (Int64.rem r bound64)
-  in
-  loop ()
+  let r = ref (Int64.shift_right_logical (bits64 t) 1) in
+  while !r >= limit do
+    r := Int64.shift_right_logical (bits64 t) 1
+  done;
+  Int64.to_int (Int64.rem !r bound64)
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

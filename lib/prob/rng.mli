@@ -9,7 +9,10 @@
     pads) we only need their statistical behaviour at simulation scale. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: 64 bits, updated in place, so advancing the
+    generator allocates nothing. [int], [int_in] and [bool] allocate no
+    word per draw; [uniform] and [bits64] allocate only their boxed
+    result when called from another module. *)
 
 val create : ?seed:int64 -> unit -> t
 (** [create ~seed ()] makes a fresh generator. The default seed is fixed so

@@ -48,7 +48,13 @@
 #      reads linalg.lsq_power_iterations 0), and quick E1's LP decodes
 #      must prove optimality before the simplex pivot cap (--metrics
 #      reads linalg.simplex_stalls 0)
-#  11. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
+#  11. start-up cost: pso_audit --help, run with the runtime's exit-time GC
+#      report (OCAMLRUNPARAM=v=0x400), must peak at no more than 393,216
+#      heap words (3 MiB): module initialisation builds no large tables
+#      (every process linking the library, tests and benchmark included,
+#      pays for what it builds), and the benchmark's setup_s and
+#      peak_heap_mb measure the workload rather than start-up garbage
+#  12. perf gates: bench/main.exe times every A/B pair of Stattest.Gate
 #      interleaved and fails when a gate's whole 95% interval is on the
 #      wrong side of its bound: SpMV sparse >= 10x dense (cross-checked
 #      bitwise), the ledger and 10 Hz timeline overheads <= 10% on the
@@ -235,9 +241,19 @@ for exp in E1 E10 E14; do
   fi
 done
 
+# Start-up cost: the built binary directly (dune exec would add dune's own
+# GC report to stderr).
+OCAMLRUNPARAM=v=0x400 _build/default/bin/pso_audit.exe --help > /dev/null 2> "$tmp1"
+top_heap_words=$(awk '$1 == "top_heap_words:" { print $2 }' "$tmp1")
+if [ -z "$top_heap_words" ] || [ "$top_heap_words" -gt 393216 ]; then
+  echo "ci: start-up cost: pso_audit --help peaked at ${top_heap_words:-?} heap words (limit 393216)" >&2
+  cat "$tmp1" >&2
+  exit 1
+fi
+
 # Perf gates: every A/B pair of Stattest.Gate, timed interleaved in one
 # run; a gate fails only when its whole interval clears the bound the
 # wrong way, so host load reads as unresolved, not as a regression.
 dune exec bench/main.exe
 
-echo "ci: ok (build + tests + examples + jobs-determinism + golden tables + negative auditor + obs smoke + audit ledger + certificates + live telemetry + census scale + solver health + perf gates)"
+echo "ci: ok (build + tests + examples + jobs-determinism + golden tables + negative auditor + obs smoke + audit ledger + certificates + live telemetry + census scale + solver health + start-up cost + perf gates)"

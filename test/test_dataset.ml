@@ -396,6 +396,41 @@ let test_model_sample_table () =
         row)
     t
 
+(* [sample_table] skips [Table.make]'s validation because [Model.make]
+   checked every support value; the checked constructor must accept every
+   table it builds, for each model family the library samples. *)
+let test_model_sample_table_valid () =
+  List.iter
+    (fun (name, model) ->
+      for seed = 1 to 5 do
+        let t =
+          Dataset.Model.sample_table (Prob.Rng.create ~seed:(Int64.of_int seed) ()) model 40
+        in
+        match T.make (T.schema t) (T.rows t) with
+        | _ -> ()
+        | exception Invalid_argument msg -> Alcotest.failf "%s, seed %d: %s" name seed msg
+      done)
+    [
+      ("pso", Dataset.Synth.pso_model ~attributes:3 ~values_per_attribute:64);
+      ("kanon-pso", Dataset.Synth.kanon_pso_model ~qis:6 ~retained:42 ~domain:64);
+      ("gic", Dataset.Synth.gic_model ());
+    ]
+
+(* The cells of one sampled table, pinned: rows are drawn in order, each
+   attribute left to right, one draw per cell. A change to that order, to
+   the generator's stream or to the inverse-CDF map moves this digest. *)
+let test_model_sample_table_pinned () =
+  let cells t =
+    T.rows t
+    |> Array.map (fun r -> String.concat "," (Array.to_list (Array.map V.to_string r)))
+    |> Array.to_list |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  let draw model = Dataset.Model.sample_table (Prob.Rng.create ~seed:2021L ()) model 6 in
+  Alcotest.(check string) "kanon-pso cells" "b1f68bac683a73ee83efa72a71c79ea2"
+    (cells (draw (Dataset.Synth.kanon_pso_model ~qis:2 ~retained:3 ~domain:8)));
+  Alcotest.(check string) "gic cells" "94d93f15c090fc7918382e6b5c38c2ff"
+    (cells (draw (Dataset.Synth.gic_model ())))
+
 let test_model_validates () =
   let schema = S.make [ { S.name = "a"; kind = V.Kint; role = S.Insensitive } ] in
   Alcotest.(check bool) "kind mismatch rejected" true
@@ -586,6 +621,9 @@ let () =
           Alcotest.test_case "min entropy" `Quick test_model_min_entropy;
           Alcotest.test_case "sample table" `Quick test_model_sample_table;
           Alcotest.test_case "validates kinds" `Quick test_model_validates;
+          Alcotest.test_case "sampled tables pass Table.make" `Quick
+            test_model_sample_table_valid;
+          Alcotest.test_case "sampled cells pinned" `Quick test_model_sample_table_pinned;
         ] );
       ( "synth",
         [

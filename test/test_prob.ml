@@ -78,6 +78,82 @@ let test_rng_copy () =
   Alcotest.(check int64) "copy continues identically" (Prob.Rng.bits64 r)
     (Prob.Rng.bits64 c)
 
+(* The first outputs of a fixed draw script, pinned as literals: bits64
+   twice, uniform (as its 53-bit integer), int with bounds 1, 7 and
+   max_int (= 2^62 - 1, the largest bound), eight bools (bit k = k-th
+   draw), then split: the child's first bits64 and the parent's next. Any
+   change to the state layout or the output function that moves a byte of
+   any stream fails here. *)
+let rng_script r =
+  let open Prob.Rng in
+  let a = bits64 r in
+  let b = bits64 r in
+  let u = Int64.of_float (uniform r *. 9007199254740992.0) in
+  let i1 = Int64.of_int (int r 1) in
+  let i7 = Int64.of_int (int r 7) in
+  let im = Int64.of_int (int r max_int) in
+  let bools = ref 0L in
+  for k = 0 to 7 do
+    if bool r then bools := Int64.logor !bools (Int64.shift_left 1L k)
+  done;
+  let child = split r in
+  let c = bits64 child in
+  let p = bits64 r in
+  [ a; b; u; i1; i7; im; !bools; c; p ]
+
+let test_rng_pinned_stream () =
+  List.iter
+    (fun (name, r, expected) ->
+      Alcotest.(check (list int64)) name expected (rng_script r))
+    [
+      ( "seed 0",
+        Prob.Rng.create ~seed:0L (),
+        [ -2152535657050944081L; 7960286522194355700L; 238094247788840L; 0L; 4L;
+          3019047300631581045L; 213L; 8582499208329768632L; -8882435919750266709L ] );
+      ( "seed 1",
+        Prob.Rng.create ~seed:1L (),
+        [ -7995527694508729151L; -4689498862643123097L; 8746015278458442L; 0L; 2L;
+          2424772783004877121L; 19L; -1152577425936008049L; 3081251696030599739L ] );
+      ( "default seed",
+        Prob.Rng.create (),
+        [ -4027892392138983038L; 5795729154901121673L; 4056793114009193L; 0L; 2L;
+          3020468533891817586L; 17L; 912096691598034504L; -621307521963170309L ] );
+      ( "seed min_int",
+        Prob.Rng.create ~seed:Int64.min_int (),
+        [ 5196802822362493915L; -4292029157624213486L; 3435770899136848L; 0L; 3L;
+          2792008650874675967L; 195L; 1674053359632266614L; 5592425262465205901L ] );
+    ]
+
+(* A copy and its source never share state: whichever draws first, the
+   other still replays the same draws. *)
+let test_rng_copy_independent () =
+  let draws r = List.init 3 (fun _ -> Prob.Rng.bits64 r) in
+  let r = rng () in
+  let c = Prob.Rng.copy r in
+  let from_c = draws c in
+  Alcotest.(check (list int64)) "the copy's draws leave the source" from_c (draws r);
+  let c = Prob.Rng.copy r in
+  let from_r = draws r in
+  Alcotest.(check (list int64)) "the source's draws leave the copy" from_r (draws c)
+
+(* Four split streams drawn serially and from four domains at once give the
+   same bytes, and the bytes the digest pins. *)
+let test_rng_split_across_domains () =
+  let streams () =
+    let r = Prob.Rng.create ~seed:99L () in
+    List.init 4 (fun _ -> Prob.Rng.split r)
+  in
+  let draw s =
+    String.concat ";" (List.init 1000 (fun _ -> Int64.to_string (Prob.Rng.bits64 s)))
+  in
+  let serial = List.map draw (streams ()) in
+  let parallel =
+    List.map (fun s -> Domain.spawn (fun () -> draw s)) (streams ()) |> List.map Domain.join
+  in
+  Alcotest.(check (list string)) "domains draw the serial streams" serial parallel;
+  Alcotest.(check string) "pinned digest" "7f88b30d1f248f8a68589bdccf5f7faf"
+    (Digest.to_hex (Digest.string (String.concat "," parallel)))
+
 let test_rng_shuffle_permutes () =
   let r = rng () in
   let a = Array.init 50 Fun.id in
@@ -335,6 +411,23 @@ let test_hash_allocation_free () =
     (Prob.Hashing.hash64 ~salt:7L (String.sub long 0 100))
     (Prob.Hashing.hash64_prefix ~salt:7L (Bytes.of_string long) 100)
 
+(* Advancing the generator boxes nothing: [int] and [bool] allocate no word
+   per draw, and [uniform] and [Distribution.sample] at most their boxed
+   float result. *)
+let test_rng_allocation_free () =
+  let r = rng () in
+  let d = Prob.Distribution.uniform (List.init 64 Fun.id) in
+  let per_draw f =
+    let cost k = words_allocated (fun () -> for _ = 1 to k do f () done) in
+    (cost 1000 -. cost 0) /. 1000.
+  in
+  Alcotest.(check (float 0.)) "int" 0. (per_draw (fun () -> ignore (Prob.Rng.int r 7)));
+  Alcotest.(check (float 0.)) "bool" 0. (per_draw (fun () -> ignore (Prob.Rng.bool r)));
+  Alcotest.(check bool) "uniform: at most its boxed result" true
+    (per_draw (fun () -> ignore (Prob.Rng.uniform r)) <= 2.);
+  Alcotest.(check bool) "Distribution.sample: at most one boxed float" true
+    (per_draw (fun () -> ignore (Prob.Distribution.sample r d)) <= 2.)
+
 (* --- Decay --- *)
 
 let test_decay_plateau () =
@@ -410,6 +503,11 @@ let () =
           Alcotest.test_case "uniform range" `Quick test_rng_uniform_range;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+          Alcotest.test_case "copy shares no state" `Quick test_rng_copy_independent;
+          Alcotest.test_case "split streams across domains" `Quick
+            test_rng_split_across_domains;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_allocation_free;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
           Alcotest.test_case "sample without replacement" `Quick
             test_sample_without_replacement;

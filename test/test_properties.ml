@@ -49,6 +49,204 @@ let prop_group_by_partitions =
       && List.length groups = T.distinct t names
       && T.nrows (T.project t names) = T.nrows t)
 
+(* The hashed dictionary against a reference built the way the columnar
+   view used to be built: a [Map] under [Value.compare], codes in
+   first-appearance order. *)
+module Vmap = Map.Make (V)
+
+let reference_column rows j =
+  let index = ref Vmap.empty and dict = ref [] in
+  let codes =
+    Array.map
+      (fun (r : T.row) ->
+        match Vmap.find_opt r.(j) !index with
+        | Some c -> c
+        | None ->
+          let c = Vmap.cardinal !index in
+          index := Vmap.add r.(j) c !index;
+          dict := r.(j) :: !dict;
+          c)
+      rows
+  in
+  (codes, Array.of_list (List.rev !dict), !index)
+
+(* Bit-for-bit identity: tells [nan] payloads and the two zeros apart. *)
+let identical a b =
+  match (a, b) with
+  | V.Float x, V.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let float_pool = [| 0.; -0.; Float.nan; -.Float.nan; 1.5; -2.; Float.infinity |]
+
+(* Dates include two out-of-range spellings of ordinals that in-range
+   dates also have (Jan 32 = Feb 1, Mar 0 = Feb 31): equal under
+   [Value.equal], so they must hash alike. *)
+let date_pool =
+  [| { V.year = 2000; month = 1; day = 32 }; { V.year = 2000; month = 2; day = 1 };
+     { V.year = 2000; month = 3; day = 0 }; { V.year = 2000; month = 2; day = 31 };
+     { V.year = 1999; month = 12; day = 31 } |]
+
+let column_schema =
+  S.make
+    (List.map
+       (fun (name, kind) -> { S.name; kind; role = S.Quasi_identifier })
+       [ ("f", V.Kfloat); ("d", V.Kdate); ("i", V.Kint); ("s", V.Kstring); ("b", V.Kbool) ])
+
+let column_value =
+  QCheck.Gen.(
+    fun j ->
+      frequency
+        [
+          (1, return V.Null);
+          ( 6,
+            map
+              (fun k ->
+                match j with
+                | 0 -> V.Float float_pool.(k mod Array.length float_pool)
+                | 1 -> V.Date date_pool.(k mod Array.length date_pool)
+                | 2 -> V.Int (k - 4)
+                | 3 -> V.String (String.make (k mod 3) 'x' ^ string_of_int (k mod 5))
+                | _ -> V.Bool (k mod 2 = 0))
+              (int_range 0 9) );
+        ])
+
+let column_rows =
+  QCheck.Gen.(
+    int_range 0 80 >>= fun n ->
+    array_repeat n
+      (map Array.of_list (flatten_l (List.init (S.arity column_schema) column_value))))
+
+let probes =
+  (V.Null :: V.Float 7.25 :: V.Int 99 :: V.String "absent" :: V.Bool true
+   :: V.Date { V.year = 1900; month = 1; day = 1 }
+   :: List.map (fun f -> V.Float f) (Array.to_list float_pool))
+  @ List.map (fun d -> V.Date d) (Array.to_list date_pool)
+  @ List.init 10 (fun k -> V.Int (k - 4))
+
+let prop_column_matches_map_reference =
+  qcheck ~count:300 "hashed column equals the Map-built reference" column_rows
+    (fun rows ->
+      let t = T.make column_schema rows in
+      List.for_all
+        (fun j ->
+          let col = T.column t j in
+          let codes, dict, index = reference_column rows j in
+          col.T.codes = codes
+          && Array.length col.T.dict = Array.length dict
+          && Array.for_all2 identical col.T.dict dict
+          && Array.for_all2
+               (fun f (r : T.row) ->
+                 match V.to_float r.(j) with
+                 | Some g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+                 | None -> Float.is_nan f)
+               col.T.floats rows
+          && List.for_all (fun v -> T.code_of col v = Vmap.find_opt v index) probes)
+        (List.init (S.arity column_schema) Fun.id))
+
+(* --- prob layer: guide-table sampling --- *)
+
+(* [Distribution.sample] against a binary search of the cumulative table,
+   at chosen uniforms. A uniform is [k / 2^53]; the generator seeded by
+   [seed_for_bits (k lsl 11)] draws exactly it, because SplitMix64's
+   output function is a bijection and is inverted here. *)
+let unshift y k =
+  let x = ref y and s = ref k in
+  while !s < 64 do
+    x := Int64.logxor !x (Int64.shift_right_logical y !s);
+    s := !s + k
+  done;
+  !x
+
+let inverse_odd c =
+  let inv = ref c in
+  for _ = 1 to 6 do
+    inv := Int64.mul !inv (Int64.sub 2L (Int64.mul c !inv))
+  done;
+  !inv
+
+let seed_for_bits target =
+  let z = unshift target 31 in
+  let z = Int64.mul z (inverse_odd 0x94D049BB133111EBL) in
+  let z = unshift z 27 in
+  let z = Int64.mul z (inverse_odd 0xBF58476D1CE4E5B9L) in
+  Int64.sub (unshift z 30) 0x9E3779B97F4A7C15L
+
+let two53 = 9007199254740992.
+
+let sample_at d k =
+  Prob.Distribution.sample (Prob.Rng.create ~seed:(seed_for_bits (Int64.shift_left k 11)) ()) d
+
+(* The cumulative table [of_weights] builds (its masses, summed in support
+   order, the last pinned to 1) and the first entry above [u]. *)
+let reference_cumulative d =
+  let support = Prob.Distribution.support d in
+  let acc = ref 0. in
+  let cum =
+    Array.map
+      (fun v ->
+        acc := !acc +. Prob.Distribution.prob d v;
+        !acc)
+      support
+  in
+  cum.(Array.length cum - 1) <- 1.;
+  (support, cum)
+
+let binary_search cum u =
+  let lo = ref 0 and hi = ref (Array.length cum - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cum.(mid) > u then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let weights =
+  QCheck.Gen.(
+    int_range 1 300 >>= fun n ->
+    list_repeat n
+      (frequency
+         [ (5, float_range 0.001 1.); (2, return 1e-12); (1, float_range 1. 1000.) ]))
+
+let prop_guide_matches_binary_search =
+  qcheck ~count:150 "guide-table sample equals the binary search" weights (fun ws ->
+      let d = Prob.Distribution.of_weights (List.mapi (fun i w -> (i, w)) ws) in
+      let support, cum = reference_cumulative d in
+      let n = Array.length support in
+      let m = ref 1 in
+      while !m < n do
+        m := 2 * !m
+      done;
+      let last = Int64.of_float two53 |> Int64.pred in
+      let clamp k = if k < 0L then 0L else if k > last then last else k in
+      let ks =
+        (* every bucket edge and the uniform just below it *)
+        List.concat_map
+          (fun b ->
+            let k = Int64.of_float (float_of_int b /. float_of_int !m *. two53) in
+            [ k; Int64.pred k ])
+          (List.init !m Fun.id)
+        (* the uniforms around every cumulative value *)
+        @ List.concat_map
+            (fun c ->
+              let k = Int64.of_float (Float.floor (c *. two53)) in
+              [ Int64.pred k; k; Int64.succ k ])
+            (Array.to_list cum)
+        @ [ 0L; last ]
+      in
+      (* and a stretch of an ordinary stream *)
+      let r = Prob.Rng.create ~seed:(Int64.of_int n) () in
+      let r' = Prob.Rng.copy r in
+      Prob.Rng.bits64 (Prob.Rng.create ~seed:(seed_for_bits 42L) ()) = 42L
+      && List.for_all
+           (fun _ ->
+             Prob.Distribution.sample r d
+             = support.(binary_search cum (Prob.Rng.uniform r')))
+           (List.init 200 Fun.id)
+      && List.for_all
+           (fun k ->
+             let k = clamp k in
+             sample_at d k = support.(binary_search cum (Int64.to_float k /. two53)))
+           ks)
+
 (* --- query layer --- *)
 
 let prop_count_matches_eval =
@@ -241,7 +439,14 @@ let prop_game_outcome_sane =
 let () =
   Alcotest.run "properties"
     [
-      ("dataset", [ prop_sampled_rows_in_support; prop_row_prob; prop_group_by_partitions ]);
+      ("prob", [ prop_guide_matches_binary_search ]);
+      ( "dataset",
+        [
+          prop_sampled_rows_in_support;
+          prop_row_prob;
+          prop_group_by_partitions;
+          prop_column_matches_map_reference;
+        ] );
       ( "query",
         [
           prop_count_matches_eval;
