@@ -26,7 +26,11 @@ type eclass = { rep : grow; members : int array }
 
 val classes : t -> eclass list
 (** Equivalence classes in first-appearance order. Two rows are equivalent
-    when all their generalized cells are {!Gvalue.equal}. *)
+    when all their generalized cells are {!Gvalue.equal} — also when they
+    render differently ([0.] and [-0.], two dates of one ordinal). Rows
+    are bucketed by {!Gvalue.hash} of their cells and compared cell by
+    cell within a bucket: expected time linear in the cells read, with no
+    cell rendered or copied. *)
 
 val classes_on : t -> string list -> eclass list
 (** Equivalence classes computed on the named attributes only (the class

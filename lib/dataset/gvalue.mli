@@ -33,3 +33,8 @@ val span : t -> domain_size:float -> float
     [Any] spans 1. For categorical values, the fraction of members. *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** A hash that agrees with {!equal}: equal generalized values hash alike
+    (a [Prefix] by its kept characters and length, a [Category] by its
+    label, [Exact] values as {!Value.hash}). Non-negative. *)

@@ -1,16 +1,11 @@
 type row = Value.t array
 
-(* Hashing that agrees with [Value.equal]: dates equal by ordinal hash by
-   it, and [Hashtbl.hash] already maps every [nan] to one hash and [-0.] to
-   [0.]'s, as [Float.compare] equates them. *)
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
   let equal = Value.equal
 
-  let hash = function
-    | Value.Date d -> Hashtbl.hash (Value.date_ordinal d)
-    | v -> Hashtbl.hash v
+  let hash = Value.hash
 end)
 
 type code_index = int Vtbl.t

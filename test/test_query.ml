@@ -1066,6 +1066,15 @@ let qcheck =
       [
         Gen.map (fun i -> V.Int i) Gen.int;
         Gen.oneofl [ V.Int min_int; V.Int max_int; V.Int 0; V.Int (-1); V.Null ];
+        (* Either side of the one-digit header width: 9, 10 and 19
+           digits, either sign ([-] makes the width 10, 11 and 20). *)
+        Gen.map3
+          (fun digits neg r ->
+            let lo = int_of_float (10. ** float_of_int (digits - 1)) in
+            let hi = if digits >= 19 then max_int else (10 * lo) - 1 in
+            let x = lo + ((r land max_int) mod (hi - lo + 1)) in
+            V.Int (if neg then -x else x))
+          (Gen.oneofl [ 9; 10; 19 ]) Gen.bool Gen.int;
         Gen.map (fun f -> V.Float f) Gen.float;
         Gen.map (fun s -> V.String s) Gen.string;
         Gen.map (fun s -> V.String s) (Gen.string_size (Gen.int_range 200 1200));
